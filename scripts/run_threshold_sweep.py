@@ -28,8 +28,8 @@ from conf_ensemble import (
     build_ensemble,
     expected_calibration_error,
     generate_blobs,
+    member_prediction_arrays,
 )
-from conf_ensemble.builder import member_prediction_arrays
 
 
 def parse_args():
@@ -52,10 +52,7 @@ def evaluate_grid(name, manifest, data, rows):
                 threshold, manifest.num_members, consensus=consensus
             )
             record = batch_evaluate(manifest, rcfg, data)
-            report = expected_calibration_error(
-                [o.chosen.top_probability for o in record.outcomes],
-                [o.correct for o in record.outcomes],
-            )
+            report = expected_calibration_error(record.chosen_top, record.correct)
             rows.append(
                 {
                     "ensemble": name,

@@ -11,9 +11,6 @@ from .builder import (
     BuildReport,
     build_ensemble,
     member_prediction_arrays,
-    member_uncertainty_scores,
-    select_next_subset_nested,
-    select_next_subset_rebased,
 )
 from .cascade import (
     CONSENSUS_LAST_MEMBER,
@@ -23,8 +20,6 @@ from .cascade import (
     RuntimeConfig,
     batch_evaluate,
     cascade_predict,
-    consensus_last_member,
-    consensus_most_confident,
 )
 from .classifiers import (
     ClassifierSpec,
@@ -46,7 +41,6 @@ from .config import (
 )
 from .datasets import (
     Dataset,
-    Sample,
     SubsetView,
     generate_blobs,
     load_csv,

@@ -21,15 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import RuntimeConfig
-from .classifiers import (
-    ClassifierSpec,
-    TrainConfig,
-    TrainedModel,
-    fit,
-    init_model,
-    predict_logits_batch,
-)
+from .cascade import RuntimeConfig, member_prediction_arrays
+from .classifiers import ClassifierSpec, TrainConfig, TrainedModel, fit, init_model
 from .datasets import Dataset, SubsetView, materialize
 from .errors import DegenerateSubsetError, InvalidInputError, InvalidViewError
 from .manifest import (
@@ -46,7 +39,6 @@ from .metrics import (
     ScoreHistogram,
     score_histogram,
 )
-from .numerics import softmax_batch
 
 DEFAULT_RUNTIME_THRESHOLD = 0.2
 
@@ -91,26 +83,14 @@ class BuildConfig:
         return default_min_subset_size(self.classifier_spec.num_classes)
 
 
-def member_prediction_arrays(
-    member: TrainedModel, features
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(predicted class, top probability, uncertainty) per feature row."""
-    probs = softmax_batch(predict_logits_batch(member, features))
-    cls = probs.argmax(axis=1)
-    top = probs[np.arange(probs.shape[0]), cls]
-    return cls, top, np.minimum(top, 1.0 - top)
-
-
-def member_uncertainty_scores(member: TrainedModel, features) -> np.ndarray:
-    """Uncertainty of a member's prediction for each feature row."""
-    probs = softmax_batch(predict_logits_batch(member, features))
-    top = probs.max(axis=1)
-    return np.minimum(top, 1.0 - top)
-
-
 def _filter_pool(
     pool: SubsetView, member: TrainedModel, threshold: float, parent: Dataset
 ) -> SubsetView:
+    """Keep the samples of ``pool`` the member is uncertain about.
+
+    The selection rule is the choice of ``pool``: the previous level's
+    pool for nested, the full pool for rebased.
+    """
     if not 0.0 <= threshold <= 0.5:
         raise InvalidInputError(f"training threshold {threshold} outside [0, 0.5]")
     if pool.parent_id != parent.id:
@@ -120,24 +100,9 @@ def _filter_pool(
     if not pool.indices:
         return SubsetView(parent_id=parent.id, indices=())
     idx = np.asarray(pool.indices, dtype=np.int64)
-    scores = member_uncertainty_scores(member, parent.features[idx])
+    _, _, scores = member_prediction_arrays(member, parent.features[idx])
     kept = idx[scores > threshold]  # strict: boundary samples are not forwarded
     return SubsetView(parent_id=parent.id, indices=tuple(int(i) for i in kept))
-
-
-def select_next_subset_nested(
-    prev_pool: SubsetView, member: TrainedModel, threshold: float, parent: Dataset
-) -> SubsetView:
-    """Keep the samples of the previous pool the member is uncertain about."""
-    return _filter_pool(prev_pool, member, threshold, parent)
-
-
-def select_next_subset_rebased(
-    full_pool: SubsetView, member: TrainedModel, threshold: float, parent: Dataset
-) -> SubsetView:
-    """Keep the samples of the ORIGINAL full pool the member is uncertain
-    about; the result need not be contained in the member's own pool."""
-    return _filter_pool(full_pool, member, threshold, parent)
 
 
 def indices_file_content(indices: tuple[int, ...]) -> str:

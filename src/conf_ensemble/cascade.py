@@ -4,7 +4,12 @@ A query walks the members in order.  Member k's prediction is accepted as
 soon as its uncertainty is strictly below the level-k runtime threshold;
 if no member is confident enough, a consensus heuristic picks among all
 member predictions ("last_member" takes the final one, "most_confident"
-the one with the lowest uncertainty).
+the one with the lowest uncertainty, ties to the earliest member).
+
+member_prediction_arrays is the one scoring kernel (softmax -> top class
+-> min(p, 1 - p)) and _run_cascade the one decision function; each member
+runs only on the rows still unresolved.  batch_evaluate keeps the columns
+as an EvaluationRecord, cascade_predict is a one-row call of the kernel.
 
 Note the boundary asymmetry with training-pool selection: a sample whose
 uncertainty equals the threshold exactly is not accepted here, and is
@@ -20,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .classifiers import predict_logits, predict_logits_batch
+from .classifiers import TrainedModel, predict_logits_batch
 from .datasets import Dataset
 from .errors import InvalidInputError
 from .numerics import Prediction, softmax_batch
@@ -64,6 +69,54 @@ class RuntimeConfig:
             )
 
 
+def member_prediction_arrays(
+    member: TrainedModel, features
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(predicted class, top probability, uncertainty) per feature row."""
+    probs = softmax_batch(predict_logits_batch(member, features))
+    cls = probs.argmax(axis=1)
+    top = probs[np.arange(probs.shape[0]), cls]
+    return cls, top, np.minimum(top, 1.0 - top)
+
+
+def _run_cascade(
+    members: Sequence[TrainedModel], rcfg: RuntimeConfig, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The decision rule over an (n, input_dim) feature matrix.
+
+    Returns the (n, L) per-level class, top probability and uncertainty
+    (class -1 where a level was not consulted), the (n,) answering level
+    (-1 where consensus decided) and the (n,) level whose prediction was
+    chosen.
+    """
+    rcfg.validate_for(len(members))
+    n, num_levels = features.shape[0], len(members)
+    classes = np.full((n, num_levels), -1, dtype=np.int64)
+    top = np.zeros((n, num_levels))
+    unc = np.zeros((n, num_levels))
+    level = np.full(n, -1, dtype=np.int64)
+
+    active = np.arange(n)
+    for k, member in enumerate(members):
+        if active.size == 0:
+            break
+        k_cls, k_top, k_unc = member_prediction_arrays(member, features[active])
+        classes[active, k] = k_cls
+        top[active, k] = k_top
+        unc[active, k] = k_unc
+        accepted = k_unc < rcfg.thresholds[k]
+        level[active[accepted]] = k
+        active = active[~accepted]
+
+    # Rows still active were rejected at every level, so all are consulted.
+    chosen = level.copy()
+    if rcfg.consensus == CONSENSUS_LAST_MEMBER:
+        chosen[active] = num_levels - 1
+    else:
+        chosen[active] = unc[active].argmin(axis=1)  # first minimum: earliest member
+    return classes, top, unc, level, chosen
+
+
 @dataclass(frozen=True)
 class CascadeStep:
     member_index: int
@@ -84,81 +137,101 @@ class CascadeTrace:
         return self.accepted_level is None
 
 
-def consensus_last_member(predictions: Sequence[Prediction]) -> Prediction:
-    """Fall back to the final member's prediction."""
-    if not predictions:
-        raise InvalidInputError("consensus needs at least one prediction")
-    return predictions[-1]
-
-
-def consensus_most_confident(predictions: Sequence[Prediction]) -> Prediction:
-    """Fall back to the lowest-uncertainty prediction; ties go to the
-    earliest member."""
-    if not predictions:
-        raise InvalidInputError("consensus needs at least one prediction")
-    best = min(range(len(predictions)), key=lambda i: (predictions[i].uncertainty, i))
-    return predictions[best]
-
-
-def _apply_consensus(predictions: Sequence[Prediction], consensus: str) -> Prediction:
-    if consensus == CONSENSUS_LAST_MEMBER:
-        return consensus_last_member(predictions)
-    return consensus_most_confident(predictions)
-
-
 def cascade_predict(
     manifest: "EnsembleManifest",
     rcfg: RuntimeConfig,
     features,
 ) -> tuple[Prediction, CascadeTrace]:
     """Classify one sample, stopping at the first confident member."""
-    rcfg.validate_for(len(manifest.members))
-    steps: list[CascadeStep] = []
-    predictions: list[Prediction] = []
-    for k, member in enumerate(manifest.members):
-        pred = Prediction.from_logits(predict_logits(member, features))
-        accepted = pred.uncertainty < rcfg.thresholds[k]
-        steps.append(CascadeStep(member_index=k, prediction=pred, accepted=accepted))
-        predictions.append(pred)
-        if accepted:
-            return pred, CascadeTrace(steps=tuple(steps), accepted_level=k, chosen=pred)
-    chosen = _apply_consensus(predictions, rcfg.consensus)
-    return chosen, CascadeTrace(steps=tuple(steps), accepted_level=None, chosen=chosen)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidInputError(f"features must be a 1-d vector, got shape {x.shape}")
+    classes, top, unc, level, chosen = _run_cascade(manifest.members, rcfg, x[None, :])
+    predictions = [
+        Prediction(class_index=c, top_probability=p, uncertainty=u)
+        for c, p, u in zip(classes[0].tolist(), top[0].tolist(), unc[0].tolist())
+        if c >= 0
+    ]
+    accepted = int(level[0])
+    steps = tuple(CascadeStep(k, p, k == accepted) for k, p in enumerate(predictions))
+    pick = predictions[int(chosen[0])]
+    return pick, CascadeTrace(steps, None if accepted < 0 else accepted, pick)
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
-    sample_index: int
-    true_label: int
-    trace: CascadeTrace
-
-    @property
-    def chosen(self) -> Prediction:
-        return self.trace.chosen
-
-    @property
-    def correct(self) -> bool:
-        return self.trace.chosen.class_index == self.true_label
-
-    @property
-    def answering_level(self) -> int | None:
-        return self.trace.accepted_level
+_SAMPLE_FIELDS = (
+    "sample_index",
+    "chosen_class",
+    "true_class",
+    "answering_level",
+    "top_probability",
+    "uncertainty",
+    "consulted_uncertainties",
+    "correct",
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationRecord:
-    """Per-sample outcomes plus member-utilization aggregates."""
+    """Columnar cascade results over a dataset, one row per sample.
+
+    ``classes``, ``top`` and ``unc`` are (n, L): each level's predicted
+    class, top probability and uncertainty, with class -1 (and zeros)
+    where the level was not consulted.  ``level`` is the (n,) answering
+    level, -1 where consensus decided; ``chosen`` is the (n,) level whose
+    prediction the cascade returned.  Everything else is derived.
+    """
 
     consensus: str
     thresholds: tuple[float, ...]
-    outcomes: tuple[SampleOutcome, ...]
-    level_counts: tuple[int, ...]  # samples resolved at each level
-    consensus_count: int
-    accuracy: float
+    labels: np.ndarray
+    classes: np.ndarray
+    top: np.ndarray
+    unc: np.ndarray
+    level: np.ndarray
+    chosen: np.ndarray
+
+    def _chosen_column(self, values: np.ndarray) -> np.ndarray:
+        return values[np.arange(self.num_samples), self.chosen]
 
     @property
     def num_samples(self) -> int:
-        return len(self.outcomes)
+        return self.labels.shape[0]
+
+    @property
+    def chosen_class(self) -> np.ndarray:
+        return self._chosen_column(self.classes)
+
+    @property
+    def chosen_top(self) -> np.ndarray:
+        return self._chosen_column(self.top)
+
+    @property
+    def chosen_uncertainty(self) -> np.ndarray:
+        return self._chosen_column(self.unc)
+
+    @property
+    def correct(self) -> np.ndarray:
+        return self.chosen_class == self.labels
+
+    @property
+    def consulted(self) -> np.ndarray:
+        """Members consulted per sample."""
+        return np.where(self.level < 0, len(self.thresholds), self.level + 1)
+
+    @property
+    def level_counts(self) -> tuple[int, ...]:
+        """Samples resolved at each level."""
+        counts = np.bincount(self.level[self.level >= 0], minlength=len(self.thresholds))
+        return tuple(counts.tolist())
+
+    @property
+    def consensus_count(self) -> int:
+        return int((self.level < 0).sum())
+
+    @property
+    def accuracy(self) -> float:
+        n = self.num_samples
+        return int(self.correct.sum()) / n if n else 0.0
 
     @property
     def level_fractions(self) -> tuple[float, ...]:
@@ -178,27 +251,27 @@ class EvaluationRecord:
             "consensus_fraction": self.consensus_fraction,
         }
 
+    def _sample_rows(self):
+        """Per-sample values as Python scalars, in _SAMPLE_FIELDS order."""
+        unc_rows = self.unc.tolist()
+        return zip(
+            range(self.num_samples),
+            self.chosen_class.tolist(),
+            self.labels.tolist(),
+            [None if k < 0 else k for k in self.level.tolist()],
+            self.chosen_top.tolist(),
+            self.chosen_uncertainty.tolist(),
+            [us[:c] for us, c in zip(unc_rows, self.consulted.tolist())],
+            self.correct.tolist(),
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "consensus": self.consensus,
             "thresholds": list(self.thresholds),
             "accuracy": self.accuracy,
             "utilization": self.utilization_summary(),
-            "samples": [
-                {
-                    "sample_index": o.sample_index,
-                    "chosen_class": o.chosen.class_index,
-                    "true_class": o.true_label,
-                    "answering_level": o.answering_level,
-                    "top_probability": o.chosen.top_probability,
-                    "uncertainty": o.chosen.uncertainty,
-                    "consulted_uncertainties": [
-                        s.prediction.uncertainty for s in o.trace.steps
-                    ],
-                    "correct": o.correct,
-                }
-                for o in self.outcomes
-            ],
+            "samples": [dict(zip(_SAMPLE_FIELDS, row)) for row in self._sample_rows()],
         }
 
     def write_csv(self, path) -> None:
@@ -211,17 +284,12 @@ class EvaluationRecord:
                 ["sample_index", "chosen_class", "true_class", "answering_level"]
                 + [f"u_level_{k}" for k in range(num_levels)]
             )
-            for o in self.outcomes:
-                us = {s.member_index: s.prediction.uncertainty for s in o.trace.steps}
-                writer.writerow(
-                    [
-                        o.sample_index,
-                        o.chosen.class_index,
-                        o.true_label,
-                        "consensus" if o.answering_level is None else o.answering_level,
-                    ]
-                    + [repr(us[k]) if k in us else "" for k in range(num_levels)]
-                )
+            writer.writerows(
+                [i, cls, label, "consensus" if level is None else level]
+                + [repr(u) for u in us]
+                + [""] * (num_levels - len(us))
+                for i, cls, label, level, _, _, us, _ in self._sample_rows()
+            )
 
 
 def batch_evaluate(
@@ -231,13 +299,10 @@ def batch_evaluate(
 ) -> EvaluationRecord:
     """Run the cascade over a whole dataset.
 
-    Members are evaluated level by level on the still-unresolved samples
-    only, which is equivalent to cascade_predict per sample; aggregation
-    is in sample-index order, so results are deterministic.
+    Same kernel as cascade_predict, applied to every row at once; each
+    member runs only on the samples still unresolved at its level.
     """
-    members = manifest.members
-    rcfg.validate_for(len(members))
-    spec0 = members[0].spec
+    spec0 = manifest.members[0].spec
     if data.feature_dim != spec0.input_dim:
         raise InvalidInputError(
             f"dataset feature_dim {data.feature_dim} != ensemble input_dim {spec0.input_dim}"
@@ -246,66 +311,14 @@ def batch_evaluate(
         raise InvalidInputError(
             f"dataset num_classes {data.num_classes} != ensemble num_classes {spec0.num_classes}"
         )
-
-    n = len(data)
-    num_levels = len(members)
-    # Per (sample, consulted level) prediction pieces; -1 class = not consulted.
-    cls = np.full((n, num_levels), -1, dtype=np.int64)
-    top = np.zeros((n, num_levels))
-    unc = np.zeros((n, num_levels))
-    accept_level = np.full(n, -1, dtype=np.int64)
-
-    active = np.arange(n)
-    for k, member in enumerate(members):
-        if active.size == 0:
-            break
-        probs = softmax_batch(predict_logits_batch(member, data.features[active]))
-        k_cls = probs.argmax(axis=1)
-        k_top = probs[np.arange(active.size), k_cls]
-        k_unc = np.minimum(k_top, 1.0 - k_top)
-        cls[active, k] = k_cls
-        top[active, k] = k_top
-        unc[active, k] = k_unc
-        accepted = k_unc < rcfg.thresholds[k]
-        accept_level[active[accepted]] = k
-        active = active[~accepted]
-
-    outcomes = []
-    correct_count = 0
-    level_counts = [0] * num_levels
-    consensus_count = 0
-    for i in range(n):
-        lvl = int(accept_level[i])
-        consulted = num_levels if lvl < 0 else lvl + 1
-        steps = tuple(
-            CascadeStep(
-                member_index=k,
-                prediction=Prediction(
-                    class_index=int(cls[i, k]),
-                    top_probability=float(top[i, k]),
-                    uncertainty=float(unc[i, k]),
-                ),
-                accepted=(k == lvl),
-            )
-            for k in range(consulted)
-        )
-        if lvl >= 0:
-            chosen = steps[lvl].prediction
-            level_counts[lvl] += 1
-            trace = CascadeTrace(steps=steps, accepted_level=lvl, chosen=chosen)
-        else:
-            chosen = _apply_consensus([s.prediction for s in steps], rcfg.consensus)
-            consensus_count += 1
-            trace = CascadeTrace(steps=steps, accepted_level=None, chosen=chosen)
-        outcome = SampleOutcome(sample_index=i, true_label=int(data.labels[i]), trace=trace)
-        correct_count += outcome.correct
-        outcomes.append(outcome)
-
+    classes, top, unc, level, chosen = _run_cascade(manifest.members, rcfg, data.features)
     return EvaluationRecord(
         consensus=rcfg.consensus,
         thresholds=rcfg.thresholds,
-        outcomes=tuple(outcomes),
-        level_counts=tuple(level_counts),
-        consensus_count=consensus_count,
-        accuracy=correct_count / n if n else 0.0,
+        labels=data.labels,
+        classes=classes,
+        top=top,
+        unc=unc,
+        level=level,
+        chosen=chosen,
     )

@@ -19,8 +19,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .builder import build_ensemble, indices_file_content, member_prediction_arrays
-from .cascade import CONSENSUS_CHOICES, RuntimeConfig, batch_evaluate
+from .builder import build_ensemble, indices_file_content
+from .cascade import (
+    CONSENSUS_CHOICES,
+    RuntimeConfig,
+    batch_evaluate,
+    member_prediction_arrays,
+)
 from .config import (
     DatasetSource,
     load_dataset,
@@ -104,8 +109,10 @@ def cmd_build(args) -> int:
     )
     save_manifest(manifest, out)
     _write_json(out / "build_report.json", report.to_json_dict())
+    subset_dir = out / "subsets"
+    for stale in subset_dir.glob("level_*.idx"):  # left by an earlier, longer chain
+        stale.unlink()
     if manifest.num_members > 1:
-        subset_dir = out / "subsets"
         subset_dir.mkdir(exist_ok=True)
         for record in report.members[1:]:
             (subset_dir / f"level_{record.level}.idx").write_text(
@@ -129,9 +136,7 @@ def _evaluate_to_dir(
 ) -> float:
     record = batch_evaluate(manifest, rcfg, data)
     calibration = expected_calibration_error(
-        [o.chosen.top_probability for o in record.outcomes],
-        [o.correct for o in record.outcomes],
-        num_bins=calibration_bins,
+        record.chosen_top, record.correct, num_bins=calibration_bins
     )
     _write_json(out / "evaluation.json", record.to_json_dict())
     record.write_csv(out / "evaluation.csv")

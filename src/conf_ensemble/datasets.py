@@ -34,14 +34,6 @@ _BLOB_SEPARATION_MAX = 8.0
 _BLOB_SEPARATION_MIN = 0.5
 
 
-@dataclass(frozen=True)
-class Sample:
-    """A single labelled feature vector."""
-
-    features: np.ndarray
-    label: int
-
-
 class Dataset:
     """Immutable collection of samples with a stable per-sample index."""
 
@@ -71,9 +63,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, index: int) -> Sample:
-        return Sample(features=self.features[index], label=int(self.labels[index]))
 
     def all_indices(self) -> "SubsetView":
         return SubsetView(parent_id=self.id, indices=tuple(range(len(self))))

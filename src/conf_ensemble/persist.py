@@ -121,6 +121,8 @@ def load_manifest(directory) -> EnsembleManifest:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ManifestDigestError(f"{manifest_path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestDigestError(f"{manifest_path}: top level must be a JSON object")
 
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -132,6 +134,8 @@ def load_manifest(directory) -> EnsembleManifest:
         return _reconstruct(doc, directory, manifest_path, version)
     except KeyError as exc:
         raise ManifestDigestError(f"{manifest_path}: missing field {exc}") from exc
+    except (TypeError, ValueError, struct.error) as exc:
+        raise ManifestDigestError(f"{manifest_path}: malformed manifest: {exc}") from exc
 
 
 def _reconstruct(doc, directory: Path, manifest_path: Path, version: int) -> EnsembleManifest:

@@ -30,11 +30,7 @@ from conf_ensemble import (
     softmax,
     uncertainty,
 )
-from conf_ensemble.builder import (
-    member_prediction_arrays,
-    select_next_subset_nested,
-    select_next_subset_rebased,
-)
+from conf_ensemble.builder import _filter_pool, member_prediction_arrays
 from conf_ensemble.classifiers import objective_and_gradient, predict_logits
 from conf_ensemble.errors import ManifestDigestError
 from conf_ensemble.persist import WEIGHTS_FILE, artifact_digests
@@ -133,8 +129,9 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
             return tuple(kept)
 
         for threshold in (0.02, 0.1, 0.25):
-            nested = select_next_subset_nested(full, trained_m0, threshold, blobs3)
-            rebased = select_next_subset_rebased(full, trained_m0, threshold, blobs3)
+            # at level 1 the previous pool (nested) is the full pool (rebased)
+            nested = _filter_pool(full, trained_m0, threshold, blobs3)
+            rebased = _filter_pool(full, trained_m0, threshold, blobs3)
             expected = oracle(full, trained_m0, threshold)
             assert nested.indices == expected
             assert rebased.indices == expected
@@ -151,7 +148,7 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
         # threshold monotonicity across a sweep of 10 thresholds
         sweep = np.linspace(0.0, 0.45, 10)
         picks = [
-            set(select_next_subset_nested(full, trained_m0, float(t), blobs3).indices)
+            set(_filter_pool(full, trained_m0, float(t), blobs3).indices)
             for t in sweep
         ]
         for low, high in zip(picks, picks[1:]):

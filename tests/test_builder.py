@@ -19,10 +19,7 @@ from conf_ensemble import (
     softmax,
     uncertainty,
 )
-from conf_ensemble.builder import (
-    select_next_subset_nested,
-    select_next_subset_rebased,
-)
+from conf_ensemble.builder import _filter_pool
 from conf_ensemble.classifiers import predict_logits
 from conf_ensemble.datasets import Dataset
 
@@ -58,46 +55,52 @@ class TestSelection:
         u_values = (0.4, 0.3, 0.05, 0.2, 0.01)
         data, member = crafted_pool(u_values)
         pool = data.all_indices()
-        out = select_next_subset_nested(pool, member, 0.1, data)
+        out = _filter_pool(pool, member, 0.1, data)
         assert out.indices == (0, 1, 3)
 
     def test_threshold_half_selects_nothing(self, blobs3, trained_m0):
-        out = select_next_subset_nested(blobs3.all_indices(), trained_m0, 0.5, blobs3)
+        out = _filter_pool(blobs3.all_indices(), trained_m0, 0.5, blobs3)
         assert out.indices == ()
 
     def test_threshold_zero_selects_everything(self, blobs3, trained_m0):
         # MLP softmax outputs are never exactly one-hot, so U > 0 holds.
         pool = blobs3.all_indices()
-        out = select_next_subset_nested(pool, trained_m0, 0.0, blobs3)
+        out = _filter_pool(pool, trained_m0, 0.0, blobs3)
         assert out.indices == pool.indices
 
     def test_matches_brute_force_oracle(self, blobs3, trained_m0):
         pool = blobs3.all_indices()
         for threshold in (0.01, 0.1, 0.3):
-            fast = select_next_subset_nested(pool, trained_m0, threshold, blobs3)
+            fast = _filter_pool(pool, trained_m0, threshold, blobs3)
             assert fast.indices == brute_force_select(pool, trained_m0, threshold, blobs3)
 
     def test_nested_result_is_subset_of_pool(self, blobs3, trained_m0):
         pool = SubsetView(parent_id=blobs3.id,
                           indices=tuple(range(0, len(blobs3), 3)))
-        out = select_next_subset_nested(pool, trained_m0, 0.05, blobs3)
+        out = _filter_pool(pool, trained_m0, 0.05, blobs3)
         assert set(out.indices) <= set(pool.indices)
 
-    def test_level_one_equivalence(self, blobs3, trained_m0):
-        full = blobs3.all_indices()
-        nested = select_next_subset_nested(full, trained_m0, 0.1, blobs3)
-        rebased = select_next_subset_rebased(full, trained_m0, 0.1, blobs3)
-        assert nested.indices == rebased.indices
+    def test_level_one_equivalence(self, blobs3):
+        # nested filters the previous pool and rebased the full pool; at
+        # level 1 these are the same pool, so builds must agree there.
+        pools = {}
+        for rule in ("nested", "rebased"):
+            cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
+                              classifier_spec=MLP_SPEC, train_config=TRAIN,
+                              selection_rule=rule)
+            _, report = build_ensemble(blobs3, cfg)
+            pools[rule] = report.members[1].subset_indices
+        assert pools["nested"] == pools["rebased"]
 
     def test_rebased_threshold_half_selects_nothing(self, blobs3, trained_m0):
-        out = select_next_subset_rebased(blobs3.all_indices(), trained_m0, 0.5, blobs3)
+        out = _filter_pool(blobs3.all_indices(), trained_m0, 0.5, blobs3)
         assert out.indices == ()
 
     def test_threshold_monotonicity(self, blobs3, trained_m0):
         pool = blobs3.all_indices()
         thresholds = np.linspace(0.0, 0.45, 10)
         selections = [
-            set(select_next_subset_nested(pool, trained_m0, float(t), blobs3).indices)
+            set(_filter_pool(pool, trained_m0, float(t), blobs3).indices)
             for t in thresholds
         ]
         for lower, higher in zip(selections, selections[1:]):
@@ -105,12 +108,12 @@ class TestSelection:
 
     def test_invalid_threshold(self, blobs3, trained_m0):
         with pytest.raises(InvalidInputError):
-            select_next_subset_nested(blobs3.all_indices(), trained_m0, 0.6, blobs3)
+            _filter_pool(blobs3.all_indices(), trained_m0, 0.6, blobs3)
 
     def test_pool_must_match_parent(self, blobs3, trained_m0):
         pool = SubsetView(parent_id="other", indices=(0, 1))
         with pytest.raises(InvalidViewError):
-            select_next_subset_nested(pool, trained_m0, 0.1, blobs3)
+            _filter_pool(pool, trained_m0, 0.1, blobs3)
 
 
 class TestBuildEnsemble:

@@ -1,28 +1,50 @@
 from __future__ import annotations
 
+import csv
+import json
 import random
 
 import numpy as np
 import pytest
 
 from conf_ensemble import (
+    Dataset,
+    EnsembleManifest,
     InvalidInputError,
     Prediction,
     RuntimeConfig,
     batch_evaluate,
     cascade_predict,
-    consensus_last_member,
-    consensus_most_confident,
 )
 from conf_ensemble.builder import member_prediction_arrays
 
-from conftest import member_with_uncertainty, stub_manifest
+from conftest import (
+    identity_member,
+    logits_for_uncertainty,
+    member_with_uncertainty,
+    stub_manifest,
+)
 
 X2 = [0.0, 0.0]  # constant-output stubs ignore their input
 
 
-def pred(u, cls=0):
-    return Prediction(class_index=cls, top_probability=1 - u, uncertainty=u)
+def consensus_pick(members, consensus):
+    """Run stubs with every threshold at 0, so consensus decides, through
+    both cascade_predict and batch_evaluate; returns the chosen level."""
+    manifest = stub_manifest(members)
+    rcfg = RuntimeConfig(thresholds=(0.0,) * len(members), consensus=consensus)
+    chosen, trace = cascade_predict(manifest, rcfg, X2)
+    assert trace.consensus_used
+    assert len(trace.steps) == len(members)
+    level = next(s.member_index for s in trace.steps if s.prediction == chosen)
+
+    data = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64),
+                   num_classes=members[0].spec.num_classes, id="flat")
+    record = batch_evaluate(manifest, rcfg, data)
+    assert record.consensus_count == 3
+    assert record.chosen.tolist() == [level] * 3
+    assert record.chosen_class.tolist() == [chosen.class_index] * 3
+    return level, trace
 
 
 class TestRuntimeConfig:
@@ -48,30 +70,42 @@ class TestRuntimeConfig:
 
 class TestConsensusHeuristics:
     def test_last_member(self):
-        ps = [pred(0.4), pred(0.2), pred(0.45, cls=2)]
-        assert consensus_last_member(ps) is ps[-1]
+        members = [member_with_uncertainty(0.4, num_classes=3),
+                   member_with_uncertainty(0.2, num_classes=3),
+                   member_with_uncertainty(0.45, top_class=2, num_classes=3)]
+        level, trace = consensus_pick(members, "last_member")
+        assert level == 2
+        assert trace.chosen.class_index == 2
 
     def test_last_member_single(self):
-        p = pred(0.3)
-        assert consensus_last_member([p]) is p
+        level, _ = consensus_pick([member_with_uncertainty(0.3)], "last_member")
+        assert level == 0
 
     def test_most_confident(self):
-        ps = [pred(0.4), pred(0.1, cls=1), pred(0.3)]
-        assert consensus_most_confident(ps) is ps[1]
+        members = [member_with_uncertainty(0.4),
+                   member_with_uncertainty(0.1, top_class=1),
+                   member_with_uncertainty(0.3)]
+        level, trace = consensus_pick(members, "most_confident")
+        assert level == 1
+        assert trace.chosen.class_index == 1
 
     def test_most_confident_tie_breaks_low_index(self):
-        ps = [pred(0.2), pred(0.2, cls=1)]
-        assert consensus_most_confident(ps) is ps[0]
+        members = [member_with_uncertainty(0.2), member_with_uncertainty(0.2, top_class=1)]
+        level, trace = consensus_pick(members, "most_confident")
+        assert trace.steps[0].prediction.uncertainty == trace.steps[1].prediction.uncertainty
+        assert level == 0
+        assert trace.chosen.class_index == 0
 
     def test_most_confident_single(self):
-        p = pred(0.05)
-        assert consensus_most_confident([p]) is p
+        level, _ = consensus_pick([member_with_uncertainty(0.05)], "most_confident")
+        assert level == 0
 
-    def test_empty_rejected(self):
+    def test_empty_ensemble_rejected(self):
+        # With no empty ensemble, consensus always has a prediction to pick.
         with pytest.raises(InvalidInputError):
-            consensus_last_member([])
-        with pytest.raises(InvalidInputError):
-            consensus_most_confident([])
+            EnsembleManifest(members=(), selection_rule="nested", training_thresholds=(),
+                             default_runtime=RuntimeConfig(thresholds=(0.2,)),
+                             dataset_id="stub", dataset_digest="stub")
 
 
 class TestCascadePredict:
@@ -233,13 +267,13 @@ class TestBatchEvaluate:
         hits = 0
         for i in range(len(blobs3)):
             chosen, trace = cascade_predict(manifest, rcfg, blobs3.features[i])
-            outcome = record.outcomes[i]
-            assert outcome.answering_level == trace.accepted_level
-            assert outcome.chosen.class_index == chosen.class_index
-            assert outcome.chosen.uncertainty == pytest.approx(
+            want_level = -1 if trace.accepted_level is None else trace.accepted_level
+            assert record.level[i] == want_level
+            assert record.chosen_class[i] == chosen.class_index
+            assert record.chosen_uncertainty[i] == pytest.approx(
                 chosen.uncertainty, abs=1e-12
             )
-            assert len(outcome.trace.steps) == len(trace.steps)
+            assert record.consulted[i] == len(trace.steps)
             if trace.accepted_level is None:
                 consensus_count += 1
             else:
@@ -275,8 +309,13 @@ class TestBatchEvaluate:
             consensus_count = 0
             for i in range(len(data)):
                 chosen, trace = cascade_predict(manifest, rcfg, data.features[i])
-                assert record.outcomes[i].chosen == chosen
-                assert record.outcomes[i].answering_level == trace.accepted_level
+                assert Prediction(
+                    class_index=record.chosen_class[i],
+                    top_probability=record.chosen_top[i],
+                    uncertainty=record.chosen_uncertainty[i],
+                ) == chosen
+                want_level = -1 if trace.accepted_level is None else trace.accepted_level
+                assert record.level[i] == want_level
                 if trace.accepted_level is None:
                     consensus_count += 1
                 else:
@@ -296,9 +335,10 @@ class TestBatchEvaluate:
         rcfg = RuntimeConfig(thresholds=(0.0, 0.0), consensus="most_confident")
         record = batch_evaluate(manifest, rcfg, blobs3)
         assert record.consensus_count == len(blobs3)
-        for outcome in record.outcomes:
-            us = [s.prediction.uncertainty for s in outcome.trace.steps]
-            assert outcome.chosen.uncertainty == min(us)
+        for i in range(len(blobs3)):
+            assert record.consulted[i] == 2
+            us = [float(u) for u in record.unc[i, : record.consulted[i]]]
+            assert record.chosen_uncertainty[i] == min(us)
 
     def test_raising_one_threshold_never_loses_early_resolution(self, blobs3, trained_m0):
         members = (trained_m0, member_with_uncertainty(0.25, num_classes=3, input_dim=4))
@@ -324,3 +364,51 @@ class TestBatchEvaluate:
         manifest = stub_manifest([member_with_uncertainty(0.3)])  # wants 2-dim input
         with pytest.raises(InvalidInputError):
             batch_evaluate(manifest, RuntimeConfig(thresholds=(0.2,)), blobs3)
+
+    def test_exports_match_per_sample_replay(self, tmp_path):
+        # Member 0 reads its logits from the features, so acceptance varies
+        # by row; all stubs score bit-identically in batch and one row.
+        rng = random.Random(31)
+        for _ in range(20):
+            size = rng.randint(1, 4)
+            members = [identity_member(2)] + [
+                member_with_uncertainty(rng.uniform(0.01, 0.5), top_class=rng.randrange(2))
+                for _ in range(size - 1)
+            ]
+            rows = [
+                logits_for_uncertainty(rng.uniform(0.01, 0.5), top_class=rng.randrange(2))
+                for _ in range(30)
+            ]
+            labels = [rng.randrange(2) for _ in rows]
+            data = Dataset(np.asarray(rows), np.asarray(labels), num_classes=2, id="rows")
+            manifest = stub_manifest(members)
+            rcfg = RuntimeConfig(
+                thresholds=tuple(rng.uniform(0, 0.5) for _ in range(size)),
+                consensus=rng.choice(["last_member", "most_confident"]),
+            )
+            record = batch_evaluate(manifest, rcfg, data)
+            samples = json.loads(json.dumps(record.to_json_dict()))["samples"]
+            record.write_csv(tmp_path / "evaluation.csv")
+            with open(tmp_path / "evaluation.csv", newline="", encoding="utf-8") as fh:
+                csv_rows = list(csv.reader(fh))[1:]
+            assert len(samples) == len(csv_rows) == len(rows)
+
+            for i, label in enumerate(labels):
+                chosen, trace = cascade_predict(manifest, rcfg, data.features[i])
+                consulted = [s.prediction.uncertainty for s in trace.steps]
+                assert samples[i] == {
+                    "sample_index": i,
+                    "chosen_class": chosen.class_index,
+                    "true_class": label,
+                    "answering_level": trace.accepted_level,
+                    "top_probability": chosen.top_probability,
+                    "uncertainty": chosen.uncertainty,
+                    "consulted_uncertainties": consulted,
+                    "correct": chosen.class_index == label,
+                }
+                level = "consensus" if trace.accepted_level is None else str(trace.accepted_level)
+                assert csv_rows[i] == (
+                    [str(i), str(chosen.class_index), str(label), level]
+                    + [repr(u) for u in consulted]
+                    + [""] * (size - len(consulted))
+                )

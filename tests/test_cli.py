@@ -89,6 +89,19 @@ class TestBuildCommand:
                      "--out", str(again)]) == EXIT_OK
         assert artifact_digests(built_dir) == artifact_digests(again)
 
+    def test_shorter_rebuild_removes_stale_subsets(self, workdir):
+        out = workdir / "rebuilt"
+        assert main(["build", "--config", str(workdir / "experiment.json"),
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "subsets" / "level_2.idx").is_file()
+        doc = experiment_doc()
+        doc["build"]["num_members"] = 2
+        doc["build"]["training_thresholds"] = [0.01]
+        config = workdir / "two-member.json"
+        config.write_text(json.dumps(doc))
+        assert main(["build", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in (out / "subsets").iterdir()) == ["level_1.idx"]
+
     def test_degenerate_threshold_exit_code(self, workdir, capsys):
         doc = experiment_doc()
         doc["build"]["num_members"] = 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -11,11 +12,14 @@ from conf_ensemble import (
     ManifestVersionError,
     RuntimeConfig,
     build_ensemble,
+    generate_blobs,
     load_manifest,
     manifests_equal,
+    save_csv,
     save_manifest,
 )
-from conf_ensemble.persist import WEIGHTS_FILE, artifact_digests
+from conf_ensemble.cli import EXIT_STORAGE, main
+from conf_ensemble.persist import WEIGHTS_FILE, WEIGHTS_MAGIC, artifact_digests
 
 from conftest import MLP_SPEC, TRAIN, member_with_uncertainty, stub_manifest
 
@@ -105,6 +109,46 @@ class TestCorruption:
         (tmp_path / "manifest.json").write_text('{"format_version": 1}')
         with pytest.raises(ManifestDigestError, match="weights_file"):
             load_manifest(tmp_path)
+
+
+def _top_level_list(directory):
+    (directory / "manifest.json").write_text("[]")
+
+
+def _string_input_dim(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["members"][0]["input_dim"] = "4"
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _weights_shorter_than_header(directory):
+    raw = WEIGHTS_MAGIC + b"\x01\x00"  # the version/count header needs 8 bytes
+    (directory / WEIGHTS_FILE).write_bytes(raw)
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["weights_digest"] = hashlib.sha256(raw).hexdigest()  # digest still matches
+    manifest_path.write_text(json.dumps(doc))
+
+
+class TestMalformedManifest:
+    """Valid JSON of the wrong shape is a storage error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "corrupt", [_top_level_list, _string_input_dim, _weights_shorter_than_header]
+    )
+    def test_typed_error_and_storage_exit(self, built, blobs3, tmp_path, corrupt):
+        store = tmp_path / "store"
+        save_manifest(built, store)
+        corrupt(store)
+        with pytest.raises(ManifestDigestError):
+            load_manifest(store)
+        # a loadable ensemble would evaluate this data and exit 0
+        data_csv = tmp_path / "data.csv"
+        save_csv(blobs3, data_csv)
+        code = main(["evaluate", "--ensemble", str(store), "--data", str(data_csv),
+                     "--out", str(tmp_path / "eval")])
+        assert code == EXIT_STORAGE
 
 
 class TestBuildDeterminism:
