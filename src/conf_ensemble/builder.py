@@ -9,7 +9,9 @@ the level's training threshold).  Two ways to pick that pool:
   * rebased — filter the original full pool with the predecessor's
               scores, trading pool purity for pool size.
 
-The two rules coincide at level 1.  Builds are deterministic: member s
+The two rules coincide at level 1.  Pools are int64 index arrays.  Each
+member is scored once over the full dataset; the scores feed both its
+report entry and the next pool.  Builds are deterministic: member s
 derives its init and shuffling seeds from the configured seeds plus s.
 """
 
@@ -17,18 +19,17 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cascade import RuntimeConfig, member_prediction_arrays
 from .classifiers import ClassifierSpec, TrainConfig, TrainedModel, fit, init_model
 from .datasets import Dataset, SubsetView, materialize
-from .errors import DegenerateSubsetError, InvalidInputError, InvalidViewError
+from .errors import DegenerateSubsetError, InvalidInputError
 from .manifest import (
     FORMAT_VERSION,
     SELECTION_NESTED,
-    SELECTION_REBASED,
     SELECTION_RULES,
     EnsembleManifest,
 )
@@ -83,34 +84,23 @@ class BuildConfig:
         return default_min_subset_size(self.classifier_spec.num_classes)
 
 
-def _filter_pool(
-    pool: SubsetView, member: TrainedModel, threshold: float, parent: Dataset
-) -> SubsetView:
-    """Keep the samples of ``pool`` the member is uncertain about.
+def _filter_pool(pool: SubsetView, unc: np.ndarray, threshold: float) -> SubsetView:
+    """Keep the samples of ``pool`` the predecessor is uncertain about;
+    ``unc`` holds its uncertainty for every row of the dataset.
 
     The selection rule is the choice of ``pool``: the previous level's
     pool for nested, the full pool for rebased.
     """
-    if not 0.0 <= threshold <= 0.5:
-        raise InvalidInputError(f"training threshold {threshold} outside [0, 0.5]")
-    if pool.parent_id != parent.id:
-        raise InvalidViewError(
-            f"pool targets dataset {pool.parent_id!r}, got {parent.id!r}"
-        )
-    if not pool.indices:
-        return SubsetView(parent_id=parent.id, indices=())
-    idx = np.asarray(pool.indices, dtype=np.int64)
-    _, _, scores = member_prediction_arrays(member, parent.features[idx])
-    kept = idx[scores > threshold]  # strict: boundary samples are not forwarded
-    return SubsetView(parent_id=parent.id, indices=tuple(int(i) for i in kept))
+    # strict: boundary samples are not forwarded
+    return SubsetView(pool.parent_id, pool.indices[unc[pool.indices] > threshold])
 
 
-def indices_file_content(indices: tuple[int, ...]) -> str:
+def indices_file_content(indices: np.ndarray) -> str:
     """Newline-delimited integers; also the payload behind index digests."""
-    return "".join(f"{i}\n" for i in indices)
+    return "".join(f"{i}\n" for i in indices.tolist())
 
 
-def _indices_digest(indices: tuple[int, ...]) -> str:
+def _indices_digest(indices: np.ndarray) -> str:
     return hashlib.sha256(indices_file_content(indices).encode()).hexdigest()
 
 
@@ -118,7 +108,7 @@ def _indices_digest(indices: tuple[int, ...]) -> str:
 class MemberBuildRecord:
     level: int
     subset_size: int
-    subset_indices: tuple[int, ...]
+    subset_indices: np.ndarray = field(compare=False)  # compared via index_digest
     index_digest: str
     train_seconds: float
     final_loss: float
@@ -161,13 +151,14 @@ def member_report(
     level: int,
     pool: SubsetView,
     model: TrainedModel,
-    data: Dataset,
+    scores: tuple[np.ndarray, np.ndarray, np.ndarray],
+    labels: np.ndarray,
     train_seconds: float,
     histogram_bins: int = DEFAULT_HISTOGRAM_BINS,
 ) -> MemberBuildRecord:
-    """Build-report entry for one member, scored over the full dataset."""
-    predicted, top, unc = member_prediction_arrays(model, data.features)
-    correct = predicted == data.labels
+    """Build-report entry for one member from its full-dataset scores."""
+    predicted, top, unc = scores
+    correct = predicted == labels
     return MemberBuildRecord(
         level=level,
         subset_size=len(pool),
@@ -198,14 +189,6 @@ def build_ensemble(
     if len(data) == 0:
         raise InvalidInputError("cannot build an ensemble on an empty dataset")
     spec = cfg.classifier_spec
-    if data.feature_dim != spec.input_dim:
-        raise InvalidInputError(
-            f"dataset feature_dim {data.feature_dim} != spec input_dim {spec.input_dim}"
-        )
-    if data.num_classes != spec.num_classes:
-        raise InvalidInputError(
-            f"dataset num_classes {data.num_classes} != spec num_classes {spec.num_classes}"
-        )
     min_size = cfg.resolved_min_subset_size()
 
     full_pool = data.all_indices()
@@ -214,9 +197,8 @@ def build_ensemble(
     records: list[MemberBuildRecord] = []
     for level in range(cfg.num_members):
         if level > 0:
-            threshold = cfg.training_thresholds[level - 1]
             source = pool if cfg.selection_rule == SELECTION_NESTED else full_pool
-            pool = _filter_pool(source, members[-1], threshold, data)
+            pool = _filter_pool(source, scores[2], cfg.training_thresholds[level - 1])
             if len(pool) < min_size:
                 raise DegenerateSubsetError(level=level, size=len(pool), minimum=min_size)
         member_spec = replace(spec, seed=spec.seed + level)
@@ -224,9 +206,10 @@ def build_ensemble(
         started = time.perf_counter()
         model = fit(init_model(member_spec), materialize(pool, data), member_train)
         elapsed = time.perf_counter() - started
+        scores = member_prediction_arrays(model, data.features)
         members.append(model)
         records.append(
-            member_report(level, pool, model, data, elapsed, histogram_bins)
+            member_report(level, pool, model, scores, data.labels, elapsed, histogram_bins)
         )
 
     runtime = default_runtime or RuntimeConfig.homogeneous(
@@ -244,7 +227,7 @@ def build_ensemble(
     report = BuildReport(
         selection_rule=cfg.selection_rule,
         dataset_id=data.id,
-        dataset_digest=data.digest(),
+        dataset_digest=manifest.dataset_digest,
         members=tuple(records),
     )
     return manifest, report

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,6 +74,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "lr_decay_every_epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.epochs < 1:
             raise InvalidInputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -31,6 +31,7 @@ from .config import (
     load_dataset,
     load_experiment_config,
     parse_dataset_block,
+    read_json,
 )
 from .datasets import Dataset, load_csv
 from .errors import (
@@ -80,9 +81,7 @@ def _load_eval_data(src: str, num_classes: int) -> Dataset:
     if path.suffix == ".csv":
         return load_csv(path, num_classes=num_classes)
     if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            block = json.load(fh)
-        source = parse_dataset_block(block, base=path.parent)
+        source = parse_dataset_block(read_json(path), base=path.parent)
         return load_dataset(source, num_classes=num_classes)
     raise ConfigError(f"--data must be a .csv file or a .json dataset block, got {src}")
 

@@ -219,13 +219,17 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
     return cfg
 
 
+def read_json(path: Path):
+    """Parse a JSON file; undecodable bytes or bad syntax raise ConfigError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return parse_experiment_config(doc, base=path.parent)

@@ -1,9 +1,9 @@
 """Datasets with stable indices, subset views, generators, and loaders.
 
 A Dataset is immutable after construction: features are an (n, M) float64
-matrix, labels an (n,) int64 vector.  Subsets are index views over a
-parent dataset rather than copies, so nesting of successive training
-pools can be checked by set inclusion on indices.
+matrix, labels an (n,) int64 vector.  Subsets are views over a parent
+dataset rather than copies, a read-only int64 array of increasing row
+indices, so nesting of training pools is set inclusion on indices.
 
 Supported external formats:
   * CSV — header row naming feature columns plus a final "label" column.
@@ -65,7 +65,7 @@ class Dataset:
         return self.features.shape[1]
 
     def all_indices(self) -> "SubsetView":
-        return SubsetView(parent_id=self.id, indices=tuple(range(len(self))))
+        return SubsetView(parent_id=self.id, indices=np.arange(len(self)))
 
     def digest(self) -> str:
         """Content hash over features, labels, and class count."""
@@ -76,17 +76,22 @@ class Dataset:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetView:
-    """Strictly increasing indices into a parent dataset."""
+    """Non-negative, strictly increasing row indices into a parent dataset,
+    held as a read-only int64 array."""
 
     parent_id: str
-    indices: tuple[int, ...] = field(default_factory=tuple)
+    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        for prev, cur in zip(self.indices, self.indices[1:]):
-            if cur <= prev:
-                raise InvalidInputError("subset indices must be strictly increasing")
+        idx = np.array(self.indices, dtype=np.int64)
+        if idx.ndim != 1 or np.any(idx != self.indices):
+            raise InvalidInputError("subset indices must be a vector of integers")
+        if idx.size and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
+            raise InvalidInputError("subset indices must be non-negative and strictly increasing")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -98,15 +103,15 @@ def materialize(view: SubsetView, parent: Dataset) -> Dataset:
         raise InvalidViewError(
             f"view targets dataset {view.parent_id!r}, got {parent.id!r}"
         )
-    if view.indices and view.indices[-1] >= len(parent):
+    idx = view.indices
+    if idx.size and idx[-1] >= len(parent):
         raise InvalidViewError(
-            f"view index {view.indices[-1]} out of range for {len(parent)} samples"
+            f"view index {idx[-1]} out of range for {len(parent)} samples"
         )
-    idx = np.asarray(view.indices, dtype=np.int64)
     tag = hashlib.sha256(idx.tobytes()).hexdigest()[:8]
     return Dataset(
-        features=parent.features[idx] if len(idx) else parent.features[:0],
-        labels=parent.labels[idx] if len(idx) else parent.labels[:0],
+        features=parent.features[idx],
+        labels=parent.labels[idx],
         num_classes=parent.num_classes,
         id=f"{parent.id}[{len(idx)}:{tag}]",
     )
@@ -173,40 +178,42 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     max(label) + 1.  Malformed rows raise DatasetParseError naming the line.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetParseError(f"{path}: empty file") from None
-        if not header or header[-1].strip() != "label":
-            raise DatasetParseError(f"{path}: last header column must be 'label'")
-        dim = len(header) - 1
-        if dim < 1:
-            raise DatasetParseError(f"{path}: no feature columns")
-
-        feats: list[list[float]] = []
-        labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
-                )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                feats.append([float(v) for v in row[:dim]])
-                label = int(row[dim])
-            except ValueError as exc:
-                raise DatasetParseError(f"{path}: line {lineno}: {exc}") from None
-            if label < 0:
-                raise DatasetParseError(f"{path}: line {lineno}: negative label {label}")
-            if num_classes is not None and label >= num_classes:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: label {label} >= num_classes {num_classes}"
-                )
-            labels.append(label)
+                header = next(reader)
+            except StopIteration:
+                raise DatasetParseError(f"{path}: empty file") from None
+            if not header or header[-1].strip() != "label":
+                raise DatasetParseError(f"{path}: last header column must be 'label'")
+            dim = len(header) - 1
+            if dim < 1:
+                raise DatasetParseError(f"{path}: no feature columns")
 
+            feats: list[list[float]] = []
+            labels: list[int] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != dim + 1:
+                    raise DatasetParseError(
+                        f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
+                    )
+                try:
+                    feats.append([float(v) for v in row[:dim]])
+                    label = int(row[dim])
+                except ValueError as exc:
+                    raise DatasetParseError(f"{path}: line {lineno}: {exc}") from None
+                if label < 0:
+                    raise DatasetParseError(f"{path}: line {lineno}: negative label {label}")
+                if num_classes is not None and label >= num_classes:
+                    raise DatasetParseError(
+                        f"{path}: line {lineno}: label {label} >= num_classes {num_classes}"
+                    )
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not labels:
         raise DatasetParseError(f"{path}: no data rows")
     inferred = num_classes if num_classes is not None else max(labels) + 1

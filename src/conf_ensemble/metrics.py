@@ -193,9 +193,9 @@ def score_histogram(
             f"score at index {int(bad[0])} is {vals[bad[0]]}, outside [{lo}, {hi}]"
         )
 
-    idx = bin_indices(vals, lo, hi, bins) if vals.size else np.empty(0, dtype=np.int64)
-    good_counts = np.bincount(idx[hits], minlength=bins) if vals.size else np.zeros(bins, int)
-    bad_counts = np.bincount(idx[~hits], minlength=bins) if vals.size else np.zeros(bins, int)
+    idx = bin_indices(vals, lo, hi, bins)
+    good_counts = np.bincount(idx[hits], minlength=bins)
+    bad_counts = np.bincount(idx[~hits], minlength=bins)
     edges = np.linspace(lo, hi, bins + 1)
     return ScoreHistogram(
         score_kind=kind,

@@ -119,7 +119,7 @@ def load_manifest(directory) -> EnsembleManifest:
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestDigestError(f"{manifest_path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestDigestError(f"{manifest_path}: top level must be a JSON object")

@@ -118,24 +118,25 @@ def test_criterion_2_gradient_check():
 def test_criterion_3_selection_rules(blobs3, trained_m0):
     with criterion(3, "selection-rule oracle"):
         full = blobs3.all_indices()
+        unc = member_prediction_arrays(trained_m0, blobs3.features)[2]
 
         # independent per-sample filter oracle
         def oracle(pool, member, threshold):
             kept = []
-            for i in pool.indices:
+            for i in pool.indices.tolist():
                 u = uncertainty(softmax(predict_logits(member, blobs3.features[i])))
                 if u > threshold:
                     kept.append(i)
-            return tuple(kept)
+            return kept
 
         for threshold in (0.02, 0.1, 0.25):
             # at level 1 the previous pool (nested) is the full pool (rebased)
-            nested = _filter_pool(full, trained_m0, threshold, blobs3)
-            rebased = _filter_pool(full, trained_m0, threshold, blobs3)
+            nested = _filter_pool(full, unc, threshold)
+            rebased = _filter_pool(full, unc, threshold)
             expected = oracle(full, trained_m0, threshold)
-            assert nested.indices == expected
-            assert rebased.indices == expected
-            assert nested.indices == rebased.indices  # level-1 equivalence
+            assert nested.indices.tolist() == expected
+            assert rebased.indices.tolist() == expected
+            assert nested.indices.tolist() == rebased.indices.tolist()  # level-1 equivalence
 
         # nesting on an actual nested build
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
@@ -148,7 +149,7 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
         # threshold monotonicity across a sweep of 10 thresholds
         sweep = np.linspace(0.0, 0.45, 10)
         picks = [
-            set(_filter_pool(full, trained_m0, float(t), blobs3).indices)
+            set(_filter_pool(full, unc, float(t)).indices.tolist())
             for t in sweep
         ]
         for low, high in zip(picks, picks[1:]):

@@ -7,7 +7,6 @@ from conf_ensemble import (
     BuildConfig,
     DegenerateSubsetError,
     InvalidInputError,
-    InvalidViewError,
     RuntimeConfig,
     SubsetView,
     TrainConfig,
@@ -19,7 +18,7 @@ from conf_ensemble import (
     softmax,
     uncertainty,
 )
-from conf_ensemble.builder import _filter_pool
+from conf_ensemble.builder import _filter_pool, member_prediction_arrays
 from conf_ensemble.classifiers import predict_logits
 from conf_ensemble.datasets import Dataset
 
@@ -34,11 +33,11 @@ NESTED_SIZES = (3000, 1408, 1389)
 def brute_force_select(pool, member, threshold, parent):
     """Independent per-sample filter: score each sample on its own."""
     kept = []
-    for i in pool.indices:
+    for i in pool.indices.tolist():
         u = uncertainty(softmax(predict_logits(member, parent.features[i])))
         if u > threshold:
             kept.append(i)
-    return tuple(kept)
+    return kept
 
 
 def crafted_pool(u_values):
@@ -50,35 +49,41 @@ def crafted_pool(u_values):
     return data, member
 
 
+def unc_of(member, data):
+    """The predecessor's per-row uncertainty, as build_ensemble computes it."""
+    return member_prediction_arrays(member, data.features)[2]
+
+
 class TestSelection:
     def test_hand_built_pool(self):
         u_values = (0.4, 0.3, 0.05, 0.2, 0.01)
         data, member = crafted_pool(u_values)
         pool = data.all_indices()
-        out = _filter_pool(pool, member, 0.1, data)
-        assert out.indices == (0, 1, 3)
+        out = _filter_pool(pool, unc_of(member, data), 0.1)
+        assert out.indices.tolist() == [0, 1, 3]
 
     def test_threshold_half_selects_nothing(self, blobs3, trained_m0):
-        out = _filter_pool(blobs3.all_indices(), trained_m0, 0.5, blobs3)
-        assert out.indices == ()
+        out = _filter_pool(blobs3.all_indices(), unc_of(trained_m0, blobs3), 0.5)
+        assert out.indices.tolist() == []
 
     def test_threshold_zero_selects_everything(self, blobs3, trained_m0):
         # MLP softmax outputs are never exactly one-hot, so U > 0 holds.
         pool = blobs3.all_indices()
-        out = _filter_pool(pool, trained_m0, 0.0, blobs3)
-        assert out.indices == pool.indices
+        out = _filter_pool(pool, unc_of(trained_m0, blobs3), 0.0)
+        assert out.indices.tolist() == pool.indices.tolist()
 
     def test_matches_brute_force_oracle(self, blobs3, trained_m0):
         pool = blobs3.all_indices()
+        unc = unc_of(trained_m0, blobs3)
         for threshold in (0.01, 0.1, 0.3):
-            fast = _filter_pool(pool, trained_m0, threshold, blobs3)
-            assert fast.indices == brute_force_select(pool, trained_m0, threshold, blobs3)
+            fast = _filter_pool(pool, unc, threshold)
+            assert fast.indices.tolist() == brute_force_select(pool, trained_m0, threshold, blobs3)
 
     def test_nested_result_is_subset_of_pool(self, blobs3, trained_m0):
         pool = SubsetView(parent_id=blobs3.id,
                           indices=tuple(range(0, len(blobs3), 3)))
-        out = _filter_pool(pool, trained_m0, 0.05, blobs3)
-        assert set(out.indices) <= set(pool.indices)
+        out = _filter_pool(pool, unc_of(trained_m0, blobs3), 0.05)
+        assert set(out.indices.tolist()) <= set(pool.indices.tolist())
 
     def test_level_one_equivalence(self, blobs3):
         # nested filters the previous pool and rebased the full pool; at
@@ -89,31 +94,40 @@ class TestSelection:
                               classifier_spec=MLP_SPEC, train_config=TRAIN,
                               selection_rule=rule)
             _, report = build_ensemble(blobs3, cfg)
-            pools[rule] = report.members[1].subset_indices
+            pools[rule] = report.members[1].subset_indices.tolist()
         assert pools["nested"] == pools["rebased"]
 
     def test_rebased_threshold_half_selects_nothing(self, blobs3, trained_m0):
-        out = _filter_pool(blobs3.all_indices(), trained_m0, 0.5, blobs3)
-        assert out.indices == ()
+        out = _filter_pool(blobs3.all_indices(), unc_of(trained_m0, blobs3), 0.5)
+        assert out.indices.tolist() == []
 
     def test_threshold_monotonicity(self, blobs3, trained_m0):
         pool = blobs3.all_indices()
+        unc = unc_of(trained_m0, blobs3)
         thresholds = np.linspace(0.0, 0.45, 10)
         selections = [
-            set(_filter_pool(pool, trained_m0, float(t), blobs3).indices)
+            set(_filter_pool(pool, unc, float(t)).indices.tolist())
             for t in thresholds
         ]
         for lower, higher in zip(selections, selections[1:]):
             assert higher <= lower
 
-    def test_invalid_threshold(self, blobs3, trained_m0):
-        with pytest.raises(InvalidInputError):
-            _filter_pool(blobs3.all_indices(), trained_m0, 0.6, blobs3)
-
-    def test_pool_must_match_parent(self, blobs3, trained_m0):
-        pool = SubsetView(parent_id="other", indices=(0, 1))
-        with pytest.raises(InvalidViewError):
-            _filter_pool(pool, trained_m0, 0.1, blobs3)
+    @pytest.mark.parametrize("rule", ["nested", "rebased"])
+    def test_every_level_replays_scalar_oracle(self, blobs3, rule):
+        # Level k's pool must be exactly the samples of its source pool
+        # (previous pool for nested, full pool for rebased) that member
+        # k-1, scored one sample at a time, is uncertain about.
+        cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
+                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          selection_rule=rule)
+        manifest, report = build_ensemble(blobs3, cfg)
+        full = blobs3.all_indices()
+        for level in (1, 2):
+            prev = report.members[level - 1].subset_indices
+            source = SubsetView(blobs3.id, prev) if rule == "nested" else full
+            expected = brute_force_select(source, manifest.members[level - 1],
+                                          cfg.training_thresholds[level - 1], blobs3)
+            assert report.members[level].subset_indices.tolist() == expected
 
 
 class TestBuildEnsemble:

@@ -263,8 +263,20 @@ class TestTrainConfigValidation:
             dict(lr_decay_gamma=1.5),
             dict(lr_decay_every_epochs=0),
             dict(weight_decay=-1e-3),
+            dict(epochs=2.5),
+            dict(batch_size=64.0),
+            dict(lr_decay_every_epochs="15"),
+            dict(seed=1.5),
+            dict(epochs=True),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInputError):
             TrainConfig(**kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8),
+                          lr_decay_every_epochs=np.int16(2), seed=np.uint8(5))
+        counts = (cfg.epochs, cfg.batch_size, cfg.lr_decay_every_epochs, cfg.seed)
+        assert counts == (3, 8, 2, 5)
+        assert all(type(c) is int for c in counts)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -263,3 +264,39 @@ class TestBaselineCommand:
         code = main(["evaluate", "--ensemble", str(built_dir),
                      "--data", str(bad), "--out", str(workdir / "x")])
         assert code == EXIT_DATA
+
+
+class TestFileBoundaryErrors:
+    """Undecodable or malformed files exit with their typed code, naming the file."""
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("config_not_utf8", EXIT_CONFIG),
+            ("manifest_not_utf8", EXIT_STORAGE),
+            ("csv_not_utf8", EXIT_DATA),
+            ("data_json_malformed", EXIT_CONFIG),
+        ],
+    )
+    def test_exit_code(self, workdir, built_dir, tmp_path, capsys, case, expected):
+        ensemble, data = built_dir, workdir / "data.csv"
+        if case == "config_not_utf8":
+            bad = tmp_path / "experiment.json"
+            bad.write_bytes(b'{"output_dir": "\xff\xfe"}')
+            argv = ["build", "--config", str(bad), "--out", str(tmp_path / "out")]
+        else:
+            if case == "manifest_not_utf8":
+                ensemble = tmp_path / "ensemble"
+                shutil.copytree(built_dir, ensemble)
+                bad = ensemble / "manifest.json"
+                bad.write_bytes(b'{"format_version": "\xff\xfe"}')
+            elif case == "csv_not_utf8":
+                data = bad = tmp_path / "data.csv"
+                bad.write_bytes(b"f0,f1,f2,label\n1.0,2.0,\xff,0\n")
+            else:
+                data = bad = tmp_path / "data.json"
+                bad.write_text('{"kind": "blobs",')
+            argv = ["evaluate", "--ensemble", str(ensemble), "--data", str(data),
+                    "--out", str(tmp_path / "eval")]
+        assert main(argv) == expected
+        assert str(bad) in capsys.readouterr().err

@@ -102,6 +102,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             load_experiment_config(write(tmp_path, doc))
 
+    def test_non_integer_epochs(self, tmp_path):
+        doc = minimal_doc()
+        doc["build"]["training"]["epochs"] = 2.5
+        with pytest.raises(ConfigError, match="epochs"):
+            load_experiment_config(write(tmp_path, doc))
+
     def test_missing_block(self, tmp_path):
         doc = minimal_doc()
         del doc["build"]

@@ -217,6 +217,13 @@ class TestMaterialize:
             SubsetView(parent_id="x", indices=(3, 1))
         with pytest.raises(InvalidInputError):
             SubsetView(parent_id="x", indices=(1, 1))
+        with pytest.raises(InvalidInputError):
+            SubsetView(parent_id="x", indices=(-1, 0))
+
+    @pytest.mark.parametrize("indices", [(0.5, 1.9, 3.2), [[0, 1]], 3])
+    def test_indices_must_be_an_integer_vector(self, indices):
+        with pytest.raises(InvalidInputError):
+            SubsetView(parent_id="x", indices=indices)
 
     @given(st.sets(st.integers(min_value=0, max_value=9)))
     def test_materialized_rows_match_parent(self, index_set):

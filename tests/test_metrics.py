@@ -146,6 +146,11 @@ class TestScoreHistogram:
         with pytest.raises(InvalidInputError, match="index 1"):
             score_histogram([0.1, 0.7], [True, True], kind="uncertainty", bins=5)
 
+    def test_empty_input_counts_nothing(self):
+        hist = score_histogram([], [], kind="uncertainty", bins=4)
+        assert hist.correct_counts == (0, 0, 0, 0)
+        assert hist.incorrect_counts == (0, 0, 0, 0)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
             score_histogram([0.1], [True], kind="entropy", bins=5)
