@@ -300,13 +300,11 @@ def batch_evaluate(
     """Run the cascade over a whole dataset.
 
     Same kernel as cascade_predict, applied to every row at once; each
-    member runs only on the samples still unresolved at its level.
+    member runs only on the samples still unresolved at its level.  A
+    dataset of the wrong width fails in the first member's forward pass;
+    an empty one reaches no forward pass and gives an empty record.
     """
     spec0 = manifest.members[0].spec
-    if data.feature_dim != spec0.input_dim:
-        raise InvalidInputError(
-            f"dataset feature_dim {data.feature_dim} != ensemble input_dim {spec0.input_dim}"
-        )
     if data.num_classes != spec0.num_classes:
         raise InvalidInputError(
             f"dataset num_classes {data.num_classes} != ensemble num_classes {spec0.num_classes}"

@@ -1,10 +1,14 @@
-"""Trainable classifiers: linear softmax and a one-hidden-layer tanh MLP.
+"""Trainable classifiers: a stack of dense layers with tanh in between.
 
-Both are trained with plain mini-batch SGD on cross-entropy plus L2 weight
-decay, with a step learning-rate schedule (multiply by gamma every fixed
-number of epochs).  Everything is numpy + float64 and fully deterministic
-given the seeds: initialization draws from the spec seed, batch order from
-the train config seed.
+Each layer is a (fan_in, fan_out) weight matrix plus a fan_out bias, kept
+in order in one flat parameter vector (weights row-major, then bias).  The
+linear softmax model is one layer, the MLP two.  One forward pass serves
+training and inference, so the cascade gates on the very scores the
+training objective shaped.  Training is plain mini-batch SGD on
+cross-entropy plus L2 weight decay, with a step learning-rate schedule
+(multiply by gamma every fixed number of epochs).  Everything is numpy +
+float64 and fully deterministic given the seeds: initialization draws
+from the spec seed, batch order from the train config seed.
 
 Default hyperparameters: learning rate 1e-3, weight decay 1e-2, gamma 0.3
 every 15 epochs.
@@ -29,6 +33,15 @@ KIND_LINEAR = "linear"
 KIND_MLP = "mlp"
 
 
+def require_int(name: str, value) -> int:
+    """value as a plain int.  Anything with __index__ passes (numpy integers
+    included); floats, strings and booleans are rejected rather than
+    truncated or read as 0/1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ClassifierSpec:
     """Architecture description; hidden_units applies to the MLP only."""
@@ -42,6 +55,9 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in (KIND_LINEAR, KIND_MLP):
             raise InvalidInputError(f"unknown classifier kind {self.kind!r}")
+        optional = () if self.hidden_units is None else ("hidden_units",)
+        for name in ("input_dim", "num_classes", "seed") + optional:
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
         if self.input_dim < 1:
             raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.num_classes < 2:
@@ -49,18 +65,15 @@ class ClassifierSpec:
         if self.kind == KIND_MLP and (self.hidden_units is None or self.hidden_units < 1):
             raise InvalidInputError("mlp requires hidden_units >= 1")
 
-    def layer_shapes(self) -> list[tuple[tuple[int, int], tuple[int]]]:
-        """(weight_shape, bias_shape) per layer, input to output."""
+    def layer_shapes(self) -> list[tuple[int, int]]:
+        """(fan_in, fan_out) per dense layer, input to output; each layer's
+        bias has fan_out entries."""
         if self.kind == KIND_LINEAR:
-            return [((self.input_dim, self.num_classes), (self.num_classes,))]
-        h = int(self.hidden_units)
-        return [
-            ((self.input_dim, h), (h,)),
-            ((h, self.num_classes), (self.num_classes,)),
-        ]
+            return [(self.input_dim, self.num_classes)]
+        return [(self.input_dim, self.hidden_units), (self.hidden_units, self.num_classes)]
 
     def param_count(self) -> int:
-        return sum(int(np.prod(w)) + b[0] for w, b in self.layer_shapes())
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_shapes())
 
 
 @dataclass(frozen=True)
@@ -75,10 +88,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "lr_decay_every_epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
         if self.epochs < 1:
             raise InvalidInputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -124,15 +134,14 @@ class TrainedModel:
 
 
 def _unpack(spec: ClassifierSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, bias) views into params, one pair per layer."""
     layers = []
     offset = 0
-    for w_shape, b_shape in spec.layer_shapes():
-        w_size = int(np.prod(w_shape))
-        w = params[offset : offset + w_size].reshape(w_shape)
-        offset += w_size
-        b = params[offset : offset + b_shape[0]]
-        offset += b_shape[0]
-        layers.append((w, b))
+    for fan_in, fan_out in spec.layer_shapes():
+        w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += w.size
+        layers.append((w, params[offset : offset + fan_out]))
+        offset += fan_out
     return layers
 
 
@@ -141,10 +150,10 @@ def init_model(spec: ClassifierSpec) -> TrainedModel:
     drawn from U[-a, a] with a = sqrt(6 / (fan_in + fan_out))."""
     rng = np.random.default_rng(spec.seed)
     chunks = []
-    for (fan_in, fan_out), b_shape in spec.layer_shapes():
+    for fan_in, fan_out in spec.layer_shapes():
         a = np.sqrt(6.0 / (fan_in + fan_out))
         chunks.append(rng.uniform(-a, a, size=fan_in * fan_out))
-        chunks.append(rng.uniform(-a, a, size=b_shape[0]))
+        chunks.append(rng.uniform(-a, a, size=fan_out))
     return TrainedModel(spec=spec, parameters=np.concatenate(chunks))
 
 
@@ -156,13 +165,16 @@ def cross_entropy_loss(probs, label: int) -> float:
     return -float(np.log(max(float(arr[label]), LOSS_PROB_FLOOR)))
 
 
-def _forward_batch(spec: ClassifierSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    layers = _unpack(spec, params)
-    if spec.kind == KIND_LINEAR:
-        w, b = layers[0]
-        return X @ w + b
-    (w1, b1), (w2, b2) = layers
-    return np.tanh(X @ w1 + b1) @ w2 + b2
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The input of each layer (X, then the tanh of each hidden layer's
+    output) and the logits."""
+    inputs = [X]
+    for w, b in layers[:-1]:
+        inputs.append(np.tanh(inputs[-1] @ w + b))
+    w, b = layers[-1]
+    return inputs, inputs[-1] @ w + b
 
 
 def objective_and_gradient(
@@ -175,38 +187,26 @@ def objective_and_gradient(
     """Mean cross-entropy over the batch plus 0.5 * weight_decay * ||params||^2,
     with its analytic gradient (all parameters, biases included, are decayed)."""
     n = X.shape[0]
-    grad = np.zeros_like(params)
     layers = _unpack(spec, params)
-    g_layers = _unpack(spec, grad)
-
-    if spec.kind == KIND_LINEAR:
-        w, b = layers[0]
-        logits = X @ w + b
-    else:
-        (w1, b1), (w2, b2) = layers
-        hidden = np.tanh(X @ w1 + b1)
-        logits = hidden @ w2 + b2
+    inputs, logits = _forward(layers, X)
 
     probs = softmax_batch(logits)
     picked = np.clip(probs[np.arange(n), y], LOSS_PROB_FLOOR, None)
     loss = -float(np.mean(np.log(picked)))
 
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
+    delta = probs.copy()  # d loss / d logits
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
 
-    if spec.kind == KIND_LINEAR:
-        gw, gb = g_layers[0]
-        gw[...] = X.T @ dlogits
-        gb[...] = dlogits.sum(axis=0)
-    else:
-        (gw1, gb1), (gw2, gb2) = g_layers
-        gw2[...] = hidden.T @ dlogits
-        gb2[...] = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2.T
-        dpre = dhidden * (1.0 - hidden**2)
-        gw1[...] = X.T @ dpre
-        gb1[...] = dpre.sum(axis=0)
+    grad = np.zeros_like(params)
+    g_layers = _unpack(spec, grad)
+    for k in range(len(layers) - 1, -1, -1):
+        h = inputs[k]
+        gw, gb = g_layers[k]
+        gw[...] = h.T @ delta
+        gb[...] = delta.sum(axis=0)
+        if k:  # h = tanh(pre-activation); carry delta down through it
+            delta = (delta @ layers[k][0].T) * (1.0 - h**2)
 
     if weight_decay:
         loss += 0.5 * weight_decay * float(params @ params)
@@ -279,7 +279,7 @@ def predict_logits(model: TrainedModel, features) -> np.ndarray:
         raise InvalidInputError(
             f"features must have shape ({model.spec.input_dim},), got {x.shape}"
         )
-    return _forward_batch(model.spec, model.parameters, x[None, :])[0]
+    return _forward(_unpack(model.spec, model.parameters), x[None, :])[1][0]
 
 
 def predict_logits_batch(model: TrainedModel, X) -> np.ndarray:
@@ -289,4 +289,4 @@ def predict_logits_batch(model: TrainedModel, X) -> np.ndarray:
         raise InvalidInputError(
             f"features must have shape (n, {model.spec.input_dim}), got {arr.shape}"
         )
-    return _forward_batch(model.spec, model.parameters, arr)
+    return _forward(_unpack(model.spec, model.parameters), arr)[1]

@@ -170,13 +170,7 @@ def cmd_histograms(args) -> int:
             f"--member {args.member} out of range for {manifest.num_members} members"
         )
     data = _load_eval_data(args.data, manifest.members[0].spec.num_classes)
-    member = manifest.members[args.member]
-    if data.feature_dim != member.spec.input_dim:
-        raise InvalidInputError(
-            f"dataset feature_dim {data.feature_dim} != ensemble input_dim "
-            f"{member.spec.input_dim}"
-        )
-    cls, top, unc = member_prediction_arrays(member, data.features)
+    cls, top, unc = member_prediction_arrays(manifest.members[args.member], data.features)
     correct = cls == data.labels
     out = _resolve_out(args.out, None)
     for kind, scores in (

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .builder import BuildConfig
 from .cascade import CONSENSUS_MOST_CONFIDENT, RuntimeConfig
-from .classifiers import KIND_LINEAR, KIND_MLP, ClassifierSpec, TrainConfig
+from .classifiers import KIND_LINEAR, KIND_MLP, ClassifierSpec, TrainConfig, require_int
 from .datasets import Dataset, generate_blobs, load_csv, load_idx
 from .errors import ConfEnsembleError, ConfigError
 from .manifest import SELECTION_RULES
@@ -167,7 +167,7 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
     try:
         dataset = parse_dataset_block(_require(doc, "dataset", "config"), base)
         build = _require(doc, "build", "config")
-        num_members = int(_require(build, "num_members", "build"))
+        num_members = require_int("build.num_members", _require(build, "num_members", "build"))
         classifier = _require(build, "classifier", "build")
         training_block = build.get("training", {})
         metrics_block = doc.get("metrics", {})
@@ -181,20 +181,28 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
                 float(t) for t in _require(build, "training_thresholds", "build")
             ),
             classifier_kind=_require(classifier, "kind", "build.classifier"),
-            classifier_hidden_units=int(hidden) if hidden is not None else None,
-            classifier_seed=int(classifier.get("seed", 0)),
+            classifier_hidden_units=(
+                require_int("build.classifier.hidden_units", hidden)
+                if hidden is not None
+                else None
+            ),
+            classifier_seed=require_int("build.classifier.seed", classifier.get("seed", 0)),
             training=TrainConfig(**training_block),
             min_subset_size=(
-                int(build["min_subset_size"]) if "min_subset_size" in build else None
+                require_int("build.min_subset_size", build["min_subset_size"])
+                if "min_subset_size" in build
+                else None
             ),
             runtime_sweep=tuple(
                 parse_runtime_block(b, num_members) for b in doc.get("runtime", [])
             ),
-            calibration_bins=int(
-                metrics_block.get("calibration_bins", DEFAULT_CALIBRATION_BINS)
+            calibration_bins=require_int(
+                "metrics.calibration_bins",
+                metrics_block.get("calibration_bins", DEFAULT_CALIBRATION_BINS),
             ),
-            histogram_bins=int(
-                metrics_block.get("histogram_bins", DEFAULT_HISTOGRAM_BINS)
+            histogram_bins=require_int(
+                "metrics.histogram_bins",
+                metrics_block.get("histogram_bins", DEFAULT_HISTOGRAM_BINS),
             ),
             output_dir=doc.get("output_dir"),
         )

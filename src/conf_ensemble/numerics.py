@@ -109,7 +109,3 @@ class Prediction:
         idx = int(np.argmax(arr))
         p = float(arr[idx])
         return cls(class_index=idx, top_probability=p, uncertainty=min(p, 1.0 - p))
-
-    @classmethod
-    def from_logits(cls, logits) -> "Prediction":
-        return cls.from_probabilities(softmax(logits))

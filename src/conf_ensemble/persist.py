@@ -23,7 +23,7 @@ import numpy as np
 
 from .cascade import RuntimeConfig
 from .classifiers import ClassifierSpec, TrainedModel
-from .errors import ManifestDigestError, ManifestVersionError
+from .errors import InvalidInputError, ManifestDigestError, ManifestVersionError
 from .manifest import FORMAT_VERSION, EnsembleManifest
 
 MANIFEST_FILE = "manifest.json"
@@ -134,7 +134,7 @@ def load_manifest(directory) -> EnsembleManifest:
         return _reconstruct(doc, directory, manifest_path, version)
     except KeyError as exc:
         raise ManifestDigestError(f"{manifest_path}: missing field {exc}") from exc
-    except (TypeError, ValueError, struct.error) as exc:
+    except (InvalidInputError, TypeError, ValueError, struct.error) as exc:
         raise ManifestDigestError(f"{manifest_path}: malformed manifest: {exc}") from exc
 
 

@@ -365,6 +365,20 @@ class TestBatchEvaluate:
         with pytest.raises(InvalidInputError):
             batch_evaluate(manifest, RuntimeConfig(thresholds=(0.2,)), blobs3)
 
+    def test_width_mismatch(self):
+        manifest = stub_manifest([member_with_uncertainty(0.3)])  # 2 classes, 2-dim input
+        rcfg = RuntimeConfig(thresholds=(0.2,))
+        wide = Dataset(np.zeros((5, 3)), np.zeros(5, dtype=np.int64), num_classes=2, id="wide")
+        with pytest.raises(InvalidInputError, match="features must have shape"):
+            batch_evaluate(manifest, rcfg, wide)
+        # No row reaches a forward pass, so the width is never checked.
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), num_classes=2, id="e")
+        record = batch_evaluate(manifest, rcfg, empty)
+        assert record.num_samples == 0
+        assert record.level_counts == (0,)
+        assert record.consensus_count == 0
+        assert record.accuracy == 0.0
+
     def test_exports_match_per_sample_replay(self, tmp_path):
         # Member 0 reads its logits from the features, so acceptance varies
         # by row; all stubs score bit-identically in batch and one row.

@@ -17,6 +17,7 @@ from conf_ensemble import (
     generate_blobs,
     init_model,
     predict_logits,
+    softmax,
 )
 from conf_ensemble.classifiers import objective_and_gradient
 
@@ -66,6 +67,29 @@ class TestSpecAndInit:
             ClassifierSpec(kind="linear", input_dim=0, num_classes=3)
         with pytest.raises(InvalidInputError):
             ClassifierSpec(kind="linear", input_dim=4, num_classes=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("hidden_units", 16.5),
+            ("seed", 2.7),
+            ("input_dim", 4.0),
+            ("num_classes", "3"),
+            ("seed", True),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, name, value):
+        fields = dict(kind="mlp", input_dim=4, num_classes=3, hidden_units=5, seed=7)
+        fields[name] = value
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            ClassifierSpec(**fields)
+
+    def test_numpy_integer_fields_become_ints(self):
+        spec = ClassifierSpec(kind="mlp", input_dim=np.int64(4), num_classes=np.int32(3),
+                              hidden_units=np.int16(5), seed=np.uint8(7))
+        assert spec == MLP_453
+        fields = (spec.input_dim, spec.num_classes, spec.hidden_units, spec.seed)
+        assert all(type(v) is int for v in fields)
 
     def test_wrong_parameter_count_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -143,6 +167,26 @@ class TestGradients:
             assert rel < 1e-4, f"trial {trial}: relative error {rel}"
             checked += 1
         assert checked == 20
+
+
+class TestTrainingMatchesInference:
+    @pytest.mark.parametrize("spec", [LINEAR_43, MLP_453], ids=["linear", "mlp"])
+    @pytest.mark.parametrize("wd", [0.0, 1e-2])
+    def test_objective_is_mean_inference_loss(self, spec, wd):
+        # The training objective must score the very logits predict_logits
+        # gives one sample at a time.
+        rng = np.random.default_rng(404)
+        params = rng.standard_normal(spec.param_count())
+        X = rng.standard_normal((9, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=9)
+        model = TrainedModel(spec=spec, parameters=params)
+        per_sample = [
+            cross_entropy_loss(softmax(predict_logits(model, x)), int(label))
+            for x, label in zip(X, y)
+        ]
+        expected = float(np.mean(per_sample)) + 0.5 * wd * float(params @ params)
+        loss = objective_and_gradient(spec, params, X, y, wd)[0]
+        assert loss == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def two_blob_dataset():

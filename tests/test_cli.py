@@ -124,6 +124,16 @@ class TestBuildCommand:
         assert main(["build", "--config", str(workdir / "absent.json"),
                      "--out", str(workdir / "x")]) == EXIT_STORAGE
 
+    def test_non_integer_member_count(self, workdir, capsys):
+        doc = experiment_doc()
+        doc["build"]["num_members"] = 2.5  # was silently truncated to 2
+        doc["build"]["training_thresholds"] = [0.01]
+        config = workdir / "fractional.json"
+        config.write_text(json.dumps(doc))
+        assert main(["build", "--config", str(config),
+                     "--out", str(workdir / "x")]) == EXIT_CONFIG
+        assert "num_members must be an integer" in capsys.readouterr().err
+
     def test_invalid_threshold_count(self, workdir):
         doc = experiment_doc()
         doc["build"]["training_thresholds"] = [0.1]
@@ -184,7 +194,7 @@ class TestEvaluateCommand:
                                 overlap=0.0, seed=1), bad)
         code = main(["evaluate", "--ensemble", str(built_dir),
                      "--data", str(bad), "--out", str(workdir / "x")])
-        assert code != EXIT_OK
+        assert code == EXIT_CONFIG
 
     def test_json_dataset_block_source(self, workdir, built_dir):
         block = workdir / "data_block.json"
@@ -225,6 +235,14 @@ class TestHistogramsCommand:
         for kind in ("uncertainty", "top_probability"):
             name = f"member1_{kind}_hist.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_dimension_mismatch_fails(self, workdir, built_dir):
+        bad = workdir / "bad_dim_hist.csv"
+        save_csv(generate_blobs(num_classes=3, per_class=5, dim=7, spread=1.0,
+                                overlap=0.0, seed=1), bad)
+        code = main(["histograms", "--ensemble", str(built_dir), "--data", str(bad),
+                     "--member", "1", "--out", str(workdir / "x")])
+        assert code == EXIT_CONFIG
 
     def test_bad_member_index(self, workdir, built_dir):
         code = main(["histograms", "--ensemble", str(built_dir),

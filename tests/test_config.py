@@ -108,6 +108,30 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="epochs"):
             load_experiment_config(write(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("build.num_members", 2.5),
+            ("build.num_members", "2"),
+            ("build.num_members", True),
+            ("build.classifier.hidden_units", 16.9),
+            ("build.classifier.seed", 2.7),
+            ("build.min_subset_size", 10.5),
+            ("metrics.calibration_bins", 15.0),
+            ("metrics.histogram_bins", "20"),
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, tmp_path, path, value):
+        doc = minimal_doc()
+        doc["metrics"] = {}
+        *blocks, name = path.split(".")
+        block = doc
+        for key in blocks:
+            block = block[key]
+        block[name] = value
+        with pytest.raises(ConfigError, match=f"{path} must be an integer"):
+            load_experiment_config(write(tmp_path, doc))
+
     def test_missing_block(self, tmp_path):
         doc = minimal_doc()
         del doc["build"]

@@ -122,6 +122,27 @@ def _string_input_dim(directory):
     manifest_path.write_text(json.dumps(doc))
 
 
+def _fractional_hidden_units(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["members"][0]["hidden_units"] += 0.9  # param_count still matches
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _fractional_seed(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["members"][1]["seed"] += 0.7
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _unknown_selection_rule(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["selection_rule"] = "shuffled"
+    manifest_path.write_text(json.dumps(doc))
+
+
 def _weights_shorter_than_header(directory):
     raw = WEIGHTS_MAGIC + b"\x01\x00"  # the version/count header needs 8 bytes
     (directory / WEIGHTS_FILE).write_bytes(raw)
@@ -135,7 +156,15 @@ class TestMalformedManifest:
     """Valid JSON of the wrong shape is a storage error, not a crash."""
 
     @pytest.mark.parametrize(
-        "corrupt", [_top_level_list, _string_input_dim, _weights_shorter_than_header]
+        "corrupt",
+        [
+            _top_level_list,
+            _string_input_dim,
+            _weights_shorter_than_header,
+            _fractional_hidden_units,
+            _fractional_seed,
+            _unknown_selection_rule,
+        ],
     )
     def test_typed_error_and_storage_exit(self, built, blobs3, tmp_path, corrupt):
         store = tmp_path / "store"
