@@ -65,13 +65,9 @@ from .metrics import (
     ScoreHistogram,
     expected_calibration_error,
     score_histogram,
-    top1_accuracy,
 )
 from .numerics import (
     Prediction,
-    argmax_class,
-    distance_to_one,
-    distance_to_zero,
     softmax,
     uncertainty,
 )

@@ -26,13 +26,8 @@ import numpy as np
 from .cascade import RuntimeConfig, member_prediction_arrays
 from .classifiers import ClassifierSpec, TrainConfig, TrainedModel, fit, init_model
 from .datasets import Dataset, SubsetView, materialize
-from .errors import DegenerateSubsetError, InvalidInputError
-from .manifest import (
-    FORMAT_VERSION,
-    SELECTION_NESTED,
-    SELECTION_RULES,
-    EnsembleManifest,
-)
+from .errors import DegenerateSubsetError, InvalidInputError, require_int
+from .manifest import FORMAT_VERSION, SELECTION_NESTED, EnsembleManifest, check_schedule
 from .metrics import (
     DEFAULT_HISTOGRAM_BINS,
     SCORE_KIND_TOP_PROBABILITY,
@@ -60,23 +55,18 @@ class BuildConfig:
     min_subset_size: int | None = None  # None -> default_min_subset_size
 
     def __post_init__(self):
+        num_members = require_int("num_members", self.num_members)
+        object.__setattr__(self, "num_members", num_members)
         object.__setattr__(
-            self, "training_thresholds", tuple(float(t) for t in self.training_thresholds)
+            self,
+            "training_thresholds",
+            check_schedule(num_members, self.selection_rule, self.training_thresholds),
         )
-        if self.num_members < 1:
-            raise InvalidInputError(f"num_members must be >= 1, got {self.num_members}")
-        if len(self.training_thresholds) != self.num_members - 1:
-            raise InvalidInputError(
-                f"need exactly {self.num_members - 1} training thresholds, "
-                f"got {len(self.training_thresholds)}"
-            )
-        for t in self.training_thresholds:
-            if not 0.0 <= t <= 0.5:
-                raise InvalidInputError(f"training threshold {t} outside [0, 0.5]")
-        if self.selection_rule not in SELECTION_RULES:
-            raise InvalidInputError(f"unknown selection rule {self.selection_rule!r}")
-        if self.min_subset_size is not None and self.min_subset_size < 1:
-            raise InvalidInputError("min_subset_size must be >= 1")
+        if self.min_subset_size is not None:
+            size = require_int("min_subset_size", self.min_subset_size)
+            if size < 1:
+                raise InvalidInputError(f"min_subset_size must be >= 1, got {size}")
+            object.__setattr__(self, "min_subset_size", size)
 
     def resolved_min_subset_size(self) -> int:
         if self.min_subset_size is not None:

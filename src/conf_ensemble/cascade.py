@@ -11,6 +11,9 @@ member_prediction_arrays is the one scoring kernel (softmax -> top class
 runs only on the rows still unresolved.  batch_evaluate keeps the columns
 as an EvaluationRecord, cascade_predict is a one-row call of the kernel.
 
+Thresholds, runtime and training alike, are finite numbers in U's range
+[0, 0.5]; check_thresholds is the one place that rule is written.
+
 Note the boundary asymmetry with training-pool selection: a sample whose
 uncertainty equals the threshold exactly is not accepted here, and is
 forwarded there.
@@ -27,7 +30,7 @@ import numpy as np
 
 from .classifiers import TrainedModel, predict_logits_batch
 from .datasets import Dataset
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_float
 from .numerics import Prediction, softmax_batch
 
 if TYPE_CHECKING:
@@ -38,6 +41,16 @@ CONSENSUS_MOST_CONFIDENT = "most_confident"
 CONSENSUS_CHOICES = (CONSENSUS_LAST_MEMBER, CONSENSUS_MOST_CONFIDENT)
 
 
+def check_thresholds(what: str, values) -> tuple[float, ...]:
+    """values as a tuple of floats, each a finite number in U's range
+    [0, 0.5]; ``what`` names one value in the error message."""
+    thresholds = tuple(require_float(what, t) for t in values)
+    for t in thresholds:
+        if not 0.0 <= t <= 0.5:
+            raise InvalidInputError(f"{what} {t} outside [0, 0.5]")
+    return thresholds
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Per-level acceptance thresholds plus the fallback heuristic."""
@@ -46,12 +59,10 @@ class RuntimeConfig:
     consensus: str = CONSENSUS_MOST_CONFIDENT
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        if not self.thresholds:
+        thresholds = check_thresholds("runtime threshold", self.thresholds)
+        if not thresholds:
             raise InvalidInputError("runtime thresholds must be non-empty")
-        for t in self.thresholds:
-            if not 0.0 <= t <= 0.5:
-                raise InvalidInputError(f"runtime threshold {t} outside [0, 0.5]")
+        object.__setattr__(self, "thresholds", thresholds)
         if self.consensus not in CONSENSUS_CHOICES:
             raise InvalidInputError(
                 f"unknown consensus {self.consensus!r}, expected one of {CONSENSUS_CHOICES}"
@@ -60,7 +71,7 @@ class RuntimeConfig:
     @classmethod
     def homogeneous(cls, threshold: float, num_members: int,
                     consensus: str = CONSENSUS_MOST_CONFIDENT) -> "RuntimeConfig":
-        return cls(thresholds=(float(threshold),) * num_members, consensus=consensus)
+        return cls(thresholds=(threshold,) * num_members, consensus=consensus)
 
     def validate_for(self, num_members: int) -> None:
         if len(self.thresholds) != num_members:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datasets import Dataset
-from .errors import EmptyTrainingSetError, InvalidInputError
+from .errors import EmptyTrainingSetError, InvalidInputError, require_float, require_int
 from .numerics import softmax_batch
 
 LOSS_PROB_FLOOR = 1e-12  # keeps -log(p) finite
@@ -33,13 +32,13 @@ KIND_LINEAR = "linear"
 KIND_MLP = "mlp"
 
 
-def require_int(name: str, value) -> int:
-    """value as a plain int.  Anything with __index__ passes (numpy integers
-    included); floats, strings and booleans are rejected rather than
-    truncated or read as 0/1."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+def check_architecture(kind: str, hidden_units: int | None) -> None:
+    """The part of a ClassifierSpec that does not depend on the dataset:
+    a known kind, and hidden_units >= 1 for an mlp."""
+    if kind not in (KIND_LINEAR, KIND_MLP):
+        raise InvalidInputError(f"unknown classifier kind {kind!r}")
+    if kind == KIND_MLP and (hidden_units is None or hidden_units < 1):
+        raise InvalidInputError("mlp requires hidden_units >= 1")
 
 
 @dataclass(frozen=True)
@@ -53,17 +52,14 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in (KIND_LINEAR, KIND_MLP):
-            raise InvalidInputError(f"unknown classifier kind {self.kind!r}")
         optional = () if self.hidden_units is None else ("hidden_units",)
         for name in ("input_dim", "num_classes", "seed") + optional:
             object.__setattr__(self, name, require_int(name, getattr(self, name)))
+        check_architecture(self.kind, self.hidden_units)
         if self.input_dim < 1:
             raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.num_classes < 2:
             raise InvalidInputError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.kind == KIND_MLP and (self.hidden_units is None or self.hidden_units < 1):
-            raise InvalidInputError("mlp requires hidden_units >= 1")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per dense layer, input to output; each layer's
@@ -89,6 +85,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "lr_decay_every_epochs", "seed"):
             object.__setattr__(self, name, require_int(name, getattr(self, name)))
+        for name in ("learning_rate", "lr_decay_gamma", "weight_decay"):
+            object.__setattr__(self, name, require_float(name, getattr(self, name)))
         if self.epochs < 1:
             raise InvalidInputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -26,13 +26,7 @@ from .cascade import (
     batch_evaluate,
     member_prediction_arrays,
 )
-from .config import (
-    DatasetSource,
-    load_dataset,
-    load_experiment_config,
-    parse_dataset_block,
-    read_json,
-)
+from .config import load_dataset, load_experiment_config, parse_dataset_block, read_json
 from .datasets import Dataset, load_csv
 from .errors import (
     ConfigError,
@@ -258,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateSubsetError as exc:
@@ -270,9 +264,6 @@ def main(argv=None) -> int:
     except (ManifestVersionError, ManifestDigestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STORAGE
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

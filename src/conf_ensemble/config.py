@@ -1,7 +1,6 @@
 """Experiment configuration: a single JSON file drives a whole run.
 
-Layout (all blocks validated up front, paths resolved relative to the
-config file):
+Layout (paths resolved relative to the config file):
 
     {
       "dataset":  {"kind": "blobs" | "csv" | "idx", ...options},
@@ -13,6 +12,12 @@ config file):
       "metrics":  {"calibration_bins"?, "histogram_bins"?},
       "output_dir"?: "..."
     }
+
+This module only converts JSON into the library's types.  Every number
+goes through require_int or require_float, here or in the type that owns
+it, so a string, boolean, NaN or Infinity is a ConfigError.  The rules are
+the types' own: check_schedule, check_architecture, TrainConfig and
+RuntimeConfig run at load, before any dataset is read.
 
 The classifier's input_dim / num_classes are taken from the dataset, so
 configs stay portable across datasets of the same shape.  A scalar
@@ -27,10 +32,10 @@ from pathlib import Path
 
 from .builder import BuildConfig
 from .cascade import CONSENSUS_MOST_CONFIDENT, RuntimeConfig
-from .classifiers import KIND_LINEAR, KIND_MLP, ClassifierSpec, TrainConfig, require_int
+from .classifiers import ClassifierSpec, TrainConfig, check_architecture
 from .datasets import Dataset, generate_blobs, load_csv, load_idx
-from .errors import ConfEnsembleError, ConfigError
-from .manifest import SELECTION_RULES
+from .errors import ConfEnsembleError, ConfigError, InvalidInputError, require_int
+from .manifest import SELECTION_NESTED, check_schedule
 from .metrics import DEFAULT_CALIBRATION_BINS, DEFAULT_HISTOGRAM_BINS
 
 # Default threshold grids; the sweep script and the acceptance suite
@@ -53,26 +58,28 @@ class DatasetSource:
 
 def load_dataset(source: DatasetSource, num_classes: int | None = None) -> Dataset:
     """Materialize a dataset source block.  num_classes, when given,
-    overrides inference for file-backed sources."""
-    opts = dict(source.options)
+    overrides inference for file-backed sources.  The loaders convert
+    their own options; a bad one is a ConfigError."""
+    opts = source.options
     try:
         if source.kind == "blobs":
             return generate_blobs(
-                num_classes=int(opts["num_classes"]),
-                per_class=int(opts["per_class"]),
-                dim=int(opts.get("dim", 2)),
-                spread=float(opts.get("spread", 1.0)),
-                overlap=float(opts.get("overlap", 0.0)),
-                seed=int(opts.get("seed", 0)),
+                num_classes=opts["num_classes"],
+                per_class=opts["per_class"],
+                dim=opts.get("dim", 2),
+                spread=opts.get("spread", 1.0),
+                overlap=opts.get("overlap", 0.0),
+                seed=opts.get("seed", 0),
             )
         declared = opts.get("num_classes", num_classes)
-        declared = int(declared) if declared is not None else None
+        if declared is not None:
+            declared = require_int("dataset.num_classes", declared)
         if source.kind == "csv":
             return load_csv(opts["path"], num_classes=declared)
         return load_idx(opts["images"], opts["labels"], num_classes=declared)
     except KeyError as exc:
         raise ConfigError(f"dataset block for {source.kind!r} needs option {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidInputError) as exc:
         raise ConfigError(f"bad dataset option: {exc}") from exc
 
 
@@ -111,12 +118,9 @@ class ExperimentConfig:
             min_subset_size=self.min_subset_size,
         )
 
-    def default_runtime(self) -> RuntimeConfig:
-        if self.runtime_sweep:
-            return self.runtime_sweep[0]
-        return RuntimeConfig.homogeneous(
-            DEFAULT_RUNTIME_THRESHOLD_GRID[1], self.num_members
-        )
+    def default_runtime(self) -> RuntimeConfig | None:
+        """The first runtime block; None leaves the choice to build_ensemble."""
+        return self.runtime_sweep[0] if self.runtime_sweep else None
 
 
 def _require(block: dict, key: str, where: str):
@@ -126,6 +130,8 @@ def _require(block: dict, key: str, where: str):
 
 
 def _resolve_path(value: str, base: Path | None) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"dataset paths must be strings, got {value!r}")
     p = Path(value)
     if base is not None and not p.is_absolute():
         p = base / p
@@ -149,45 +155,45 @@ def parse_dataset_block(block: dict, base: Path | None = None) -> DatasetSource:
 def parse_runtime_block(block: dict, num_members: int) -> RuntimeConfig:
     if not isinstance(block, dict):
         raise ConfigError("runtime block must be an object")
-    consensus = block.get("consensus", CONSENSUS_MOST_CONFIDENT)
     if "thresholds" in block:
-        thresholds = tuple(float(t) for t in block["thresholds"])
+        thresholds = block["thresholds"]
     elif "threshold" in block:
-        thresholds = (float(block["threshold"]),) * num_members
+        thresholds = (block["threshold"],) * num_members
     else:
         raise ConfigError("runtime block needs 'threshold' or 'thresholds'")
-    if len(thresholds) != num_members:
-        raise ConfigError(
-            f"runtime block has {len(thresholds)} thresholds for {num_members} members"
-        )
-    return RuntimeConfig(thresholds=thresholds, consensus=consensus)
+    rcfg = RuntimeConfig(
+        thresholds=thresholds, consensus=block.get("consensus", CONSENSUS_MOST_CONFIDENT)
+    )
+    rcfg.validate_for(num_members)
+    return rcfg
 
 
 def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentConfig:
+    """Convert a parsed config document; any rule it breaks is a ConfigError."""
     try:
         dataset = parse_dataset_block(_require(doc, "dataset", "config"), base)
         build = _require(doc, "build", "config")
         num_members = require_int("build.num_members", _require(build, "num_members", "build"))
+        selection_rule = build.get("selection_rule", SELECTION_NESTED)
+        thresholds = check_schedule(
+            num_members, selection_rule, _require(build, "training_thresholds", "build")
+        )
         classifier = _require(build, "classifier", "build")
-        training_block = build.get("training", {})
-        metrics_block = doc.get("metrics", {})
-
+        kind = _require(classifier, "kind", "build.classifier")
         hidden = classifier.get("hidden_units")
-        cfg = ExperimentConfig(
+        if hidden is not None:
+            hidden = require_int("build.classifier.hidden_units", hidden)
+        check_architecture(kind, hidden)
+        metrics_block = doc.get("metrics", {})
+        return ExperimentConfig(
             dataset=dataset,
             num_members=num_members,
-            selection_rule=build.get("selection_rule", "nested"),
-            training_thresholds=tuple(
-                float(t) for t in _require(build, "training_thresholds", "build")
-            ),
-            classifier_kind=_require(classifier, "kind", "build.classifier"),
-            classifier_hidden_units=(
-                require_int("build.classifier.hidden_units", hidden)
-                if hidden is not None
-                else None
-            ),
+            selection_rule=selection_rule,
+            training_thresholds=thresholds,
+            classifier_kind=kind,
+            classifier_hidden_units=hidden,
             classifier_seed=require_int("build.classifier.seed", classifier.get("seed", 0)),
-            training=TrainConfig(**training_block),
+            training=TrainConfig(**build.get("training", {})),
             min_subset_size=(
                 require_int("build.min_subset_size", build["min_subset_size"])
                 if "min_subset_size" in build
@@ -208,23 +214,8 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, ConfEnsembleError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ConfEnsembleError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-
-    # Fail now, not at build time, on inconsistent blocks.
-    if len(cfg.training_thresholds) != num_members - 1:
-        raise ConfigError(
-            f"build.training_thresholds needs {num_members - 1} values, "
-            f"got {len(cfg.training_thresholds)}"
-        )
-    if cfg.selection_rule not in SELECTION_RULES:
-        raise ConfigError(f"unknown selection rule {cfg.selection_rule!r}")
-    if cfg.classifier_kind not in (KIND_LINEAR, KIND_MLP):
-        raise ConfigError(f"unknown classifier kind {cfg.classifier_kind!r}")
-    for t in cfg.training_thresholds:
-        if not 0.0 <= t <= 0.5:
-            raise ConfigError(f"training threshold {t} outside [0, 0.5]")
-    return cfg
 
 
 def read_json(path: Path):

@@ -22,7 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetParseError, InvalidInputError, InvalidViewError
+from .errors import (
+    DatasetParseError,
+    InvalidInputError,
+    InvalidViewError,
+    require_float,
+    require_int,
+)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -131,6 +137,12 @@ def generate_blobs(
     shrinks linearly as overlap grows from 0 to 1, so higher overlap puts
     more samples in regions where classes mix.  Deterministic in seed.
     """
+    num_classes = require_int("num_classes", num_classes)
+    per_class = require_int("per_class", per_class)
+    dim = require_int("dim", dim)
+    spread = require_float("spread", spread)
+    overlap = require_float("overlap", overlap)
+    seed = require_int("seed", seed)
     if num_classes < 2:
         raise InvalidInputError(f"num_classes must be >= 2, got {num_classes}")
     if per_class < 1:

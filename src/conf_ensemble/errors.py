@@ -1,10 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the number
+converters (require_int, require_float) every numeric field goes through.
 
 Error classes map onto CLI exit codes (see cli.py), so keep the
 partition coarse: config, data, degenerate build, storage.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
 
 
 class ConfEnsembleError(Exception):
@@ -13,6 +18,29 @@ class ConfEnsembleError(Exception):
 
 class InvalidInputError(ConfEnsembleError):
     """A value violates an operation's precondition (bad shape, range, NaN...)."""
+
+
+def require_int(name: str, value) -> int:
+    """value as a plain int.  Anything with __index__ passes (numpy integers
+    included); floats, strings and booleans are rejected rather than
+    truncated or read as 0/1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def require_float(name: str, value) -> float:
+    """value as a finite float.  Any real number passes (ints and numpy
+    numbers included); strings, booleans, NaN and +-inf are rejected rather
+    than parsed or read as 0/1."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            result = float(value)
+        except OverflowError:  # an integer beyond the float range
+            result = math.inf
+        if math.isfinite(result):
+            return result
+    raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
 
 
 class ConfigError(ConfEnsembleError):

@@ -1,4 +1,4 @@
-"""Accuracy, Expected Calibration Error, and score histograms.
+"""Expected Calibration Error and score histograms.
 
 ECE uses equal-width bins over [0, 1] with a right-closed last bin.  For
 bin i holding count_i of n samples, with o_i the fraction of correct
@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import Prediction
 
 DEFAULT_CALIBRATION_BINS = 15
 DEFAULT_HISTOGRAM_BINS = 20
@@ -39,18 +38,6 @@ def bin_indices(values: np.ndarray, lo: float, hi: float, num_bins: int) -> np.n
     width = (hi - lo) / num_bins
     idx = np.floor((values - lo) / width).astype(np.int64)
     return np.clip(idx, 0, num_bins - 1)
-
-
-def top1_accuracy(chosen: Sequence[Prediction], labels: Sequence[int]) -> float:
-    """Fraction of predictions whose class matches the label."""
-    if len(chosen) != len(labels):
-        raise InvalidInputError(
-            f"{len(chosen)} predictions for {len(labels)} labels"
-        )
-    if not chosen:
-        raise InvalidInputError("need at least one prediction")
-    hits = sum(1 for pred, label in zip(chosen, labels) if pred.class_index == label)
-    return hits / len(chosen)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,11 @@ def load_manifest(directory) -> EnsembleManifest:
 
 
 def _reconstruct(doc, directory: Path, manifest_path: Path, version: int) -> EnsembleManifest:
-    weights_path = directory / doc["weights_file"]
+    if doc["weights_file"] != WEIGHTS_FILE:
+        raise ManifestDigestError(
+            f"{manifest_path}: weights_file {doc['weights_file']!r}, expected {WEIGHTS_FILE!r}"
+        )
+    weights_path = directory / WEIGHTS_FILE
     raw = weights_path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     if digest != doc["weights_digest"]:

@@ -1,5 +1,6 @@
-"""Shared fixtures: stub members with controlled outputs, and the
-overlap-heavy blob dataset the end-to-end tests build on."""
+"""Shared fixtures: stub members with controlled outputs, the
+overlap-heavy blob dataset the end-to-end tests build on, and generated
+JSON values for the field-mutation properties."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from conf_ensemble import (
     ClassifierSpec,
@@ -97,3 +99,41 @@ def stub_manifest(
         dataset_id="stub",
         dataset_digest="stub",
     )
+
+
+def json_leaves(node, path=()):
+    """Paths to every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from json_leaves(value, path + (index,))
+    else:
+        yield path
+
+
+def set_leaf(doc, path, value) -> None:
+    """Replace the value at ``path`` (keys and list indices) in ``doc``."""
+    *blocks, name = path
+    for key in blocks:
+        doc = doc[key]
+    doc[name] = value
+
+
+# Scalars a JSON document can hold, plus short lists.  Integers stay small
+# because a leaf may be a sample or feature count the dataset allocates.
+# Finite floats stay below 1e6: a spread near the float limit overflows
+# numpy's arithmetic, which warns (an error under this suite's
+# filterwarnings) before Dataset rejects the non-finite features.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=6),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=4),
+    st.sampled_from(["blobs", "csv", "mlp", "linear", "nested", "rebased",
+                     "last_member", "0.2", "2"]),
+)
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)

@@ -241,6 +241,24 @@ class TestBuildConfigValidation:
                         classifier_spec=MLP_SPEC, train_config=TRAIN,
                         selection_rule="bagging")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(num_members=2.0),
+            dict(min_subset_size=10.5),
+            dict(min_subset_size=0),
+            dict(training_thresholds=("0.1",)),
+            dict(training_thresholds=(float("nan"),)),
+            dict(training_thresholds=(True,)),
+        ],
+    )
+    def test_rejects_non_numbers(self, fields):
+        kwargs = dict(num_members=2, training_thresholds=(0.1,),
+                      classifier_spec=MLP_SPEC, train_config=TRAIN)
+        kwargs.update(fields)
+        with pytest.raises(InvalidInputError):
+            BuildConfig(**kwargs)
+
     def test_default_min_subset_size(self):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
                           classifier_spec=MLP_SPEC, train_config=TRAIN)

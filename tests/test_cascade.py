@@ -54,6 +54,11 @@ class TestRuntimeConfig:
         with pytest.raises(InvalidInputError):
             RuntimeConfig(thresholds=(-0.1,))
 
+    @pytest.mark.parametrize("value", ["0.2", None, float("nan"), float("inf"), True])
+    def test_thresholds_must_be_finite_numbers(self, value):
+        with pytest.raises(InvalidInputError, match="runtime threshold must be a finite number"):
+            RuntimeConfig(thresholds=(0.2, value))
+
     def test_unknown_consensus(self):
         with pytest.raises(InvalidInputError):
             RuntimeConfig(thresholds=(0.2,), consensus="majority")

@@ -312,6 +312,10 @@ class TestTrainConfigValidation:
             dict(lr_decay_every_epochs="15"),
             dict(seed=1.5),
             dict(epochs=True),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(lr_decay_gamma=True),
+            dict(weight_decay="0.01"),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -324,3 +328,10 @@ class TestTrainConfigValidation:
         counts = (cfg.epochs, cfg.batch_size, cfg.lr_decay_every_epochs, cfg.seed)
         assert counts == (3, 8, 2, 5)
         assert all(type(c) is int for c in counts)
+
+    def test_numpy_and_integer_rates_become_floats(self):
+        cfg = TrainConfig(learning_rate=np.float32(0.5), lr_decay_gamma=1,
+                          weight_decay=np.int64(0))
+        rates = (cfg.learning_rate, cfg.lr_decay_gamma, cfg.weight_decay)
+        assert rates == (0.5, 1.0, 0.0)
+        assert all(type(r) is float for r in rates)

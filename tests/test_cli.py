@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
-from conf_ensemble import generate_blobs, save_csv
+from conf_ensemble import (
+    ConfEnsembleError,
+    DegenerateSubsetError,
+    cli,
+    generate_blobs,
+    save_csv,
+)
 from conf_ensemble.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -16,6 +24,8 @@ from conf_ensemble.cli import (
     main,
 )
 from conf_ensemble.persist import artifact_digests
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BLOBS_BLOCK = {
     "kind": "blobs",
@@ -134,6 +144,27 @@ class TestBuildCommand:
                      "--out", str(workdir / "x")]) == EXIT_CONFIG
         assert "num_members must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"training_thresholds": ["0.01", "0.01"]},
+            {"training_thresholds": [0.01, None]},
+            {"runtime": [{"threshold": "0.2"}]},
+        ],
+        ids=["string-training-thresholds", "null-training-threshold", "string-runtime"],
+    )
+    def test_non_number_thresholds(self, tmp_path, capsys, edit):
+        doc = experiment_doc()
+        if "runtime" in edit:
+            doc.update(edit)
+        else:
+            doc["build"].update(edit)
+        config = tmp_path / "strings.json"
+        config.write_text(json.dumps(doc))
+        assert main(["build", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "threshold must be a finite number" in capsys.readouterr().err
+
     def test_invalid_threshold_count(self, workdir):
         doc = experiment_doc()
         doc["build"]["training_thresholds"] = [0.1]
@@ -202,6 +233,33 @@ class TestEvaluateCommand:
         out = workdir / "eval-json-src"
         assert main(["evaluate", "--ensemble", str(built_dir),
                      "--data", str(block), "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "block",
+        [dict(BLOBS_BLOCK, per_class=2.5), {"kind": "csv", "path": 5}],
+        ids=["fractional-per-class", "numeric-path"],
+    )
+    def test_bad_json_dataset_option(self, built_dir, tmp_path, block):
+        block_path = tmp_path / "data_block.json"
+        block_path.write_text(json.dumps(block))
+        assert main(["evaluate", "--ensemble", str(built_dir), "--data", str(block_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "thresholds", [["x", None], [0.9, -3], ["0.01", "0.01"]], ids=str
+    )
+    def test_stored_thresholds_must_be_numbers_in_range(
+        self, workdir, built_dir, tmp_path, thresholds
+    ):
+        ensemble = tmp_path / "ensemble"
+        shutil.copytree(built_dir, ensemble)
+        manifest_path = ensemble / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        doc["training_thresholds"] = thresholds
+        manifest_path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--ensemble", str(ensemble),
+                     "--data", str(workdir / "data.csv"),
+                     "--out", str(tmp_path / "eval")]) == EXIT_STORAGE
 
     def test_unreadable_ensemble_dir(self, workdir):
         code = main(["evaluate", "--ensemble", str(workdir / "no-ensemble"),
@@ -318,3 +376,33 @@ class TestFileBoundaryErrors:
                     "--out", str(tmp_path / "eval")]
         assert main(argv) == expected
         assert str(bad) in capsys.readouterr().err
+
+
+def documented_exit_codes() -> dict[str, int]:
+    """Error class name -> exit code, read from the README's exit-code table."""
+    codes = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| `(\d)` \|[^|]*\|([^|]*)\|$", line)
+        if row:
+            for name in re.findall(r"`(\w+)`", row.group(2)):
+                codes[name] = int(row.group(1))
+    return codes
+
+
+@pytest.mark.parametrize(
+    "error_class", ConfEnsembleError.__subclasses__(), ids=lambda cls: cls.__name__
+)
+def test_every_error_class_exits_with_its_documented_code(error_class, monkeypatch, tmp_path):
+    codes = documented_exit_codes()
+    assert error_class.__name__ in codes, "error class missing from the README's exit-code table"
+    if error_class is DegenerateSubsetError:
+        error = DegenerateSubsetError(level=1, size=0, minimum=10)
+    else:
+        error = error_class("injected")
+
+    def raise_error(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "load_experiment_config", raise_error)
+    argv = ["build", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == codes[error_class.__name__]

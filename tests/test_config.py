@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf_ensemble import (
     ConfigError,
@@ -12,6 +15,10 @@ from conf_ensemble import (
     load_experiment_config,
 )
 from conf_ensemble.config import DatasetSource, parse_runtime_block
+
+from conftest import JSON_VALUES, json_leaves, set_leaf
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
 
 
 def minimal_doc():
@@ -124,13 +131,46 @@ class TestExperimentConfig:
     def test_integer_fields_reject_non_integers(self, tmp_path, path, value):
         doc = minimal_doc()
         doc["metrics"] = {}
-        *blocks, name = path.split(".")
-        block = doc
-        for key in blocks:
-            block = block[key]
-        block[name] = value
+        set_leaf(doc, path.split("."), value)
         with pytest.raises(ConfigError, match=f"{path} must be an integer"):
             load_experiment_config(write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("build.training_thresholds", ["0.1"], "training threshold must be a finite number"),
+            ("build.training_thresholds", [None], "training threshold must be a finite number"),
+            ("build.training.learning_rate", float("nan"), "learning_rate must be a finite number"),
+            ("build.training.lr_decay_gamma", True, "lr_decay_gamma must be a finite number"),
+            ("build.training.weight_decay", "0.01", "weight_decay must be a finite number"),
+            ("runtime", [{"threshold": "0.2"}], "runtime threshold must be a finite number"),
+            ("runtime", [{"thresholds": ["0.4", 0.1]}], "runtime threshold must be a finite number"),
+        ],
+    )
+    def test_number_fields_reject_non_numbers(self, tmp_path, path, value, message):
+        doc = minimal_doc()
+        set_leaf(doc, path.split("."), value)
+        with pytest.raises(ConfigError, match=message):
+            load_experiment_config(write(tmp_path, doc))
+
+    @pytest.mark.parametrize("block", ["build", "classifier", "metrics"])
+    def test_block_of_the_wrong_type(self, tmp_path, block):
+        doc = minimal_doc()
+        if block == "classifier":
+            doc["build"]["classifier"] = "mlp"
+        else:
+            doc[block] = ["num_members"]
+        with pytest.raises(ConfigError):
+            load_experiment_config(write(tmp_path, doc))
+
+    def test_mlp_without_hidden_units_fails_at_load(self, tmp_path):
+        doc = minimal_doc()
+        doc["build"]["classifier"] = {"kind": "mlp"}
+        with pytest.raises(ConfigError, match="mlp requires hidden_units >= 1"):
+            load_experiment_config(write(tmp_path, doc))
+
+    def test_no_runtime_block_leaves_the_default_to_the_builder(self, tmp_path):
+        assert load_experiment_config(write(tmp_path, minimal_doc())).default_runtime() is None
 
     def test_missing_block(self, tmp_path):
         doc = minimal_doc()
@@ -174,6 +214,29 @@ class TestDatasetSource:
         with pytest.raises(ConfigError, match="path"):
             load_dataset(DatasetSource(kind="csv", options={}))
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(per_class=2.5, dim=2.9),
+            dict(per_class="4"),
+            dict(dim=True),
+            dict(overlap=True),
+            dict(seed=2.7),
+            dict(spread=float("nan")),
+        ],
+    )
+    def test_blobs_options_are_not_truncated(self, options):
+        block = dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=1)
+        block.update(options)
+        with pytest.raises(ConfigError, match="must be"):
+            load_dataset(DatasetSource(kind="blobs", options=block))
+
+    def test_declared_num_classes_must_be_an_integer(self, tmp_path):
+        source = DatasetSource(kind="csv", options={"path": str(tmp_path / "d.csv"),
+                                                    "num_classes": 2.5})
+        with pytest.raises(ConfigError, match="dataset.num_classes must be an integer"):
+            load_dataset(source)
+
     def test_blobs_deterministic(self):
         source = DatasetSource(kind="blobs", options=dict(
             num_classes=2, per_class=10, dim=2, spread=1.0, overlap=0.1, seed=3))
@@ -184,3 +247,28 @@ class TestRuntimeBlock:
     def test_needs_some_threshold(self):
         with pytest.raises(ConfigError):
             parse_runtime_block({"consensus": "last_member"}, 2)
+
+
+EXAMPLE_LEAVES = list(json_leaves(json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))))
+
+
+@pytest.fixture(scope="module")
+def leaf_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("leaf") / "config.json"
+
+
+class TestEveryLeaf:
+    """Whatever value one field of the shipped config holds, loading it and
+    deriving the build config either succeeds or raises ConfigError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(EXAMPLE_LEAVES), JSON_VALUES)
+    def test_load_succeeds_or_raises_config_error(self, leaf_config_path, leaf, value):
+        doc = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        set_leaf(doc, leaf, value)
+        leaf_config_path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            cfg = load_experiment_config(leaf_config_path)
+            cfg.build_config_for(load_dataset(cfg.dataset))
+        except ConfigError:
+            pass

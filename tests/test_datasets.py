@@ -59,6 +59,16 @@ class TestGenerateBlobs:
             dict(num_classes=2, per_class=10, dim=0, spread=1.0, overlap=0.0, seed=0),
             dict(num_classes=2, per_class=10, dim=2, spread=0.0, overlap=0.0, seed=0),
             dict(num_classes=2, per_class=10, dim=2, spread=1.0, overlap=1.5, seed=0),
+            # non-integers are rejected, not truncated or read as 0/1
+            dict(num_classes=3, per_class=2.5, dim=2, spread=1.0, overlap=0.0, seed=0),
+            dict(num_classes=3, per_class=2, dim=2.9, spread=1.0, overlap=0.0, seed=0),
+            dict(num_classes=3, per_class="4", dim=2, spread=1.0, overlap=0.0, seed=0),
+            dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=2.7),
+            dict(num_classes=3.0, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=0),
+            dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=True, seed=0),
+            dict(num_classes=3, per_class=2, dim=2, spread="1", overlap=0.0, seed=0),
+            dict(num_classes=3, per_class=2, dim=2, spread=float("inf"), overlap=0.0, seed=0),
+            dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=float("nan"), seed=0),
         ],
     )
     def test_invalid_parameters(self, kwargs):

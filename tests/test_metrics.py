@@ -5,48 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conf_ensemble import (
-    InvalidInputError,
-    Prediction,
-    expected_calibration_error,
-    score_histogram,
-    top1_accuracy,
-)
+from conf_ensemble import InvalidInputError, expected_calibration_error, score_histogram
 from conf_ensemble.builder import member_prediction_arrays
 from conf_ensemble.metrics import bin_indices
-
-
-def pred(cls, p=0.9):
-    return Prediction(class_index=cls, top_probability=p, uncertainty=min(p, 1 - p))
-
-
-class TestTop1Accuracy:
-    def test_all_correct(self):
-        assert top1_accuracy([pred(0), pred(1)], [0, 1]) == 1.0
-
-    def test_half_correct(self):
-        assert top1_accuracy([pred(0), pred(0), pred(1), pred(1)], [0, 1, 1, 0]) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            top1_accuracy([pred(0)], [0, 1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            top1_accuracy([], [])
-
-    def test_matches_recount_oracle(self, blobs3, trained_m0):
-        cls, top, unc = member_prediction_arrays(trained_m0, blobs3.features)
-        chosen = [
-            Prediction(class_index=int(c), top_probability=float(p), uncertainty=float(u))
-            for c, p, u in zip(cls, top, unc)
-        ]
-        value = top1_accuracy(chosen, list(blobs3.labels))
-        hits = 0
-        for c, label in zip(cls, blobs3.labels):
-            if int(c) == int(label):
-                hits += 1
-        assert value == hits / len(blobs3)
 
 
 class TestExpectedCalibrationError:

@@ -2,18 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conf_ensemble import (
-    InvalidInputError,
-    Prediction,
-    argmax_class,
-    distance_to_one,
-    distance_to_zero,
-    softmax,
-    uncertainty,
-)
+from conf_ensemble import InvalidInputError, softmax, uncertainty
 
 # Frozen from an arbitrary-precision evaluation of exp(x_i)/sum_j exp(x_j).
 SOFTMAX_123 = (0.0900305731704, 0.2447284710548, 0.6652409557748)
@@ -74,28 +66,6 @@ class TestSoftmax:
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
-class TestDistances:
-    def test_distance_to_zero_is_top_score(self):
-        assert distance_to_zero([0.7, 0.2, 0.1]) == pytest.approx(0.7)
-
-    def test_distance_to_zero_uniform_1000(self):
-        assert distance_to_zero(np.full(1000, 0.001)) == pytest.approx(0.001)
-
-    def test_distance_to_zero_one_hot(self):
-        assert distance_to_zero([1.0, 0.0]) == 1.0
-
-    def test_distance_to_one(self):
-        assert distance_to_one([0.7, 0.2, 0.1]) == pytest.approx(0.3)
-        assert distance_to_one([1.0, 0.0]) == 0.0
-        assert distance_to_one([0.5, 0.5]) == pytest.approx(0.5)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidInputError):
-            distance_to_zero([0.5, 0.6])
-        with pytest.raises(InvalidInputError):
-            distance_to_one([-0.1, 1.1])
-
-
 class TestUncertainty:
     def test_confident_prediction(self):
         assert uncertainty([0.99, 0.01]) == pytest.approx(0.01)
@@ -106,45 +76,20 @@ class TestUncertainty:
     def test_near_uniform_many_classes(self):
         assert uncertainty(np.full(1000, 0.001)) == pytest.approx(0.001)
 
+    def test_rejects_unnormalized(self):
+        with pytest.raises(InvalidInputError):
+            uncertainty([0.5, 0.6])
+        with pytest.raises(InvalidInputError):
+            uncertainty([-0.1, 1.1])
+
     @given(prob_vectors())
     def test_range_and_composition(self, probs):
         u = uncertainty(probs)
+        p = float(np.max(probs))
         assert 0.0 <= u <= 0.5
-        assert u == min(distance_to_zero(probs), distance_to_one(probs))
+        assert u == min(p, 1.0 - p)
 
     @given(prob_vectors())
     def test_half_iff_top_is_half(self, probs):
         u = uncertainty(probs)
         assert (u == 0.5) == (float(np.max(probs)) == 0.5)
-
-
-class TestArgmax:
-    def test_plain(self):
-        assert argmax_class([0.2, 0.5, 0.3]) == 1
-
-    def test_tie_breaks_low_index(self):
-        assert argmax_class([0.5, 0.5]) == 0
-        assert argmax_class([0.25, 0.25, 0.25, 0.25]) == 0
-
-    @settings(max_examples=200)
-    @given(logit_vectors(bound=50.0))
-    def test_invariant_under_softmax(self, logits):
-        arr = np.asarray(logits)
-        order = np.sort(arr)
-        if len(order) > 1 and order[-1] - order[-2] < 1e-6:
-            return  # ties excluded
-        assert argmax_class(softmax(arr)) == int(np.argmax(arr))
-
-
-class TestPrediction:
-    def test_bundles_top_score_and_uncertainty(self):
-        pred = Prediction.from_probabilities([0.1, 0.7, 0.2])
-        assert pred.class_index == 1
-        assert pred.top_probability == pytest.approx(0.7)
-        assert pred.uncertainty == pytest.approx(0.3)
-
-    @given(prob_vectors())
-    def test_consistency(self, probs):
-        pred = Prediction.from_probabilities(probs)
-        assert pred.top_probability == float(np.max(probs))
-        assert pred.uncertainty == min(pred.top_probability, 1 - pred.top_probability)

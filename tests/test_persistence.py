@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf_ensemble import (
     BuildConfig,
@@ -21,7 +23,15 @@ from conf_ensemble import (
 from conf_ensemble.cli import EXIT_STORAGE, main
 from conf_ensemble.persist import WEIGHTS_FILE, WEIGHTS_MAGIC, artifact_digests
 
-from conftest import MLP_SPEC, TRAIN, member_with_uncertainty, stub_manifest
+from conftest import (
+    JSON_VALUES,
+    MLP_SPEC,
+    TRAIN,
+    json_leaves,
+    member_with_uncertainty,
+    set_leaf,
+    stub_manifest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +153,27 @@ def _unknown_selection_rule(directory):
     manifest_path.write_text(json.dumps(doc))
 
 
+def _string_training_threshold(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["training_thresholds"] = [str(t) for t in doc["training_thresholds"]]
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _runtime_threshold_out_of_range(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["default_runtime"]["thresholds"][0] = 0.9
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _weights_file_elsewhere(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["weights_file"] = ""  # the directory itself
+    manifest_path.write_text(json.dumps(doc))
+
+
 def _weights_shorter_than_header(directory):
     raw = WEIGHTS_MAGIC + b"\x01\x00"  # the version/count header needs 8 bytes
     (directory / WEIGHTS_FILE).write_bytes(raw)
@@ -164,6 +195,9 @@ class TestMalformedManifest:
             _fractional_hidden_units,
             _fractional_seed,
             _unknown_selection_rule,
+            _string_training_threshold,
+            _runtime_threshold_out_of_range,
+            _weights_file_elsewhere,
         ],
     )
     def test_typed_error_and_storage_exit(self, built, blobs3, tmp_path, corrupt):
@@ -178,6 +212,30 @@ class TestMalformedManifest:
         code = main(["evaluate", "--ensemble", str(store), "--data", str(data_csv),
                      "--out", str(tmp_path / "eval")])
         assert code == EXIT_STORAGE
+
+
+@pytest.fixture(scope="module")
+def stored(built, tmp_path_factory):
+    store = tmp_path_factory.mktemp("stored")
+    save_manifest(built, store)
+    return store, (store / "manifest.json").read_text(encoding="utf-8")
+
+
+class TestEveryManifestField:
+    """Whatever value one field of a stored manifest holds, loading either
+    succeeds or raises a storage error; nothing else escapes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), JSON_VALUES)
+    def test_load_succeeds_or_raises_storage_error(self, stored, data, value):
+        store, original = stored
+        doc = json.loads(original)
+        set_leaf(doc, data.draw(st.sampled_from(list(json_leaves(doc)))), value)
+        (store / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_manifest(store)
+        except (ManifestDigestError, ManifestVersionError):
+            pass
 
 
 class TestBuildDeterminism:
