@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Threshold-grid experiment on synthetic overlapping blobs.
+"""Threshold-grid experiment driven by an experiment config.
 
-Builds the two-member ensembles across the training-threshold grid, plus
-the three-member ensemble with rebased selection at (0.01, 0.01), then
-sweeps the runtime-threshold grid with both consensus heuristics and a
-single-model baseline.  Emits a summary CSV/JSON and prints a table.
+Builds the config's own ensemble (the full chain) plus one two-member
+nested ensemble per training threshold in the grid, all from the config's
+dataset, classifier and trainer.  Then sweeps the runtime-threshold grid
+with both consensus heuristics and scores member 0 of the full chain as
+the single-model baseline.  Emits a summary CSV/JSON and prints a table.
 
 Usage:
     python scripts/run_threshold_sweep.py --out runs/sweep
+    python scripts/run_threshold_sweep.py --config my.json --seed 7 --out runs/sweep-s7
 """
 
 from __future__ import annotations
@@ -15,44 +17,47 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from conf_ensemble import (
+    CONSENSUS_LAST_MEMBER,
+    CONSENSUS_MOST_CONFIDENT,
     DEFAULT_RUNTIME_THRESHOLD_GRID,
     DEFAULT_TRAINING_THRESHOLD_GRID,
-    BuildConfig,
-    ClassifierSpec,
+    SELECTION_NESTED,
     RuntimeConfig,
-    TrainConfig,
     batch_evaluate,
     build_ensemble,
     expected_calibration_error,
-    generate_blobs,
+    load_dataset,
+    load_experiment_config,
     member_prediction_arrays,
 )
 
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
 
-def parse_args():
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--config", default=str(EXAMPLE_CONFIG), help="experiment config")
     parser.add_argument("--out", default="runs/sweep", help="output directory")
-    parser.add_argument("--per-class", type=int, default=1000)
-    parser.add_argument("--dim", type=int, default=4)
-    parser.add_argument("--overlap", type=float, default=0.55)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--hidden-units", type=int, default=16)
-    parser.add_argument("--epochs", type=int, default=30)
-    parser.add_argument("--learning-rate", type=float, default=0.05)
-    return parser.parse_args()
+    parser.add_argument("--seed", type=int, default=None,
+                        help="replaces the seed of the config's blobs dataset")
+    return parser
 
 
-def evaluate_grid(name, manifest, data, rows):
+def evaluate_grid(name, manifest, data, calibration_bins):
+    rows = []
     for threshold in DEFAULT_RUNTIME_THRESHOLD_GRID:
-        for consensus in ("last_member", "most_confident"):
+        for consensus in (CONSENSUS_LAST_MEMBER, CONSENSUS_MOST_CONFIDENT):
             rcfg = RuntimeConfig.homogeneous(
                 threshold, manifest.num_members, consensus=consensus
             )
             record = batch_evaluate(manifest, rcfg, data)
-            report = expected_calibration_error(record.chosen_top, record.correct)
+            report = expected_calibration_error(
+                record.chosen_top, record.correct, num_bins=calibration_bins
+            )
             rows.append(
                 {
                     "ensemble": name,
@@ -65,67 +70,48 @@ def evaluate_grid(name, manifest, data, rows):
                     "consensus_fraction": record.consensus_fraction,
                 }
             )
+    return rows
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg = load_experiment_config(args.config)
+    source = cfg.dataset
+    if args.seed is not None:
+        if source.kind != "blobs":
+            parser.error(f"--seed needs a blobs dataset; {args.config} has {source.kind!r}")
+        source = replace(source, options={**source.options, "seed": args.seed})
+    data = load_dataset(source)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    data = generate_blobs(
-        num_classes=3,
-        per_class=args.per_class,
-        dim=args.dim,
-        spread=1.0,
-        overlap=args.overlap,
-        seed=args.seed,
-    )
-    spec = ClassifierSpec(
-        kind="mlp",
-        input_dim=data.feature_dim,
-        num_classes=data.num_classes,
-        hidden_units=args.hidden_units,
-        seed=1,
-    )
-    train = TrainConfig(
-        epochs=args.epochs,
-        batch_size=64,
-        learning_rate=args.learning_rate,
-        weight_decay=1e-4,
-        seed=9,
-    )
+    full = cfg.build_config_for(data)
+    full_name = f"{full.num_members}member-{full.selection_rule}"
+    builds = {
+        f"2member-tt{threshold:g}": replace(
+            full,
+            num_members=2,
+            training_thresholds=(threshold,),
+            selection_rule=SELECTION_NESTED,
+        )
+        for threshold in DEFAULT_TRAINING_THRESHOLD_GRID
+    }
+    builds[full_name] = full
 
     rows: list[dict] = []
     subset_sizes: dict[str, list[int]] = {}
-
-    for threshold in DEFAULT_TRAINING_THRESHOLD_GRID:
-        name = f"2member-tt{threshold:g}"
-        cfg = BuildConfig(
-            num_members=2,
-            training_thresholds=(threshold,),
-            classifier_spec=spec,
-            train_config=train,
-        )
-        manifest, report = build_ensemble(data, cfg)
+    manifests = {}
+    for name, build in builds.items():
+        manifests[name], report = build_ensemble(data, build)
         subset_sizes[name] = list(report.subset_sizes())
-        evaluate_grid(name, manifest, data, rows)
+        rows += evaluate_grid(name, manifests[name], data, cfg.calibration_bins)
 
-    cfg3 = BuildConfig(
-        num_members=3,
-        training_thresholds=(0.01, 0.01),
-        classifier_spec=spec,
-        train_config=train,
-        selection_rule="rebased",
-    )
-    manifest3, report3 = build_ensemble(data, cfg3)
-    subset_sizes["3member-rebased"] = list(report3.subset_sizes())
-    evaluate_grid("3member-rebased", manifest3, data, rows)
-
-    cls0, top0, _ = member_prediction_arrays(manifest3.members[0], data.features)
+    cls0, top0, _ = member_prediction_arrays(manifests[full_name].members[0], data.features)
     correct0 = cls0 == data.labels
     baseline = {
         "accuracy": float(correct0.mean()),
-        "ece": expected_calibration_error(top0, correct0).ece,
+        "ece": expected_calibration_error(top0, correct0, num_bins=cfg.calibration_bins).ece,
     }
 
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datasets import Dataset
-from .errors import EmptyTrainingSetError, InvalidInputError, require_float, require_int
+from .errors import (
+    EmptyTrainingSetError,
+    InvalidInputError,
+    require_float,
+    require_int,
+    require_seed,
+)
 from .numerics import softmax_batch
 
 LOSS_PROB_FLOOR = 1e-12  # keeps -log(p) finite
@@ -53,8 +59,9 @@ class ClassifierSpec:
 
     def __post_init__(self):
         optional = () if self.hidden_units is None else ("hidden_units",)
-        for name in ("input_dim", "num_classes", "seed") + optional:
+        for name in ("input_dim", "num_classes") + optional:
             object.__setattr__(self, name, require_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", require_seed("seed", self.seed))
         check_architecture(self.kind, self.hidden_units)
         if self.input_dim < 1:
             raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
@@ -83,8 +90,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "lr_decay_every_epochs", "seed"):
+        for name in ("epochs", "batch_size", "lr_decay_every_epochs"):
             object.__setattr__(self, name, require_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", require_seed("seed", self.seed))
         for name in ("learning_rate", "lr_decay_gamma", "weight_decay"):
             object.__setattr__(self, name, require_float(name, getattr(self, name)))
         if self.epochs < 1:

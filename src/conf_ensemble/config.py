@@ -34,12 +34,18 @@ from .builder import BuildConfig
 from .cascade import CONSENSUS_MOST_CONFIDENT, RuntimeConfig
 from .classifiers import ClassifierSpec, TrainConfig, check_architecture
 from .datasets import Dataset, generate_blobs, load_csv, load_idx
-from .errors import ConfEnsembleError, ConfigError, InvalidInputError, require_int
+from .errors import (
+    ConfEnsembleError,
+    ConfigError,
+    InvalidInputError,
+    require_int,
+    require_seed,
+)
 from .manifest import SELECTION_NESTED, check_schedule
 from .metrics import DEFAULT_CALIBRATION_BINS, DEFAULT_HISTOGRAM_BINS
 
-# Default threshold grids; the sweep script and the acceptance suite
-# walk these.
+# Default threshold grids; the sweep script walks these.  The acceptance
+# suite keeps its own copies (TRAINING_GRID, RUNTIME_GRID).
 DEFAULT_TRAINING_THRESHOLD_GRID = (0.2, 0.1, 0.01)
 DEFAULT_RUNTIME_THRESHOLD_GRID = (0.4, 0.2, 0.1, 0.01)
 
@@ -185,6 +191,9 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
             hidden = require_int("build.classifier.hidden_units", hidden)
         check_architecture(kind, hidden)
         metrics_block = doc.get("metrics", {})
+        output_dir = doc.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
         return ExperimentConfig(
             dataset=dataset,
             num_members=num_members,
@@ -192,7 +201,7 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
             training_thresholds=thresholds,
             classifier_kind=kind,
             classifier_hidden_units=hidden,
-            classifier_seed=require_int("build.classifier.seed", classifier.get("seed", 0)),
+            classifier_seed=require_seed("build.classifier.seed", classifier.get("seed", 0)),
             training=TrainConfig(**build.get("training", {})),
             min_subset_size=(
                 require_int("build.min_subset_size", build["min_subset_size"])
@@ -210,7 +219,7 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
                 "metrics.histogram_bins",
                 metrics_block.get("histogram_bins", DEFAULT_HISTOGRAM_BINS),
             ),
-            output_dir=doc.get("output_dir"),
+            output_dir=output_dir,
         )
     except ConfigError:
         raise

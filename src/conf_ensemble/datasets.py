@@ -28,6 +28,7 @@ from .errors import (
     InvalidViewError,
     require_float,
     require_int,
+    require_seed,
 )
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -142,7 +143,7 @@ def generate_blobs(
     dim = require_int("dim", dim)
     spread = require_float("spread", spread)
     overlap = require_float("overlap", overlap)
-    seed = require_int("seed", seed)
+    seed = require_seed("seed", seed)
     if num_classes < 2:
         raise InvalidInputError(f"num_classes must be >= 2, got {num_classes}")
     if per_class < 1:

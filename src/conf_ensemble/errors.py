@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the number
-converters (require_int, require_float) every numeric field goes through.
+converters (require_int, require_seed, require_float) every numeric field
+goes through.
 
 Error classes map onto CLI exit codes (see cli.py), so keep the
 partition coarse: config, data, degenerate build, storage.
@@ -27,6 +28,15 @@ def require_int(name: str, value) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def require_seed(name: str, value) -> int:
+    """value as a random seed: a non-negative integer, the range
+    np.random.default_rng accepts."""
+    seed = require_int(name, value)
+    if seed < 0:
+        raise InvalidInputError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def require_float(name: str, value) -> float:

@@ -25,6 +25,8 @@ from conf_ensemble.cli import (
 )
 from conf_ensemble.persist import artifact_digests
 
+from conftest import set_leaf
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 BLOBS_BLOCK = {
@@ -164,6 +166,24 @@ class TestBuildCommand:
         assert main(["build", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "threshold must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"build.classifier.seed": -1}, "seed must be >= 0"),
+            ({"build.training.seed": -1}, "seed must be >= 0"),
+            ({"output_dir": 5}, "output_dir must be a string"),
+        ],
+        ids=["classifier-seed", "training-seed", "output-dir"],
+    )
+    def test_config_rule_exits_before_building(self, tmp_path, capsys, edit, message):
+        doc = experiment_doc(output_dir=str(tmp_path / "out"))
+        for path, value in edit.items():
+            set_leaf(doc, path.split("."), value)
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(doc))
+        assert main(["build", "--config", str(config)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_invalid_threshold_count(self, workdir):
         doc = experiment_doc()

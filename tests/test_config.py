@@ -135,6 +135,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"{path} must be an integer"):
             load_experiment_config(write(tmp_path, doc))
 
+    @pytest.mark.parametrize("path", ["build.classifier.seed", "build.training.seed"])
+    def test_negative_seed_fails_at_load(self, tmp_path, path):
+        doc = minimal_doc()
+        set_leaf(doc, path.split("."), -1)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            load_experiment_config(write(tmp_path, doc))
+
+    def test_output_dir_must_be_a_string(self, tmp_path):
+        doc = minimal_doc()
+        doc["output_dir"] = 5
+        with pytest.raises(ConfigError, match="output_dir must be a string"):
+            load_experiment_config(write(tmp_path, doc))
+
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -230,6 +243,11 @@ class TestDatasetSource:
         block.update(options)
         with pytest.raises(ConfigError, match="must be"):
             load_dataset(DatasetSource(kind="blobs", options=block))
+
+    def test_negative_blobs_seed(self):
+        source = DatasetSource(kind="blobs", options=dict(num_classes=2, per_class=2, seed=-1))
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            load_dataset(source)
 
     def test_declared_num_classes_must_be_an_integer(self, tmp_path):
         source = DatasetSource(kind="csv", options={"path": str(tmp_path / "d.csv"),

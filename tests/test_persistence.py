@@ -146,6 +146,13 @@ def _fractional_seed(directory):
     manifest_path.write_text(json.dumps(doc))
 
 
+def _negative_seed(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["members"][0]["seed"] = -1
+    manifest_path.write_text(json.dumps(doc))
+
+
 def _unknown_selection_rule(directory):
     manifest_path = directory / "manifest.json"
     doc = json.loads(manifest_path.read_text())
@@ -194,6 +201,7 @@ class TestMalformedManifest:
             _weights_shorter_than_header,
             _fractional_hidden_units,
             _fractional_seed,
+            _negative_seed,
             _unknown_selection_rule,
             _string_training_threshold,
             _runtime_threshold_out_of_range,
