@@ -6,6 +6,7 @@ nested ensemble per training threshold in the grid, all from the config's
 dataset, classifier and trainer.  Then sweeps the runtime-threshold grid
 with both consensus heuristics and scores member 0 of the full chain as
 the single-model baseline.  Emits a summary CSV/JSON and prints a table.
+A library error exits with the CLI's code for it (conf_ensemble.cli).
 
 Usage:
     python scripts/run_threshold_sweep.py --out runs/sweep
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from conf_ensemble import (
     load_experiment_config,
     member_prediction_arrays,
 )
+from conf_ensemble.cli import run_with_exit_codes
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
 
@@ -149,4 +152,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_with_exit_codes(main))

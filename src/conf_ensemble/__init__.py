@@ -17,6 +17,7 @@ from .cascade import (
     CONSENSUS_MOST_CONFIDENT,
     CascadeTrace,
     EvaluationRecord,
+    Prediction,
     RuntimeConfig,
     batch_evaluate,
     cascade_predict,
@@ -25,10 +26,8 @@ from .classifiers import (
     ClassifierSpec,
     TrainConfig,
     TrainedModel,
-    cross_entropy_loss,
     fit,
     init_model,
-    predict_logits,
     predict_logits_batch,
 )
 from .config import (
@@ -66,11 +65,6 @@ from .metrics import (
     expected_calibration_error,
     score_histogram,
 )
-from .numerics import (
-    Prediction,
-    softmax,
-    uncertainty,
-)
-from .persist import load_manifest, manifests_equal, save_manifest
+from .persist import load_manifest, save_manifest
 
 __version__ = "0.1.0"

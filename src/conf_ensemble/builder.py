@@ -27,7 +27,7 @@ from .cascade import RuntimeConfig, member_prediction_arrays
 from .classifiers import ClassifierSpec, TrainConfig, TrainedModel, fit, init_model
 from .datasets import Dataset, SubsetView, materialize
 from .errors import DegenerateSubsetError, InvalidInputError, require_int
-from .manifest import FORMAT_VERSION, SELECTION_NESTED, EnsembleManifest, check_schedule
+from .manifest import SELECTION_NESTED, EnsembleManifest, check_schedule
 from .metrics import (
     DEFAULT_HISTOGRAM_BINS,
     SCORE_KIND_TOP_PROBABILITY,
@@ -212,7 +212,6 @@ def build_ensemble(
         default_runtime=runtime,
         dataset_id=data.id,
         dataset_digest=data.digest(),
-        format_version=FORMAT_VERSION,
     )
     report = BuildReport(
         selection_rule=cfg.selection_rule,

@@ -1,5 +1,14 @@
 """Cascaded inference over a trained ensemble.
 
+A member's uncertainty about a sample is U = min(p, 1 - p) for its top
+softmax probability p: the distance of p to the nearer end of [0, 1].
+U lies in [0, 0.5].  U near 0 means p is close to 1, or, with many
+classes, close to 0 (a nearly flat prediction).  U = 0.5 is maximally
+unconfident only for two classes, where p >= 0.5 and U = 1 - p.  With
+K > 2 classes a top probability below 0.5 scores U = p, so a flatter
+prediction can score as more confident: (0.4, 0.35, 0.25) and
+(0.6, 0.3, 0.1) both score 0.4.
+
 A query walks the members in order.  Member k's prediction is accepted as
 soon as its uncertainty is strictly below the level-k runtime threshold;
 if no member is confident enough, a consensus heuristic picks among all
@@ -28,10 +37,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .classifiers import TrainedModel, predict_logits_batch
+from .classifiers import TrainedModel, predict_logits_batch, softmax_batch
 from .datasets import Dataset
 from .errors import InvalidInputError, require_float
-from .numerics import Prediction, softmax_batch
 
 if TYPE_CHECKING:
     from .manifest import EnsembleManifest
@@ -126,6 +134,15 @@ def _run_cascade(
     else:
         chosen[active] = unc[active].argmin(axis=1)  # first minimum: earliest member
     return classes, top, unc, level, chosen
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """One member's answer for one sample."""
+
+    class_index: int
+    top_probability: float
+    uncertainty: float
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .errors import (
     require_int,
     require_seed,
 )
-from .numerics import softmax_batch
 
 LOSS_PROB_FLOOR = 1e-12  # keeps -log(p) finite
 
@@ -163,12 +162,18 @@ def init_model(spec: ClassifierSpec) -> TrainedModel:
     return TrainedModel(spec=spec, parameters=np.concatenate(chunks))
 
 
-def cross_entropy_loss(probs, label: int) -> float:
-    """-log p[label], with p floored at 1e-12 so the loss stays finite."""
-    arr = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < arr.shape[0]:
-        raise InvalidInputError(f"label {label} out of range for {arr.shape[0]} classes")
-    return -float(np.log(max(float(arr[label]), LOSS_PROB_FLOOR)))
+def softmax_batch(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (n, N) logit matrix, shifted by each row's
+    max so that large logits do not overflow.  Non-finite logits (a
+    diverged fit) are rejected rather than turned into NaN scores."""
+    arr = np.asarray(logits, dtype=np.float64)
+    if arr.ndim != 2:
+        raise InvalidInputError(f"expected a 2-d logit matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("logits contain non-finite entries")
+    shifted = arr - arr.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=1, keepdims=True)
 
 
 def _forward(
@@ -276,16 +281,6 @@ def training_fingerprint(data: Dataset, cfg: TrainConfig, spec: ClassifierSpec) 
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def predict_logits(model: TrainedModel, features) -> np.ndarray:
-    """Forward pass for a single feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.spec.input_dim:
-        raise InvalidInputError(
-            f"features must have shape ({model.spec.input_dim},), got {x.shape}"
-        )
-    return _forward(_unpack(model.spec, model.parameters), x[None, :])[1][0]
 
 
 def predict_logits_batch(model: TrainedModel, X) -> np.ndarray:

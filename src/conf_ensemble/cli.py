@@ -38,8 +38,9 @@ from .errors import (
     ManifestDigestError,
     ManifestVersionError,
 )
-from .manifest import EnsembleManifest
 from .metrics import (
+    DEFAULT_CALIBRATION_BINS,
+    DEFAULT_HISTOGRAM_BINS,
     SCORE_KIND_TOP_PROBABILITY,
     SCORE_KIND_UNCERTAINTY,
     expected_calibration_error,
@@ -53,6 +54,19 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 EXIT_STORAGE = 5
+
+# Library error class -> process exit code (see the module docstring).
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    InvalidInputError: EXIT_CONFIG,
+    DatasetParseError: EXIT_DATA,
+    InvalidViewError: EXIT_DATA,
+    EmptyTrainingSetError: EXIT_DATA,
+    DegenerateSubsetError: EXIT_DEGENERATE,
+    ManifestVersionError: EXIT_STORAGE,
+    ManifestDigestError: EXIT_STORAGE,
+    OSError: EXIT_STORAGE,
+}
 
 
 def _write_json(path: Path, doc) -> None:
@@ -120,28 +134,6 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_to_dir(
-    manifest: EnsembleManifest,
-    rcfg: RuntimeConfig,
-    data: Dataset,
-    out: Path,
-    calibration_bins: int,
-) -> float:
-    record = batch_evaluate(manifest, rcfg, data)
-    calibration = expected_calibration_error(
-        record.chosen_top, record.correct, num_bins=calibration_bins
-    )
-    _write_json(out / "evaluation.json", record.to_json_dict())
-    record.write_csv(out / "evaluation.csv")
-    _write_json(out / "calibration.json", calibration.to_json_dict())
-    _write_json(out / "utilization.json", record.utilization_summary())
-    print(
-        f"accuracy {record.accuracy:.4f}, ece {calibration.ece:.4f}, "
-        f"consensus on {record.consensus_count}/{record.num_samples} samples"
-    )
-    return record.accuracy
-
-
 def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.ensemble)
     data = _load_eval_data(args.data, manifest.members[0].spec.num_classes)
@@ -153,7 +145,18 @@ def cmd_evaluate(args) -> int:
     consensus = args.consensus or manifest.default_runtime.consensus
     rcfg = RuntimeConfig(thresholds=thresholds, consensus=consensus)
     out = _resolve_out(args.out, None)
-    _evaluate_to_dir(manifest, rcfg, data, out, args.calibration_bins)
+    record = batch_evaluate(manifest, rcfg, data)
+    calibration = expected_calibration_error(
+        record.chosen_top, record.correct, num_bins=args.calibration_bins
+    )
+    _write_json(out / "evaluation.json", record.to_json_dict())
+    record.write_csv(out / "evaluation.csv")
+    _write_json(out / "calibration.json", calibration.to_json_dict())
+    _write_json(out / "utilization.json", record.utilization_summary())
+    print(
+        f"accuracy {record.accuracy:.4f}, ece {calibration.ece:.4f}, "
+        f"consensus on {record.consensus_count}/{record.num_samples} samples"
+    )
     return EXIT_OK
 
 
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--runtime-thresholds", default=None,
                         help="comma list, or one value broadcast to all members")
     p_eval.add_argument("--consensus", choices=CONSENSUS_CHOICES, default=None)
-    p_eval.add_argument("--calibration-bins", type=int, default=15)
+    p_eval.add_argument("--calibration-bins", type=int, default=DEFAULT_CALIBRATION_BINS)
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -236,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--ensemble", required=True)
     p_hist.add_argument("--data", required=True)
     p_hist.add_argument("--member", type=int, required=True)
-    p_hist.add_argument("--bins", type=int, default=20)
+    p_hist.add_argument("--bins", type=int, default=DEFAULT_HISTOGRAM_BINS)
     p_hist.add_argument("--out", required=True)
     p_hist.set_defaults(func=cmd_histograms)
 
@@ -248,22 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_with_exit_codes(command, *args) -> int:
+    """command(*args), whose return value is the exit code; an error class
+    in EXIT_CODES is printed as ``error: ...`` and exits with its code,
+    anything else propagates (exit 1 with a traceback)."""
+    try:
+        return command(*args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateSubsetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (DatasetParseError, InvalidViewError, EmptyTrainingSetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ManifestVersionError, ManifestDigestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STORAGE
+    return run_with_exit_codes(args.func, args)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,6 @@ from .cascade import RuntimeConfig, check_thresholds
 from .classifiers import TrainedModel
 from .errors import InvalidInputError
 
-FORMAT_VERSION = 1
-
 SELECTION_NESTED = "nested"
 SELECTION_REBASED = "rebased"
 SELECTION_RULES = (SELECTION_NESTED, SELECTION_REBASED)
@@ -48,7 +46,6 @@ class EnsembleManifest:
     default_runtime: RuntimeConfig
     dataset_id: str
     dataset_digest: str
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         object.__setattr__(

@@ -4,12 +4,13 @@ An ensemble directory holds:
 
   manifest.json — format_version, member specs, schedules, provenance,
                   and the sha256 of the weights file;
-  weights.bin   — little-endian binary: 8-byte magic, u32 format version,
+  weights.bin   — little-endian binary: 8-byte magic, u32 FORMAT_VERSION,
                   u32 member count, then per member a u64 parameter count
                   followed by that many float64 values.
 
-Loading re-validates everything: magic, version, counts against the spec
-shapes, and the recorded digest, so silent corruption cannot pass.
+FORMAT_VERSION is the only version written or read.  Loading re-validates
+everything (magic, version, counts against the spec shapes, the recorded
+digest), so silent corruption cannot pass.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 from .cascade import RuntimeConfig
 from .classifiers import ClassifierSpec, TrainedModel
 from .errors import InvalidInputError, ManifestDigestError, ManifestVersionError
-from .manifest import FORMAT_VERSION, EnsembleManifest
+from .manifest import EnsembleManifest
 
+FORMAT_VERSION = 1
 MANIFEST_FILE = "manifest.json"
 WEIGHTS_FILE = "weights.bin"
 WEIGHTS_MAGIC = b"CEWEIGHT"
@@ -34,7 +36,7 @@ WEIGHTS_MAGIC = b"CEWEIGHT"
 def _pack_weights(manifest: EnsembleManifest) -> bytes:
     parts = [
         WEIGHTS_MAGIC,
-        struct.pack("<II", manifest.format_version, len(manifest.members)),
+        struct.pack("<II", FORMAT_VERSION, len(manifest.members)),
     ]
     for member in manifest.members:
         params = np.ascontiguousarray(member.parameters, dtype="<f8")
@@ -71,7 +73,7 @@ def _unpack_weights(raw: bytes, path: Path) -> list[np.ndarray]:
 
 def manifest_to_json_dict(manifest: EnsembleManifest, weights_digest: str) -> dict:
     return {
-        "format_version": manifest.format_version,
+        "format_version": FORMAT_VERSION,
         "selection_rule": manifest.selection_rule,
         "training_thresholds": list(manifest.training_thresholds),
         "default_runtime": {
@@ -131,14 +133,14 @@ def load_manifest(directory) -> EnsembleManifest:
         )
 
     try:
-        return _reconstruct(doc, directory, manifest_path, version)
+        return _reconstruct(doc, directory, manifest_path)
     except KeyError as exc:
         raise ManifestDigestError(f"{manifest_path}: missing field {exc}") from exc
     except (InvalidInputError, TypeError, ValueError, struct.error) as exc:
         raise ManifestDigestError(f"{manifest_path}: malformed manifest: {exc}") from exc
 
 
-def _reconstruct(doc, directory: Path, manifest_path: Path, version: int) -> EnsembleManifest:
+def _reconstruct(doc, directory: Path, manifest_path: Path) -> EnsembleManifest:
     if doc["weights_file"] != WEIGHTS_FILE:
         raise ManifestDigestError(
             f"{manifest_path}: weights_file {doc['weights_file']!r}, expected {WEIGHTS_FILE!r}"
@@ -194,34 +196,4 @@ def _reconstruct(doc, directory: Path, manifest_path: Path, version: int) -> Ens
         ),
         dataset_id=doc["dataset_id"],
         dataset_digest=doc["dataset_digest"],
-        format_version=version,
     )
-
-
-def artifact_digests(directory) -> dict[str, str]:
-    """sha256 of each stored artifact; used for rerun-determinism checks."""
-    directory = Path(directory)
-    out = {}
-    for name in (MANIFEST_FILE, WEIGHTS_FILE):
-        out[name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
-    return out
-
-
-def manifests_equal(a: EnsembleManifest, b: EnsembleManifest) -> bool:
-    """Structural equality including bit-exact weights."""
-    if (
-        a.format_version != b.format_version
-        or a.selection_rule != b.selection_rule
-        or a.training_thresholds != b.training_thresholds
-        or a.default_runtime != b.default_runtime
-        or a.dataset_id != b.dataset_id
-        or a.dataset_digest != b.dataset_digest
-        or len(a.members) != len(b.members)
-    ):
-        return False
-    for ma, mb in zip(a.members, b.members):
-        if ma.spec != mb.spec or ma.training_fingerprint != mb.training_fingerprint:
-            return False
-        if not np.array_equal(ma.parameters, mb.parameters):
-            return False
-    return True

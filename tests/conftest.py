@@ -1,10 +1,13 @@
 """Shared fixtures: stub members with controlled outputs, the
-overlap-heavy blob dataset the end-to-end tests build on, and generated
-JSON values for the field-mutation properties."""
+overlap-heavy blob dataset the end-to-end tests build on, generated
+JSON values for the field-mutation properties, and a loader for the
+scripts outside the package."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,19 @@ from conf_ensemble import (
     generate_blobs,
     init_model,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP_SCRIPT = ROOT / "scripts" / "run_threshold_sweep.py"
+
+
+def load_script(path: Path):
+    """Import a file that is not on sys.path, as a fresh module named
+    after the file."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # One blob recipe used across builder/cascade/acceptance tests; seeds are
 # frozen so subset sizes recorded as regression values stay stable.

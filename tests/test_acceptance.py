@@ -25,18 +25,16 @@ from conf_ensemble import (
     expected_calibration_error,
     generate_blobs,
     load_manifest,
-    manifests_equal,
     save_manifest,
-    softmax,
-    uncertainty,
 )
 from conf_ensemble.builder import _filter_pool, member_prediction_arrays
-from conf_ensemble.classifiers import objective_and_gradient, predict_logits
+from conf_ensemble.classifiers import objective_and_gradient
 from conf_ensemble.errors import ManifestDigestError
-from conf_ensemble.persist import WEIGHTS_FILE, artifact_digests
+from conf_ensemble.persist import WEIGHTS_FILE
 from conf_ensemble.classifiers import ClassifierSpec, init_model
 
 from conftest import BLOBS, MLP_SPEC, TRAIN, member_with_uncertainty, stub_manifest
+from oracles import artifact_digests, manifests_equal, predict_logits, softmax, uncertainty
 
 TRAINING_GRID = (0.2, 0.1, 0.01)
 RUNTIME_GRID = (0.4, 0.2, 0.1, 0.01)

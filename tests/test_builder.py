@@ -13,16 +13,13 @@ from conf_ensemble import (
     build_ensemble,
     fit,
     init_model,
-    manifests_equal,
     materialize,
-    softmax,
-    uncertainty,
 )
 from conf_ensemble.builder import _filter_pool, member_prediction_arrays
-from conf_ensemble.classifiers import predict_logits
 from conf_ensemble.datasets import Dataset
 
 from conftest import BLOBS, MLP_SPEC, TRAIN, identity_member, logits_for_uncertainty
+from oracles import manifests_equal, predict_logits, softmax, uncertainty
 
 # Frozen from the first verified run of this exact configuration; guards
 # against silent changes to training, selection, or the generator.

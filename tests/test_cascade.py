@@ -24,6 +24,7 @@ from conftest import (
     member_with_uncertainty,
     stub_manifest,
 )
+from oracles import predict_logits, softmax
 
 X2 = [0.0, 0.0]  # constant-output stubs ignore their input
 
@@ -177,8 +178,6 @@ def realized_prediction(member):
     """The stub's realized prediction: one forward evaluation, outside the
     cascade.  The oracle walk below replays the decision logic on these
     values, so decisions must agree exactly."""
-    from conf_ensemble import predict_logits, softmax
-
     probs = softmax(predict_logits(member, X2))
     cls = int(np.argmax(probs))
     top = float(probs[cls])

@@ -23,9 +23,9 @@ from conf_ensemble.cli import (
     EXIT_STORAGE,
     main,
 )
-from conf_ensemble.persist import artifact_digests
 
-from conftest import set_leaf
+from conftest import SWEEP_SCRIPT, load_script, set_leaf
+from oracles import artifact_digests
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -426,3 +426,9 @@ def test_every_error_class_exits_with_its_documented_code(error_class, monkeypat
     monkeypatch.setattr(cli, "load_experiment_config", raise_error)
     argv = ["build", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
     assert main(argv) == codes[error_class.__name__]
+
+    # The sweep script's entry point maps errors the same way.
+    sweep = load_script(SWEEP_SCRIPT)
+    monkeypatch.setattr(sweep, "load_experiment_config", raise_error)
+    argv = ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "sweep")]
+    assert cli.run_with_exit_codes(sweep.main, argv) == codes[error_class.__name__]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +18,11 @@ from conf_ensemble import (
     build_ensemble,
     generate_blobs,
     load_manifest,
-    manifests_equal,
     save_csv,
     save_manifest,
 )
 from conf_ensemble.cli import EXIT_STORAGE, main
-from conf_ensemble.persist import WEIGHTS_FILE, WEIGHTS_MAGIC, artifact_digests
+from conf_ensemble.persist import FORMAT_VERSION, WEIGHTS_FILE, WEIGHTS_MAGIC
 
 from conftest import (
     JSON_VALUES,
@@ -32,6 +33,7 @@ from conftest import (
     set_leaf,
     stub_manifest,
 )
+from oracles import artifact_digests, manifests_equal
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,18 @@ class TestRoundTrip:
         save_manifest(built, a)
         save_manifest(built, b)
         assert artifact_digests(a) == artifact_digests(b)
+
+    def test_every_manifest_saves_the_version_it_loads(self, built, tmp_path):
+        # The format version is the store's constant, not a manifest field:
+        # no manifest can be saved under a version load_manifest rejects.
+        with pytest.raises(TypeError):
+            replace(built, format_version=2)
+        save_manifest(built, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        weights = (tmp_path / WEIGHTS_FILE).read_bytes()
+        assert doc["format_version"] == FORMAT_VERSION
+        assert struct.unpack_from("<I", weights, len(WEIGHTS_MAGIC))[0] == FORMAT_VERSION
+        assert manifests_equal(built, load_manifest(tmp_path))
 
 
 class TestCorruption:

@@ -3,25 +3,23 @@ against the CLI commands that build, evaluate and baseline that config."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conf_ensemble import generate_blobs, save_csv
-from conf_ensemble.cli import EXIT_OK, main
+from conf_ensemble.cli import EXIT_CONFIG, EXIT_OK, main
 
+from conftest import ROOT, SWEEP_SCRIPT, load_script
 from test_cli import BLOBS_BLOCK, experiment_doc
 
 # calibration bins off the default of 15, so a sweep that ignores the
 # config's setting shows up in the ECE checks
 DOC = experiment_doc(metrics={"calibration_bins": 10, "histogram_bins": 10})
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_threshold_sweep.py"
-
-_spec = importlib.util.spec_from_file_location(SCRIPT.stem, SCRIPT)
-sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(sweep)
+sweep = load_script(SWEEP_SCRIPT)
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +89,17 @@ def test_seed_is_rejected_for_a_csv_dataset(workdir, capsys):
     assert exc.value.code == 2
     assert "--seed needs a blobs dataset" in capsys.readouterr().err
     assert not (workdir / "csv").exists()
+
+
+def test_library_error_exits_with_its_code_and_no_traceback(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, str(SWEEP_SCRIPT), "--seed", "-1", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr == "error: bad dataset option: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
