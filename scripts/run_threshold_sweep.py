@@ -89,7 +89,7 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    full = cfg.build_config_for(data)
+    full = cfg.build
     full_name = f"{full.num_members}member-{full.selection_rule}"
     builds = {
         f"2member-tt{threshold:g}": replace(

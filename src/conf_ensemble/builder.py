@@ -13,6 +13,8 @@ The two rules coincide at level 1.  Pools are int64 index arrays.  Each
 member is scored once over the full dataset; the scores feed both its
 report entry and the next pool.  Builds are deterministic: member s
 derives its init and shuffling seeds from the configured seeds plus s.
+A BuildConfig names no dataset: each member's input dimension and class
+count are the dataset's.
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cascade import RuntimeConfig, member_prediction_arrays
-from .classifiers import ClassifierSpec, TrainConfig, TrainedModel, fit, init_model
+from .classifiers import (
+    ClassifierSpec,
+    TrainConfig,
+    TrainedModel,
+    check_architecture,
+    fit,
+    init_model,
+)
 from .datasets import Dataset, SubsetView, materialize
-from .errors import DegenerateSubsetError, InvalidInputError, require_int
+from .errors import DegenerateSubsetError, InvalidInputError, require_int, require_seed
 from .manifest import SELECTION_NESTED, EnsembleManifest, check_schedule
 from .metrics import (
     DEFAULT_HISTOGRAM_BINS,
@@ -39,39 +48,36 @@ from .metrics import (
 DEFAULT_RUNTIME_THRESHOLD = 0.2
 
 
-def default_min_subset_size(num_classes: int) -> int:
-    """Small enough to allow aggressive filtering, large enough that every
-    class can plausibly still appear."""
-    return max(num_classes * 2, 10)
-
-
 @dataclass(frozen=True)
 class BuildConfig:
+    """The build schedule and one classifier recipe; member k is a
+    classifier_kind model seeded classifier_seed + k."""
+
     num_members: int
     training_thresholds: tuple[float, ...]
-    classifier_spec: ClassifierSpec
+    classifier_kind: str
     train_config: TrainConfig
+    hidden_units: int | None = None
+    classifier_seed: int = 0
     selection_rule: str = SELECTION_NESTED
-    min_subset_size: int | None = None  # None -> default_min_subset_size
+    min_subset_size: int | None = None  # None -> max(2 * num_classes, 10)
 
     def __post_init__(self):
         num_members = require_int("num_members", self.num_members)
         object.__setattr__(self, "num_members", num_members)
-        object.__setattr__(
-            self,
-            "training_thresholds",
-            check_schedule(num_members, self.selection_rule, self.training_thresholds),
-        )
+        thresholds = check_schedule(num_members, self.selection_rule, self.training_thresholds)
+        object.__setattr__(self, "training_thresholds", thresholds)
+        if self.hidden_units is not None:
+            hidden = require_int("hidden_units", self.hidden_units)
+            object.__setattr__(self, "hidden_units", hidden)
+        seed = require_seed("classifier_seed", self.classifier_seed)
+        object.__setattr__(self, "classifier_seed", seed)
+        check_architecture(self.classifier_kind, self.hidden_units)
         if self.min_subset_size is not None:
             size = require_int("min_subset_size", self.min_subset_size)
             if size < 1:
                 raise InvalidInputError(f"min_subset_size must be >= 1, got {size}")
             object.__setattr__(self, "min_subset_size", size)
-
-    def resolved_min_subset_size(self) -> int:
-        if self.min_subset_size is not None:
-            return self.min_subset_size
-        return default_min_subset_size(self.classifier_spec.num_classes)
 
 
 def _filter_pool(pool: SubsetView, unc: np.ndarray, threshold: float) -> SubsetView:
@@ -178,8 +184,7 @@ def build_ensemble(
     """
     if len(data) == 0:
         raise InvalidInputError("cannot build an ensemble on an empty dataset")
-    spec = cfg.classifier_spec
-    min_size = cfg.resolved_min_subset_size()
+    min_size = cfg.min_subset_size or max(2 * data.num_classes, 10)
 
     full_pool = data.all_indices()
     pool = full_pool
@@ -191,10 +196,11 @@ def build_ensemble(
             pool = _filter_pool(source, scores[2], cfg.training_thresholds[level - 1])
             if len(pool) < min_size:
                 raise DegenerateSubsetError(level=level, size=len(pool), minimum=min_size)
-        member_spec = replace(spec, seed=spec.seed + level)
+        spec = ClassifierSpec(cfg.classifier_kind, data.feature_dim, data.num_classes,
+                              cfg.hidden_units, cfg.classifier_seed + level)
         member_train = replace(cfg.train_config, seed=cfg.train_config.seed + level)
         started = time.perf_counter()
-        model = fit(init_model(member_spec), materialize(pool, data), member_train)
+        model = fit(init_model(spec), materialize(pool, data), member_train)
         elapsed = time.perf_counter() - started
         scores = member_prediction_arrays(model, data.features)
         members.append(model)

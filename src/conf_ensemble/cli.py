@@ -104,20 +104,14 @@ def _parse_thresholds(text: str, num_members: int) -> tuple[float, ...]:
     return values
 
 
-def cmd_build(args) -> int:
-    cfg = load_experiment_config(args.config)
-    out = _resolve_out(args.out, cfg.output_dir)
-    data = load_dataset(cfg.dataset)
-    manifest, report = build_ensemble(
-        data,
-        cfg.build_config_for(data),
-        default_runtime=cfg.default_runtime(),
-        histogram_bins=cfg.histogram_bins,
-    )
+def _save_ensemble(manifest, report, out: Path) -> None:
+    """Store a built ensemble: manifest and weights, build report, and the
+    training pool of each level >= 1.  Pool files an earlier, longer chain
+    left in out are removed."""
     save_manifest(manifest, out)
     _write_json(out / "build_report.json", report.to_json_dict())
     subset_dir = out / "subsets"
-    for stale in subset_dir.glob("level_*.idx"):  # left by an earlier, longer chain
+    for stale in subset_dir.glob("level_*.idx"):
         stale.unlink()
     if manifest.num_members > 1:
         subset_dir.mkdir(exist_ok=True)
@@ -125,6 +119,16 @@ def cmd_build(args) -> int:
             (subset_dir / f"level_{record.level}.idx").write_text(
                 indices_file_content(record.subset_indices), encoding="utf-8"
             )
+
+
+def cmd_build(args) -> int:
+    cfg = load_experiment_config(args.config)
+    out = _resolve_out(args.out, cfg.output_dir)
+    data = load_dataset(cfg.dataset)
+    manifest, report = build_ensemble(
+        data, cfg.build, default_runtime=cfg.runtime, histogram_bins=cfg.histogram_bins
+    )
+    _save_ensemble(manifest, report, out)
     for record in report.members:
         print(
             f"member {record.level}: trained on {record.subset_size} samples, "
@@ -184,16 +188,13 @@ def cmd_baseline(args) -> int:
     cfg = load_experiment_config(args.config)
     out = _resolve_out(args.out, cfg.output_dir)
     data = load_dataset(cfg.dataset)
-    single = replace(
-        cfg.build_config_for(data), num_members=1, training_thresholds=()
-    )
     manifest, report = build_ensemble(
         data,
-        single,
+        replace(cfg.build, num_members=1, training_thresholds=()),
         default_runtime=RuntimeConfig.homogeneous(0.5, 1),
         histogram_bins=cfg.histogram_bins,
     )
-    save_manifest(manifest, out)
+    _save_ensemble(manifest, report, out)
     cls, top, _ = member_prediction_arrays(manifest.members[0], data.features)
     correct = cls == data.labels
     accuracy = float(correct.mean())

@@ -13,15 +13,18 @@ Layout (paths resolved relative to the config file):
       "output_dir"?: "..."
     }
 
-This module only converts JSON into the library's types.  Every number
-goes through require_int or require_float, here or in the type that owns
-it, so a string, boolean, NaN or Infinity is a ConfigError.  The rules are
-the types' own: check_schedule, check_architecture, TrainConfig and
-RuntimeConfig run at load, before any dataset is read.
+This module only converts JSON into the library's types, and rejects a
+key the layout does not name.  Every number goes through require_int,
+require_seed or require_float, here or in the type that owns it, so a
+string, boolean, NaN or Infinity is a ConfigError.  The rules are the
+types' own: BuildConfig, TrainConfig, RuntimeConfig and check_bins run at
+load, before any dataset is read.
 
-The classifier's input_dim / num_classes are taken from the dataset, so
-configs stay portable across datasets of the same shape.  A scalar
-"threshold" in a runtime block is broadcast across all members.
+The build block becomes a BuildConfig, which names no dataset: members
+take their input dimension and class count from the data they are built
+on.  The first runtime block becomes the stored manifest's default; later
+ones are validated only.  A scalar "threshold" is broadcast across all
+members.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 
 from .builder import BuildConfig
 from .cascade import CONSENSUS_MOST_CONFIDENT, RuntimeConfig
-from .classifiers import ClassifierSpec, TrainConfig, check_architecture
+from .classifiers import TrainConfig
 from .datasets import Dataset, generate_blobs, load_csv, load_idx
 from .errors import (
     ConfEnsembleError,
@@ -41,15 +44,36 @@ from .errors import (
     require_int,
     require_seed,
 )
-from .manifest import SELECTION_NESTED, check_schedule
-from .metrics import DEFAULT_CALIBRATION_BINS, DEFAULT_HISTOGRAM_BINS
+from .manifest import SELECTION_NESTED
+from .metrics import DEFAULT_CALIBRATION_BINS, DEFAULT_HISTOGRAM_BINS, check_bins
 
 # Default threshold grids; the sweep script walks these.  The acceptance
 # suite keeps its own copies (TRAINING_GRID, RUNTIME_GRID).
 DEFAULT_TRAINING_THRESHOLD_GRID = (0.2, 0.1, 0.01)
 DEFAULT_RUNTIME_THRESHOLD_GRID = (0.4, 0.2, 0.1, 0.01)
 
-_DATASET_KINDS = ("blobs", "csv", "idx")
+# The keys each block may hold; a dataset block's depend on its kind.
+_DATASET_OPTIONS = {
+    "blobs": ("num_classes", "per_class", "dim", "spread", "overlap", "seed"),
+    "csv": ("path", "num_classes"),
+    "idx": ("images", "labels", "num_classes"),
+}
+_TOP_KEYS = ("dataset", "build", "runtime", "metrics", "output_dir")
+_BUILD_KEYS = ("num_members", "selection_rule", "training_thresholds", "classifier",
+               "training", "min_subset_size")
+_CLASSIFIER_KEYS = ("kind", "hidden_units", "seed")
+_RUNTIME_KEYS = ("threshold", "thresholds", "consensus")
+
+
+def _known_keys(block, allowed, where: str) -> dict:
+    """block, once it is an object whose every key is in allowed; where is
+    the block's path in the config, for the error message."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} block must be an object")
+    for key in block:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {where}.{key}")
+    return block
 
 
 @dataclass(frozen=True)
@@ -58,8 +82,9 @@ class DatasetSource:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _DATASET_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _DATASET_OPTIONS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        _known_keys(self.options, _DATASET_OPTIONS[self.kind], "dataset")
 
 
 def load_dataset(source: DatasetSource, num_classes: int | None = None) -> Dataset:
@@ -92,41 +117,11 @@ def load_dataset(source: DatasetSource, num_classes: int | None = None) -> Datas
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSource
-    num_members: int
-    selection_rule: str
-    training_thresholds: tuple[float, ...]
-    classifier_kind: str
-    classifier_hidden_units: int | None
-    classifier_seed: int
-    training: TrainConfig
-    min_subset_size: int | None = None
-    runtime_sweep: tuple[RuntimeConfig, ...] = ()
+    build: BuildConfig
+    runtime: RuntimeConfig | None = None  # None leaves the choice to build_ensemble
     calibration_bins: int = DEFAULT_CALIBRATION_BINS
     histogram_bins: int = DEFAULT_HISTOGRAM_BINS
     output_dir: str | None = None
-
-    def classifier_spec_for(self, data: Dataset) -> ClassifierSpec:
-        return ClassifierSpec(
-            kind=self.classifier_kind,
-            input_dim=data.feature_dim,
-            num_classes=data.num_classes,
-            hidden_units=self.classifier_hidden_units,
-            seed=self.classifier_seed,
-        )
-
-    def build_config_for(self, data: Dataset) -> BuildConfig:
-        return BuildConfig(
-            num_members=self.num_members,
-            training_thresholds=self.training_thresholds,
-            classifier_spec=self.classifier_spec_for(data),
-            train_config=self.training,
-            selection_rule=self.selection_rule,
-            min_subset_size=self.min_subset_size,
-        )
-
-    def default_runtime(self) -> RuntimeConfig | None:
-        """The first runtime block; None leaves the choice to build_ensemble."""
-        return self.runtime_sweep[0] if self.runtime_sweep else None
 
 
 def _require(block: dict, key: str, where: str):
@@ -159,8 +154,7 @@ def parse_dataset_block(block: dict, base: Path | None = None) -> DatasetSource:
 
 
 def parse_runtime_block(block: dict, num_members: int) -> RuntimeConfig:
-    if not isinstance(block, dict):
-        raise ConfigError("runtime block must be an object")
+    _known_keys(block, _RUNTIME_KEYS, "runtime")
     if "thresholds" in block:
         thresholds = block["thresholds"]
     elif "threshold" in block:
@@ -177,49 +171,42 @@ def parse_runtime_block(block: dict, num_members: int) -> RuntimeConfig:
 def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentConfig:
     """Convert a parsed config document; any rule it breaks is a ConfigError."""
     try:
+        _known_keys(doc, _TOP_KEYS, "config")
         dataset = parse_dataset_block(_require(doc, "dataset", "config"), base)
-        build = _require(doc, "build", "config")
-        num_members = require_int("build.num_members", _require(build, "num_members", "build"))
-        selection_rule = build.get("selection_rule", SELECTION_NESTED)
-        thresholds = check_schedule(
-            num_members, selection_rule, _require(build, "training_thresholds", "build")
+        build = _known_keys(_require(doc, "build", "config"), _BUILD_KEYS, "build")
+        classifier = _known_keys(
+            _require(build, "classifier", "build"), _CLASSIFIER_KEYS, "build.classifier"
         )
-        classifier = _require(build, "classifier", "build")
-        kind = _require(classifier, "kind", "build.classifier")
         hidden = classifier.get("hidden_units")
-        if hidden is not None:
-            hidden = require_int("build.classifier.hidden_units", hidden)
-        check_architecture(kind, hidden)
-        metrics_block = doc.get("metrics", {})
-        output_dir = doc.get("output_dir")
-        if output_dir is not None and not isinstance(output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-        return ExperimentConfig(
-            dataset=dataset,
-            num_members=num_members,
-            selection_rule=selection_rule,
-            training_thresholds=thresholds,
-            classifier_kind=kind,
-            classifier_hidden_units=hidden,
+        build_cfg = BuildConfig(
+            num_members=require_int("build.num_members", _require(build, "num_members", "build")),
+            training_thresholds=_require(build, "training_thresholds", "build"),
+            classifier_kind=_require(classifier, "kind", "build.classifier"),
+            train_config=TrainConfig(**build.get("training", {})),
+            hidden_units=(
+                None if hidden is None else require_int("build.classifier.hidden_units", hidden)
+            ),
             classifier_seed=require_seed("build.classifier.seed", classifier.get("seed", 0)),
-            training=TrainConfig(**build.get("training", {})),
+            selection_rule=build.get("selection_rule", SELECTION_NESTED),
             min_subset_size=(
                 require_int("build.min_subset_size", build["min_subset_size"])
                 if "min_subset_size" in build
                 else None
             ),
-            runtime_sweep=tuple(
-                parse_runtime_block(b, num_members) for b in doc.get("runtime", [])
-            ),
-            calibration_bins=require_int(
-                "metrics.calibration_bins",
-                metrics_block.get("calibration_bins", DEFAULT_CALIBRATION_BINS),
-            ),
-            histogram_bins=require_int(
-                "metrics.histogram_bins",
-                metrics_block.get("histogram_bins", DEFAULT_HISTOGRAM_BINS),
-            ),
+        )
+        runtimes = [parse_runtime_block(b, build_cfg.num_members) for b in doc.get("runtime", [])]
+        bins = {"calibration_bins": DEFAULT_CALIBRATION_BINS,
+                "histogram_bins": DEFAULT_HISTOGRAM_BINS}
+        bins.update(_known_keys(doc.get("metrics", {}), bins, "metrics"))
+        output_dir = doc.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+        return ExperimentConfig(
+            dataset=dataset,
+            build=build_cfg,
+            runtime=runtimes[0] if runtimes else None,
             output_dir=output_dir,
+            **{name: check_bins(f"metrics.{name}", value) for name, value in bins.items()},
         )
     except ConfigError:
         raise
@@ -237,7 +224,4 @@ def read_json(path: Path):
 
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return parse_experiment_config(doc, base=path.parent)
+    return parse_experiment_config(read_json(path), base=path.parent)

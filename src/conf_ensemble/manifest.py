@@ -1,7 +1,7 @@
 """In-memory description of a trained ensemble, and check_schedule: the
 one statement of the build-schedule rules (member count, selection rule,
-a training threshold per later member), shared by BuildConfig, the config
-parser and EnsembleManifest, so a stored manifest obeys them too."""
+a training threshold per later member), shared by BuildConfig and
+EnsembleManifest, so a stored manifest obeys them too."""
 
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 
 DEFAULT_CALIBRATION_BINS = 15
 DEFAULT_HISTOGRAM_BINS = 20
@@ -31,6 +31,14 @@ _SCORE_RANGES = {
     SCORE_KIND_UNCERTAINTY: (0.0, 0.5),
     SCORE_KIND_TOP_PROBABILITY: (0.0, 1.0),
 }
+
+
+def check_bins(name: str, value) -> int:
+    """value as a bin count: an integer >= 1."""
+    bins = require_int(name, value)
+    if bins < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {bins}")
+    return bins
 
 
 def bin_indices(values: np.ndarray, lo: float, hi: float, num_bins: int) -> np.ndarray:
@@ -76,8 +84,7 @@ def expected_calibration_error(
     num_bins: int = DEFAULT_CALIBRATION_BINS,
 ) -> CalibrationReport:
     """Bin-weighted gap between mean confidence and accuracy."""
-    if num_bins < 1:
-        raise InvalidInputError(f"num_bins must be >= 1, got {num_bins}")
+    num_bins = check_bins("num_bins", num_bins)
     probs = np.asarray(top_probs, dtype=np.float64)
     hits = np.asarray(correct, dtype=bool)
     if probs.ndim != 1 or probs.shape != hits.shape:
@@ -167,8 +174,7 @@ def score_histogram(
     """
     if kind not in _SCORE_RANGES:
         raise InvalidInputError(f"unknown score kind {kind!r}")
-    if bins < 1:
-        raise InvalidInputError(f"bins must be >= 1, got {bins}")
+    bins = check_bins("bins", bins)
     vals = np.asarray(scores, dtype=np.float64)
     hits = np.asarray(correct, dtype=bool)
     if vals.ndim != 1 or vals.shape != hits.shape:

@@ -41,6 +41,8 @@ def load_script(path: Path):
 # frozen so subset sizes recorded as regression values stay stable.
 BLOBS = dict(num_classes=3, per_class=1000, dim=4, spread=1.0, overlap=0.55, seed=42)
 MLP_SPEC = ClassifierSpec(kind="mlp", input_dim=4, num_classes=3, hidden_units=16, seed=1)
+# The same classifier as BuildConfig fields; a build takes the shape from its data.
+MLP_ARCH = dict(classifier_kind="mlp", hidden_units=16, classifier_seed=1)
 TRAIN = TrainConfig(epochs=30, batch_size=64, learning_rate=0.05, weight_decay=1e-4, seed=9)
 
 

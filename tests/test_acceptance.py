@@ -6,7 +6,6 @@ criteria execute.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from contextlib import contextmanager
@@ -23,7 +22,6 @@ from conf_ensemble import (
     build_ensemble,
     cascade_predict,
     expected_calibration_error,
-    generate_blobs,
     load_manifest,
     save_manifest,
 )
@@ -33,7 +31,7 @@ from conf_ensemble.errors import ManifestDigestError
 from conf_ensemble.persist import WEIGHTS_FILE
 from conf_ensemble.classifiers import ClassifierSpec, init_model
 
-from conftest import BLOBS, MLP_SPEC, TRAIN, member_with_uncertainty, stub_manifest
+from conftest import MLP_ARCH, TRAIN, member_with_uncertainty, stub_manifest
 from oracles import artifact_digests, manifests_equal, predict_logits, softmax, uncertainty
 
 TRAINING_GRID = (0.2, 0.1, 0.01)
@@ -138,7 +136,7 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
 
         # nesting on an actual nested build
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          **MLP_ARCH, train_config=TRAIN,
                           selection_rule="nested")
         _, report = build_ensemble(blobs3, cfg)
         pools = [set(m.subset_indices) for m in report.members]
@@ -158,7 +156,7 @@ def test_criterion_4_degenerate_boundaries(blobs3, trained_m0):
     with criterion(4, "degenerate boundaries"):
         # training threshold 0.5 -> degenerate-subset build error
         cfg = BuildConfig(num_members=2, training_thresholds=(0.5,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         with pytest.raises(DegenerateSubsetError):
             build_ensemble(blobs3, cfg)
 
@@ -284,18 +282,18 @@ def test_criterion_7_end_to_end_trends(blobs3):
         # (a) builds succeed across the training-threshold grid
         for t in TRAINING_GRID:
             cfg = BuildConfig(num_members=2, training_thresholds=(t,),
-                              classifier_spec=MLP_SPEC, train_config=TRAIN)
+                              **MLP_ARCH, train_config=TRAIN)
             manifest, _ = build_ensemble(blobs3, cfg)
             assert manifest.num_members == 2
         rebased_cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                                  classifier_spec=MLP_SPEC, train_config=TRAIN,
+                                  **MLP_ARCH, train_config=TRAIN,
                                   selection_rule="rebased")
         rebased_manifest, rebased_report = build_ensemble(blobs3, rebased_cfg)
         assert rebased_manifest.num_members == 3
 
         # (b) nested pools strictly shrink
         nested_cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                                 classifier_spec=MLP_SPEC, train_config=TRAIN,
+                                 **MLP_ARCH, train_config=TRAIN,
                                  selection_rule="nested")
         _, nested_report = build_ensemble(blobs3, nested_cfg)
         sizes = nested_report.subset_sizes()
@@ -336,7 +334,7 @@ def test_criterion_7_end_to_end_trends(blobs3):
 def test_criterion_8_persistence(blobs3, tmp_path):
     with criterion(8, "persistence"):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.05,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          **MLP_ARCH, train_config=TRAIN,
                           selection_rule="rebased")
         manifest, _ = build_ensemble(blobs3, cfg)
 

@@ -12,13 +12,14 @@ from conf_ensemble import (
     TrainConfig,
     build_ensemble,
     fit,
+    generate_blobs,
     init_model,
     materialize,
 )
 from conf_ensemble.builder import _filter_pool, member_prediction_arrays
 from conf_ensemble.datasets import Dataset
 
-from conftest import BLOBS, MLP_SPEC, TRAIN, identity_member, logits_for_uncertainty
+from conftest import MLP_ARCH, MLP_SPEC, TRAIN, identity_member, logits_for_uncertainty
 from oracles import manifests_equal, predict_logits, softmax, uncertainty
 
 # Frozen from the first verified run of this exact configuration; guards
@@ -88,7 +89,7 @@ class TestSelection:
         pools = {}
         for rule in ("nested", "rebased"):
             cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                              classifier_spec=MLP_SPEC, train_config=TRAIN,
+                              **MLP_ARCH, train_config=TRAIN,
                               selection_rule=rule)
             _, report = build_ensemble(blobs3, cfg)
             pools[rule] = report.members[1].subset_indices.tolist()
@@ -115,7 +116,7 @@ class TestSelection:
         # (previous pool for nested, full pool for rebased) that member
         # k-1, scored one sample at a time, is uncertain about.
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          **MLP_ARCH, train_config=TRAIN,
                           selection_rule=rule)
         manifest, report = build_ensemble(blobs3, cfg)
         full = blobs3.all_indices()
@@ -130,7 +131,7 @@ class TestSelection:
 class TestBuildEnsemble:
     def test_single_member_equals_plain_fit(self, blobs3):
         cfg = BuildConfig(num_members=1, training_thresholds=(),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         manifest, report = build_ensemble(blobs3, cfg)
         assert manifest.num_members == 1
         reference = fit(init_model(MLP_SPEC), materialize(blobs3.all_indices(), blobs3), TRAIN)
@@ -139,7 +140,7 @@ class TestBuildEnsemble:
 
     def test_degenerate_threshold_aborts(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.5,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         with pytest.raises(DegenerateSubsetError) as err:
             build_ensemble(blobs3, cfg)
         assert err.value.level == 1
@@ -147,14 +148,14 @@ class TestBuildEnsemble:
 
     def test_min_subset_size_enforced(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.45,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          **MLP_ARCH, train_config=TRAIN,
                           min_subset_size=100000)
         with pytest.raises(DegenerateSubsetError):
             build_ensemble(blobs3, cfg)
 
     def test_rebased_three_member_regression(self, blobs3):
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          **MLP_ARCH, train_config=TRAIN,
                           selection_rule="rebased")
         manifest, report = build_ensemble(blobs3, cfg)
         assert manifest.num_members == 3
@@ -162,7 +163,7 @@ class TestBuildEnsemble:
 
     def test_nested_pools_are_nested(self, blobs3):
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          **MLP_ARCH, train_config=TRAIN,
                           selection_rule="nested")
         _, report = build_ensemble(blobs3, cfg)
         assert report.subset_sizes() == NESTED_SIZES
@@ -173,7 +174,7 @@ class TestBuildEnsemble:
         # Level-2 pool filters the full dataset, so it can include samples
         # the level-1 pool dropped.
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN,
+                          **MLP_ARCH, train_config=TRAIN,
                           selection_rule="rebased")
         _, report = build_ensemble(blobs3, cfg)
         full = set(range(len(blobs3)))
@@ -184,27 +185,27 @@ class TestBuildEnsemble:
 
     def test_build_is_deterministic(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         first, _ = build_ensemble(blobs3, cfg)
         second, _ = build_ensemble(blobs3, cfg)
         assert manifests_equal(first, second)
 
     def test_members_use_distinct_seeds(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.01,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         manifest, _ = build_ensemble(blobs3, cfg)
         assert manifest.members[0].spec.seed != manifest.members[1].spec.seed
 
     def test_manifest_carries_default_runtime(self, blobs3):
         runtime = RuntimeConfig(thresholds=(0.4, 0.1), consensus="last_member")
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         manifest, _ = build_ensemble(blobs3, cfg, default_runtime=runtime)
         assert manifest.default_runtime == runtime
 
     def test_report_records_losses_and_digests(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         _, report = build_ensemble(blobs3, cfg)
         for record in report.members:
             assert np.isfinite(record.final_loss)
@@ -212,30 +213,22 @@ class TestBuildEnsemble:
             assert record.uncertainty_histogram.total == len(blobs3)
             assert record.probability_histogram.total == len(blobs3)
 
-    def test_dimension_mismatch_rejected(self, blobs3):
-        bad_spec = MLP_SPEC.__class__(kind="mlp", input_dim=9, num_classes=3,
-                                      hidden_units=16, seed=1)
-        cfg = BuildConfig(num_members=1, training_thresholds=(),
-                          classifier_spec=bad_spec, train_config=TRAIN)
-        with pytest.raises(InvalidInputError):
-            build_ensemble(blobs3, cfg)
-
 
 class TestBuildConfigValidation:
     def test_threshold_count_must_match(self):
         with pytest.raises(InvalidInputError):
             BuildConfig(num_members=3, training_thresholds=(0.1,),
-                        classifier_spec=MLP_SPEC, train_config=TRAIN)
+                        **MLP_ARCH, train_config=TRAIN)
 
     def test_threshold_range(self):
         with pytest.raises(InvalidInputError):
             BuildConfig(num_members=2, training_thresholds=(0.7,),
-                        classifier_spec=MLP_SPEC, train_config=TRAIN)
+                        **MLP_ARCH, train_config=TRAIN)
 
     def test_unknown_rule(self):
         with pytest.raises(InvalidInputError):
             BuildConfig(num_members=2, training_thresholds=(0.1,),
-                        classifier_spec=MLP_SPEC, train_config=TRAIN,
+                        **MLP_ARCH, train_config=TRAIN,
                         selection_rule="bagging")
 
     @pytest.mark.parametrize(
@@ -251,12 +244,37 @@ class TestBuildConfigValidation:
     )
     def test_rejects_non_numbers(self, fields):
         kwargs = dict(num_members=2, training_thresholds=(0.1,),
-                      classifier_spec=MLP_SPEC, train_config=TRAIN)
+                      **MLP_ARCH, train_config=TRAIN)
+        kwargs.update(fields)
+        with pytest.raises(InvalidInputError):
+            BuildConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(classifier_kind="forest"),
+            dict(hidden_units=None),
+            dict(hidden_units=0),
+            dict(hidden_units=16.5),
+            dict(classifier_seed=-1),
+            dict(classifier_seed=1.5),
+        ],
+    )
+    def test_rejects_bad_classifier(self, fields):
+        kwargs = dict(num_members=2, training_thresholds=(0.1,),
+                      **MLP_ARCH, train_config=TRAIN)
         kwargs.update(fields)
         with pytest.raises(InvalidInputError):
             BuildConfig(**kwargs)
 
     def test_default_min_subset_size(self):
-        cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
-        assert cfg.resolved_min_subset_size() == max(2 * MLP_SPEC.num_classes, 10)
+        """Without min_subset_size, a pool needs max(2 * num_classes, 10)
+        samples, num_classes being the dataset's."""
+        cfg = BuildConfig(num_members=2, training_thresholds=(0.5,),
+                          classifier_kind="linear", train_config=TrainConfig(epochs=1))
+        for num_classes, floor in ((3, 10), (20, 40)):
+            data = generate_blobs(num_classes=num_classes, per_class=3, dim=2,
+                                  spread=1.0, overlap=0.0, seed=0)
+            with pytest.raises(DegenerateSubsetError) as err:
+                build_ensemble(data, cfg)
+            assert err.value.minimum == floor

@@ -173,8 +173,13 @@ class TestBuildCommand:
             ({"build.classifier.seed": -1}, "seed must be >= 0"),
             ({"build.training.seed": -1}, "seed must be >= 0"),
             ({"output_dir": 5}, "output_dir must be a string"),
+            ({"build.min_subset_size": 0}, "min_subset_size must be >= 1"),
+            ({"metrics.calibration_bins": 0}, "calibration_bins must be >= 1"),
+            ({"metrics.histogram_bins": 0}, "histogram_bins must be >= 1"),
+            ({"dataset.overlapp": 0.9}, "unknown key dataset.overlapp"),
         ],
-        ids=["classifier-seed", "training-seed", "output-dir"],
+        ids=["classifier-seed", "training-seed", "output-dir", "min-subset-size",
+             "calibration-bins", "histogram-bins", "unknown-key"],
     )
     def test_config_rule_exits_before_building(self, tmp_path, capsys, edit, message):
         doc = experiment_doc(output_dir=str(tmp_path / "out"))
@@ -182,8 +187,10 @@ class TestBuildCommand:
             set_leaf(doc, path.split("."), value)
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(doc))
-        assert main(["build", "--config", str(config)]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        for command in ("build", "baseline"):
+            assert main([command, "--config", str(config)]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_threshold_count(self, workdir):
         doc = experiment_doc()
@@ -256,8 +263,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize(
         "block",
-        [dict(BLOBS_BLOCK, per_class=2.5), {"kind": "csv", "path": 5}],
-        ids=["fractional-per-class", "numeric-path"],
+        [dict(BLOBS_BLOCK, per_class=2.5), {"kind": "csv", "path": 5},
+         dict(BLOBS_BLOCK, overlapp=0.9), {"kind": ["blobs"]}],
+        ids=["fractional-per-class", "numeric-path", "unknown-option", "list-kind"],
     )
     def test_bad_json_dataset_option(self, built_dir, tmp_path, block):
         block_path = tmp_path / "data_block.json"
@@ -353,6 +361,15 @@ class TestBaselineCommand:
                      "--out", str(eval_out)]) == EXIT_OK
         evaluation = json.loads((eval_out / "evaluation.json").read_text())
         assert evaluation["accuracy"] == baseline["accuracy"]
+
+    def test_replaces_the_ensemble_in_its_directory(self, workdir):
+        out = workdir / "build-then-baseline"
+        config = str(workdir / "experiment.json")
+        assert main(["build", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert main(["baseline", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert list((out / "subsets").glob("level_*.idx")) == []
+        report = json.loads((out / "build_report.json").read_text())
+        assert report["subset_sizes"] == [3 * BLOBS_BLOCK["per_class"]]
 
     def test_malformed_data_csv(self, workdir, built_dir):
         bad = workdir / "malformed.csv"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from conf_ensemble import (
     ConfigError,
     DEFAULT_RUNTIME_THRESHOLD_GRID,
     DEFAULT_TRAINING_THRESHOLD_GRID,
+    RuntimeConfig,
+    build_ensemble,
     load_dataset,
     load_experiment_config,
 )
@@ -34,6 +37,20 @@ def minimal_doc():
     }
 
 
+# (dataset block replacing minimal_doc's or None, where the key goes, its
+# path in the error message): one unknown key per kind of block.
+UNKNOWN_KEYS = [
+    (None, ("runtimes",), "config.runtimes"),
+    (None, ("dataset", "overlapp"), "dataset.overlapp"),
+    ({"kind": "csv", "path": "d.csv"}, ("dataset", "dim"), "dataset.dim"),
+    ({"kind": "idx", "images": "i", "labels": "l"}, ("dataset", "path"), "dataset.path"),
+    (None, ("build", "num_member"), "build.num_member"),
+    (None, ("build", "classifier", "hidden"), "build.classifier.hidden"),
+    (None, ("runtime", 1, "treshold"), "runtime.treshold"),
+    (None, ("metrics", "bins"), "metrics.bins"),
+]
+
+
 def write(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -43,35 +60,38 @@ def write(tmp_path, doc, name="cfg.json"):
 class TestExperimentConfig:
     def test_minimal_parses_with_defaults(self, tmp_path):
         cfg = load_experiment_config(write(tmp_path, minimal_doc()))
-        assert cfg.num_members == 2
-        assert cfg.selection_rule == "nested"
-        assert cfg.training.learning_rate == 0.05
-        assert cfg.training.lr_decay_gamma == 0.3
-        assert cfg.training.lr_decay_every_epochs == 15
-        assert cfg.training.weight_decay == 0.01
+        assert cfg.build.num_members == 2
+        assert cfg.build.selection_rule == "nested"
+        assert cfg.build.hidden_units is None
+        assert cfg.build.classifier_seed == 1
+        assert cfg.build.train_config.learning_rate == 0.05
+        assert cfg.build.train_config.lr_decay_gamma == 0.3
+        assert cfg.build.train_config.lr_decay_every_epochs == 15
+        assert cfg.build.train_config.weight_decay == 0.01
         assert cfg.calibration_bins == 15
-        assert cfg.min_subset_size is None
+        assert cfg.histogram_bins == 20
+        assert cfg.build.min_subset_size is None
 
     def test_resolves_classifier_dims_from_dataset(self, tmp_path):
         cfg = load_experiment_config(write(tmp_path, minimal_doc()))
-        data = load_dataset(cfg.dataset)
-        spec = cfg.classifier_spec_for(data)
-        assert spec.input_dim == 2
-        assert spec.num_classes == 3
+        single = replace(cfg.build, num_members=1, training_thresholds=())
+        manifest, _ = build_ensemble(load_dataset(cfg.dataset), single)
+        spec = manifest.members[0].spec
+        assert (spec.kind, spec.input_dim, spec.num_classes, spec.seed) == ("linear", 2, 3, 1)
 
     def test_runtime_scalar_broadcast(self, tmp_path):
         doc = minimal_doc()
         doc["runtime"] = [{"threshold": 0.2, "consensus": "last_member"}]
         cfg = load_experiment_config(write(tmp_path, doc))
-        assert cfg.runtime_sweep[0].thresholds == (0.2, 0.2)
-        assert cfg.runtime_sweep[0].consensus == "last_member"
+        assert cfg.runtime.thresholds == (0.2, 0.2)
+        assert cfg.runtime.consensus == "last_member"
 
     def test_runtime_explicit_list(self, tmp_path):
         doc = minimal_doc()
         doc["runtime"] = [{"thresholds": [0.4, 0.1]}]
         cfg = load_experiment_config(write(tmp_path, doc))
-        assert cfg.runtime_sweep[0].thresholds == (0.4, 0.1)
-        assert cfg.runtime_sweep[0].consensus == "most_confident"
+        assert cfg.runtime.thresholds == (0.4, 0.1)
+        assert cfg.runtime.consensus == "most_confident"
 
     def test_runtime_count_checked(self, tmp_path):
         doc = minimal_doc()
@@ -183,7 +203,7 @@ class TestExperimentConfig:
             load_experiment_config(write(tmp_path, doc))
 
     def test_no_runtime_block_leaves_the_default_to_the_builder(self, tmp_path):
-        assert load_experiment_config(write(tmp_path, minimal_doc())).default_runtime() is None
+        assert load_experiment_config(write(tmp_path, minimal_doc())).runtime is None
 
     def test_missing_block(self, tmp_path):
         doc = minimal_doc()
@@ -211,9 +231,40 @@ class TestExperimentConfig:
 
         example = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
         cfg = load_experiment_config(example)
-        assert cfg.num_members == 3
-        assert cfg.selection_rule == "rebased"
-        assert len(cfg.runtime_sweep) == 2
+        assert cfg.build.num_members == 3
+        assert cfg.build.selection_rule == "rebased"
+        assert cfg.runtime == RuntimeConfig.homogeneous(0.2, 3, consensus="most_confident")
+
+    def test_later_runtime_blocks_are_validated(self, tmp_path):
+        doc = minimal_doc()
+        doc["runtime"] = [{"threshold": 0.2}, {"threshold": 0.9}]
+        with pytest.raises(ConfigError, match="runtime threshold"):
+            load_experiment_config(write(tmp_path, doc))
+
+    def test_min_subset_size_below_one_fails_at_load(self, tmp_path):
+        doc = minimal_doc()
+        doc["build"]["min_subset_size"] = 0
+        with pytest.raises(ConfigError, match="min_subset_size must be >= 1, got 0"):
+            load_experiment_config(write(tmp_path, doc))
+
+    @pytest.mark.parametrize("name", ["calibration_bins", "histogram_bins"])
+    def test_bins_below_one_fail_at_load(self, tmp_path, name):
+        doc = minimal_doc()
+        doc["metrics"] = {name: 0}
+        with pytest.raises(ConfigError, match=f"metrics.{name} must be >= 1, got 0"):
+            load_experiment_config(write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "dataset, leaf, path", UNKNOWN_KEYS, ids=[path for _, _, path in UNKNOWN_KEYS]
+    )
+    def test_unknown_key_fails_at_load(self, tmp_path, dataset, leaf, path):
+        doc = minimal_doc()
+        doc["runtime"] = [{"threshold": 0.2}, {"threshold": 0.1}]
+        doc["metrics"] = {}
+        doc["dataset"] = dataset or doc["dataset"]
+        set_leaf(doc, leaf, 1)
+        with pytest.raises(ConfigError, match=f"^unknown key {path}$"):
+            load_experiment_config(write(tmp_path, doc))
 
 
 class TestDatasetSource:
@@ -277,7 +328,7 @@ def leaf_config_path(tmp_path_factory):
 
 class TestEveryLeaf:
     """Whatever value one field of the shipped config holds, loading it and
-    deriving the build config either succeeds or raises ConfigError."""
+    its dataset either succeeds or raises ConfigError."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(EXAMPLE_LEAVES), JSON_VALUES)
@@ -286,7 +337,6 @@ class TestEveryLeaf:
         set_leaf(doc, leaf, value)
         leaf_config_path.write_text(json.dumps(doc), encoding="utf-8")
         try:
-            cfg = load_experiment_config(leaf_config_path)
-            cfg.build_config_for(load_dataset(cfg.dataset))
+            load_dataset(load_experiment_config(leaf_config_path).dataset)
         except ConfigError:
             pass

@@ -170,3 +170,11 @@ class TestBinningConsistency:
     def test_interior_edge_goes_to_upper_bin(self):
         idx = bin_indices(np.asarray([0.2]), 0.0, 1.0, 5)
         assert idx[0] == 1
+
+
+@pytest.mark.parametrize("bins", [0, -3, 2.5, 4.0, True, "5"])
+def test_bin_counts_are_integers_of_at_least_one(bins):
+    with pytest.raises(InvalidInputError, match="bins must be"):
+        expected_calibration_error([0.5], [True], num_bins=bins)
+    with pytest.raises(InvalidInputError, match="bins must be"):
+        score_histogram([0.3], [True], kind="uncertainty", bins=bins)

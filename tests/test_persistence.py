@@ -16,7 +16,6 @@ from conf_ensemble import (
     ManifestVersionError,
     RuntimeConfig,
     build_ensemble,
-    generate_blobs,
     load_manifest,
     save_csv,
     save_manifest,
@@ -26,7 +25,7 @@ from conf_ensemble.persist import FORMAT_VERSION, WEIGHTS_FILE, WEIGHTS_MAGIC
 
 from conftest import (
     JSON_VALUES,
-    MLP_SPEC,
+    MLP_ARCH,
     TRAIN,
     json_leaves,
     member_with_uncertainty,
@@ -39,7 +38,7 @@ from oracles import artifact_digests, manifests_equal
 @pytest.fixture(scope="module")
 def built(blobs3):
     cfg = BuildConfig(num_members=2, training_thresholds=(0.05,),
-                      classifier_spec=MLP_SPEC, train_config=TRAIN,
+                      **MLP_ARCH, train_config=TRAIN,
                       selection_rule="rebased")
     manifest, _ = build_ensemble(
         blobs3, cfg,
@@ -263,7 +262,7 @@ class TestEveryManifestField:
 class TestBuildDeterminism:
     def test_two_builds_same_digests(self, blobs3, tmp_path):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          classifier_spec=MLP_SPEC, train_config=TRAIN)
+                          **MLP_ARCH, train_config=TRAIN)
         for name in ("run1", "run2"):
             manifest, _ = build_ensemble(blobs3, cfg)
             save_manifest(manifest, tmp_path / name)
