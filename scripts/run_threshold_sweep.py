@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +34,7 @@ from conf_ensemble import (
     load_dataset,
     load_experiment_config,
     member_prediction_arrays,
+    write_json,
 )
 from conf_ensemble.cli import run_with_exit_codes
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def evaluate_grid(name, manifest, data, calibration_bins):
+def evaluate_grid(name, manifest, data):
     rows = []
     for threshold in DEFAULT_RUNTIME_THRESHOLD_GRID:
         for consensus in (CONSENSUS_LAST_MEMBER, CONSENSUS_MOST_CONFIDENT):
@@ -58,9 +58,7 @@ def evaluate_grid(name, manifest, data, calibration_bins):
                 threshold, manifest.num_members, consensus=consensus
             )
             record = batch_evaluate(manifest, rcfg, data)
-            report = expected_calibration_error(
-                record.chosen_top, record.correct, num_bins=calibration_bins
-            )
+            report = expected_calibration_error(record.chosen_top, record.correct)
             rows.append(
                 {
                     "ensemble": name,
@@ -108,32 +106,23 @@ def main(argv=None):
     for name, build in builds.items():
         manifests[name], report = build_ensemble(data, build)
         subset_sizes[name] = list(report.subset_sizes())
-        rows += evaluate_grid(name, manifests[name], data, cfg.calibration_bins)
+        rows += evaluate_grid(name, manifests[name], data)
 
     cls0, top0, _ = member_prediction_arrays(manifests[full_name].members[0], data.features)
     correct0 = cls0 == data.labels
     baseline = {
         "accuracy": float(correct0.mean()),
-        "ece": expected_calibration_error(top0, correct0, num_bins=cfg.calibration_bins).ece,
+        "ece": expected_calibration_error(top0, correct0).ece,
     }
 
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    with open(out / "sweep.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "dataset": data.id,
-                "baseline": baseline,
-                "subset_sizes": subset_sizes,
-                "results": rows,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        out / "sweep.json",
+        {"dataset": data.id, "baseline": baseline, "subset_sizes": subset_sizes, "results": rows},
+    )
 
     print(f"dataset {data.id}: {len(data)} samples")
     print(f"baseline: accuracy {baseline['accuracy']:.4f}, ece {baseline['ece']:.4f}")

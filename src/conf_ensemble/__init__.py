@@ -65,6 +65,6 @@ from .metrics import (
     expected_calibration_error,
     score_histogram,
 )
-from .persist import load_manifest, save_manifest
+from .persist import load_manifest, save_manifest, write_json
 
 __version__ = "0.1.0"

@@ -38,7 +38,6 @@ from .datasets import Dataset, SubsetView, materialize
 from .errors import DegenerateSubsetError, InvalidInputError, require_int, require_seed
 from .manifest import SELECTION_NESTED, EnsembleManifest, check_schedule
 from .metrics import (
-    DEFAULT_HISTOGRAM_BINS,
     SCORE_KIND_TOP_PROBABILITY,
     SCORE_KIND_UNCERTAINTY,
     ScoreHistogram,
@@ -150,7 +149,6 @@ def member_report(
     scores: tuple[np.ndarray, np.ndarray, np.ndarray],
     labels: np.ndarray,
     train_seconds: float,
-    histogram_bins: int = DEFAULT_HISTOGRAM_BINS,
 ) -> MemberBuildRecord:
     """Build-report entry for one member from its full-dataset scores."""
     predicted, top, unc = scores
@@ -162,12 +160,8 @@ def member_report(
         index_digest=_indices_digest(pool.indices),
         train_seconds=train_seconds,
         final_loss=model.final_loss if model.final_loss is not None else float("nan"),
-        uncertainty_histogram=score_histogram(
-            unc, correct, kind=SCORE_KIND_UNCERTAINTY, bins=histogram_bins
-        ),
-        probability_histogram=score_histogram(
-            top, correct, kind=SCORE_KIND_TOP_PROBABILITY, bins=histogram_bins
-        ),
+        uncertainty_histogram=score_histogram(unc, correct, kind=SCORE_KIND_UNCERTAINTY),
+        probability_histogram=score_histogram(top, correct, kind=SCORE_KIND_TOP_PROBABILITY),
     )
 
 
@@ -175,7 +169,6 @@ def build_ensemble(
     data: Dataset,
     cfg: BuildConfig,
     default_runtime: RuntimeConfig | None = None,
-    histogram_bins: int = DEFAULT_HISTOGRAM_BINS,
 ) -> tuple[EnsembleManifest, BuildReport]:
     """Train the full member chain.
 
@@ -204,9 +197,7 @@ def build_ensemble(
         elapsed = time.perf_counter() - started
         scores = member_prediction_arrays(model, data.features)
         members.append(model)
-        records.append(
-            member_report(level, pool, model, scores, data.labels, elapsed, histogram_bins)
-        )
+        records.append(member_report(level, pool, model, scores, data.labels, elapsed))
 
     runtime = default_runtime or RuntimeConfig.homogeneous(
         DEFAULT_RUNTIME_THRESHOLD, cfg.num_members

@@ -9,7 +9,6 @@ Layout (paths resolved relative to the config file):
                    "training": {...TrainConfig fields},
                    "min_subset_size"?},
       "runtime":  [{"threshold": x | "thresholds": [...], "consensus"?}, ...],
-      "metrics":  {"calibration_bins"?, "histogram_bins"?},
       "output_dir"?: "..."
     }
 
@@ -17,8 +16,9 @@ This module only converts JSON into the library's types, and rejects a
 key the layout does not name.  Every number goes through require_int,
 require_seed or require_float, here or in the type that owns it, so a
 string, boolean, NaN or Infinity is a ConfigError.  The rules are the
-types' own: BuildConfig, TrainConfig, RuntimeConfig and check_bins run at
-load, before any dataset is read.
+types' own: BuildConfig, TrainConfig and RuntimeConfig run at load, before
+any dataset is read.  Bin counts are not configured: every report uses the
+metrics module's defaults.
 
 The build block becomes a BuildConfig, which names no dataset: members
 take their input dimension and class count from the data they are built
@@ -30,7 +30,7 @@ members.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .builder import BuildConfig
@@ -45,7 +45,6 @@ from .errors import (
     require_seed,
 )
 from .manifest import SELECTION_NESTED
-from .metrics import DEFAULT_CALIBRATION_BINS, DEFAULT_HISTOGRAM_BINS, check_bins
 
 # Default threshold grids; the sweep script walks these.  The acceptance
 # suite keeps its own copies (TRAINING_GRID, RUNTIME_GRID).
@@ -58,7 +57,7 @@ _DATASET_OPTIONS = {
     "csv": ("path", "num_classes"),
     "idx": ("images", "labels", "num_classes"),
 }
-_TOP_KEYS = ("dataset", "build", "runtime", "metrics", "output_dir")
+_TOP_KEYS = ("dataset", "build", "runtime", "output_dir")
 _BUILD_KEYS = ("num_members", "selection_rule", "training_thresholds", "classifier",
                "training", "min_subset_size")
 _CLASSIFIER_KEYS = ("kind", "hidden_units", "seed")
@@ -119,8 +118,6 @@ class ExperimentConfig:
     dataset: DatasetSource
     build: BuildConfig
     runtime: RuntimeConfig | None = None  # None leaves the choice to build_ensemble
-    calibration_bins: int = DEFAULT_CALIBRATION_BINS
-    histogram_bins: int = DEFAULT_HISTOGRAM_BINS
     output_dir: str | None = None
 
 
@@ -177,12 +174,15 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
         classifier = _known_keys(
             _require(build, "classifier", "build"), _CLASSIFIER_KEYS, "build.classifier"
         )
+        training = _known_keys(
+            build.get("training", {}), {f.name for f in fields(TrainConfig)}, "build.training"
+        )
         hidden = classifier.get("hidden_units")
         build_cfg = BuildConfig(
             num_members=require_int("build.num_members", _require(build, "num_members", "build")),
             training_thresholds=_require(build, "training_thresholds", "build"),
             classifier_kind=_require(classifier, "kind", "build.classifier"),
-            train_config=TrainConfig(**build.get("training", {})),
+            train_config=TrainConfig(**training),
             hidden_units=(
                 None if hidden is None else require_int("build.classifier.hidden_units", hidden)
             ),
@@ -194,10 +194,10 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
                 else None
             ),
         )
-        runtimes = [parse_runtime_block(b, build_cfg.num_members) for b in doc.get("runtime", [])]
-        bins = {"calibration_bins": DEFAULT_CALIBRATION_BINS,
-                "histogram_bins": DEFAULT_HISTOGRAM_BINS}
-        bins.update(_known_keys(doc.get("metrics", {}), bins, "metrics"))
+        runtime = doc.get("runtime", [])
+        if not isinstance(runtime, list):
+            raise ConfigError("runtime must be a list of blocks")
+        runtimes = [parse_runtime_block(b, build_cfg.num_members) for b in runtime]
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
@@ -206,7 +206,6 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
             build=build_cfg,
             runtime=runtimes[0] if runtimes else None,
             output_dir=output_dir,
-            **{name: check_bins(f"metrics.{name}", value) for name, value in bins.items()},
         )
     except ConfigError:
         raise

@@ -100,6 +100,13 @@ def manifest_to_json_dict(manifest: EnsembleManifest, weights_digest: str) -> di
     }
 
 
+def write_json(path, doc) -> None:
+    """A JSON artifact: indented, keys sorted, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_manifest(manifest: EnsembleManifest, directory) -> Path:
     """Write manifest.json and weights.bin; returns the directory."""
     directory = Path(directory)
@@ -107,10 +114,7 @@ def save_manifest(manifest: EnsembleManifest, directory) -> Path:
     weights = _pack_weights(manifest)
     digest = hashlib.sha256(weights).hexdigest()
     (directory / WEIGHTS_FILE).write_bytes(weights)
-    doc = manifest_to_json_dict(manifest, digest)
-    with open(directory / MANIFEST_FILE, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / MANIFEST_FILE, manifest_to_json_dict(manifest, digest))
     return directory
 
 

@@ -57,7 +57,6 @@ def experiment_doc(**overrides):
             },
         },
         "runtime": [{"threshold": 0.2, "consensus": "most_confident"}],
-        "metrics": {"calibration_bins": 15, "histogram_bins": 10},
     }
     doc.update(overrides)
     return doc
@@ -174,12 +173,11 @@ class TestBuildCommand:
             ({"build.training.seed": -1}, "seed must be >= 0"),
             ({"output_dir": 5}, "output_dir must be a string"),
             ({"build.min_subset_size": 0}, "min_subset_size must be >= 1"),
-            ({"metrics.calibration_bins": 0}, "calibration_bins must be >= 1"),
-            ({"metrics.histogram_bins": 0}, "histogram_bins must be >= 1"),
             ({"dataset.overlapp": 0.9}, "unknown key dataset.overlapp"),
+            ({"metrics": {"calibration_bins": 15}}, "unknown key config.metrics"),
         ],
         ids=["classifier-seed", "training-seed", "output-dir", "min-subset-size",
-             "calibration-bins", "histogram-bins", "unknown-key"],
+             "unknown-key", "metrics-block"],
     )
     def test_config_rule_exits_before_building(self, tmp_path, capsys, edit, message):
         doc = experiment_doc(output_dir=str(tmp_path / "out"))
@@ -199,6 +197,18 @@ class TestBuildCommand:
         config.write_text(json.dumps(doc))
         assert main(["build", "--config", str(config),
                      "--out", str(workdir / "x")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, option", [(["evaluate"], "--calibration-bins"),
+                                              (["histograms", "--member", "0"], "--bins")],
+                         ids=["evaluate", "histograms"])
+def test_bin_counts_are_not_options(workdir, built_dir, capsys, command, option):
+    # Every report bins with the metrics module's fixed counts.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--ensemble", str(built_dir), "--data", str(workdir / "data.csv"),
+              option, "10", "--out", str(workdir / "x")])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {option} 10" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

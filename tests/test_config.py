@@ -47,7 +47,8 @@ UNKNOWN_KEYS = [
     (None, ("build", "num_member"), "build.num_member"),
     (None, ("build", "classifier", "hidden"), "build.classifier.hidden"),
     (None, ("runtime", 1, "treshold"), "runtime.treshold"),
-    (None, ("metrics", "bins"), "metrics.bins"),
+    (None, ("build", "training", "optimiser"), "build.training.optimiser"),
+    (None, ("metrics",), "config.metrics"),
 ]
 
 
@@ -68,8 +69,6 @@ class TestExperimentConfig:
         assert cfg.build.train_config.lr_decay_gamma == 0.3
         assert cfg.build.train_config.lr_decay_every_epochs == 15
         assert cfg.build.train_config.weight_decay == 0.01
-        assert cfg.calibration_bins == 15
-        assert cfg.histogram_bins == 20
         assert cfg.build.min_subset_size is None
 
     def test_resolves_classifier_dims_from_dataset(self, tmp_path):
@@ -144,13 +143,10 @@ class TestExperimentConfig:
             ("build.classifier.hidden_units", 16.9),
             ("build.classifier.seed", 2.7),
             ("build.min_subset_size", 10.5),
-            ("metrics.calibration_bins", 15.0),
-            ("metrics.histogram_bins", "20"),
         ],
     )
     def test_integer_fields_reject_non_integers(self, tmp_path, path, value):
         doc = minimal_doc()
-        doc["metrics"] = {}
         set_leaf(doc, path.split("."), value)
         with pytest.raises(ConfigError, match=f"{path} must be an integer"):
             load_experiment_config(write(tmp_path, doc))
@@ -186,14 +182,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=message):
             load_experiment_config(write(tmp_path, doc))
 
-    @pytest.mark.parametrize("block", ["build", "classifier", "metrics"])
-    def test_block_of_the_wrong_type(self, tmp_path, block):
+    @pytest.mark.parametrize("path", ["build", "build.classifier", "build.training"],
+                             ids=lambda path: path.split(".")[-1])
+    def test_block_of_the_wrong_type(self, tmp_path, path):
         doc = minimal_doc()
-        if block == "classifier":
-            doc["build"]["classifier"] = "mlp"
-        else:
-            doc[block] = ["num_members"]
-        with pytest.raises(ConfigError):
+        set_leaf(doc, path.split("."), ["num_members"])
+        with pytest.raises(ConfigError, match=f"^{path} block must be an object$"):
+            load_experiment_config(write(tmp_path, doc))
+
+    def test_runtime_that_is_not_a_list(self, tmp_path):
+        doc = minimal_doc()
+        doc["runtime"] = {"threshold": 0.2}
+        with pytest.raises(ConfigError, match="^runtime must be a list of blocks$"):
             load_experiment_config(write(tmp_path, doc))
 
     def test_mlp_without_hidden_units_fails_at_load(self, tmp_path):
@@ -247,20 +247,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="min_subset_size must be >= 1, got 0"):
             load_experiment_config(write(tmp_path, doc))
 
-    @pytest.mark.parametrize("name", ["calibration_bins", "histogram_bins"])
-    def test_bins_below_one_fail_at_load(self, tmp_path, name):
-        doc = minimal_doc()
-        doc["metrics"] = {name: 0}
-        with pytest.raises(ConfigError, match=f"metrics.{name} must be >= 1, got 0"):
-            load_experiment_config(write(tmp_path, doc))
-
     @pytest.mark.parametrize(
         "dataset, leaf, path", UNKNOWN_KEYS, ids=[path for _, _, path in UNKNOWN_KEYS]
     )
     def test_unknown_key_fails_at_load(self, tmp_path, dataset, leaf, path):
         doc = minimal_doc()
         doc["runtime"] = [{"threshold": 0.2}, {"threshold": 0.1}]
-        doc["metrics"] = {}
         doc["dataset"] = dataset or doc["dataset"]
         set_leaf(doc, leaf, 1)
         with pytest.raises(ConfigError, match=f"^unknown key {path}$"):

@@ -60,6 +60,8 @@ class TestExpectedCalibrationError:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             expected_calibration_error([0.5], [True], num_bins=0)
+        with pytest.raises(InvalidInputError, match="bins must be >= 1, got 0"):
+            score_histogram([0.1], [True], kind="uncertainty", bins=0)
         with pytest.raises(InvalidInputError):
             expected_calibration_error([0.5, 0.4], [True], num_bins=5)
         with pytest.raises(InvalidInputError):

