@@ -19,6 +19,8 @@ member_prediction_arrays is the one scoring kernel (softmax -> top class
 -> min(p, 1 - p)) and _run_cascade the one decision function; each member
 runs only on the rows still unresolved.  batch_evaluate keeps the columns
 as an EvaluationRecord, cascade_predict is a one-row call of the kernel.
+The record's to_json_dict() is the evaluation summary; write_json and
+write_csv stream the per-sample artifacts from the columns in chunks.
 
 Thresholds, runtime and training alike, are finite numbers in U's range
 [0, 0.5]; check_thresholds is the one place that rule is written.
@@ -30,7 +32,7 @@ forwarded there.
 
 from __future__ import annotations
 
-import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .classifiers import TrainedModel, predict_logits_batch, softmax_batch
-from .datasets import Dataset
+from .datasets import _CHUNK_ROWS, Dataset
 from .errors import InvalidInputError, require_float
 
 if TYPE_CHECKING:
@@ -186,18 +188,6 @@ def cascade_predict(
     return pick, CascadeTrace(steps, None if accepted < 0 else accepted, pick)
 
 
-_SAMPLE_FIELDS = (
-    "sample_index",
-    "chosen_class",
-    "true_class",
-    "answering_level",
-    "top_probability",
-    "uncertainty",
-    "consulted_uncertainties",
-    "correct",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationRecord:
     """Columnar cascade results over a dataset, one row per sample.
@@ -279,45 +269,88 @@ class EvaluationRecord:
             "consensus_fraction": self.consensus_fraction,
         }
 
-    def _sample_rows(self):
-        """Per-sample values as Python scalars, in _SAMPLE_FIELDS order."""
-        unc_rows = self.unc.tolist()
-        return zip(
-            range(self.num_samples),
-            self.chosen_class.tolist(),
-            self.labels.tolist(),
-            [None if k < 0 else k for k in self.level.tolist()],
-            self.chosen_top.tolist(),
-            self.chosen_uncertainty.tolist(),
-            [us[:c] for us, c in zip(unc_rows, self.consulted.tolist())],
-            self.correct.tolist(),
-        )
+    def _chunks(self):
+        """The per-sample columns, _CHUNK_ROWS rows at a time, each chunk
+        an iterator of (sample index, answering level, chosen class, true
+        class, top probability, uncertainty, uncertainty at every level,
+        correct) tuples of Python values."""
+        columns = (self.level, self.chosen_class, self.labels, self.chosen_top,
+                   self.chosen_uncertainty, self.unc, self.correct)
+        for start in range(0, self.num_samples, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            yield zip(range(start, self.num_samples), *(c[rows].tolist() for c in columns))
 
     def to_json_dict(self) -> dict:
+        """The summary of evaluation.json; write_json adds the samples."""
         return {
             "consensus": self.consensus,
             "thresholds": list(self.thresholds),
             "accuracy": self.accuracy,
             "utilization": self.utilization_summary(),
-            "samples": [dict(zip(_SAMPLE_FIELDS, row)) for row in self._sample_rows()],
         }
 
-    def write_csv(self, path) -> None:
-        """Per-sample CSV: index, chosen class, true class, answering level,
-        uncertainty at each consulted level (blank when not consulted)."""
+    def write_json(self, path) -> None:
+        """evaluation.json: the to_json_dict() summary plus a "samples" list,
+        one object per sample, byte for byte what json.dump(indent=2,
+        sort_keys=True) writes, newline-terminated.  Samples are formatted
+        with one template per answering level; %r is the float.__repr__
+        json uses, and every value is finite (softmax_batch rejects
+        non-finite logits)."""
         num_levels = len(self.thresholds)
+        templates = {}
+        for level in range(-1, num_levels):
+            consulted = num_levels if level < 0 else level + 1
+            templates[level] = (
+                "\n    {"
+                f'\n      "answering_level": {"null" if level < 0 else level},'
+                '\n      "chosen_class": %d,'
+                '\n      "consulted_uncertainties": ['
+                + ",".join(["\n        %r"] * consulted)
+                + "\n      ],"
+                '\n      "correct": %s,'
+                '\n      "sample_index": %d,'
+                '\n      "top_probability": %r,'
+                '\n      "true_class": %d,'
+                '\n      "uncertainty": %r'
+                "\n    }",
+                consulted,
+            )
+        summary = json.dumps(dict(self.to_json_dict(), samples=[]), indent=2, sort_keys=True)
+        head, tail = summary.split('"samples": []')
+        separator = ""
+        with open(Path(path), "w", encoding="utf-8") as fh:
+            fh.write(head + '"samples": [')
+            for chunk in self._chunks():
+                rows = []
+                for i, level, cls, label, top, u, us, ok in chunk:
+                    template, consulted = templates[level]
+                    args = (cls, *us[:consulted], ("false", "true")[ok], i, top, label, u)
+                    rows.append(template % args)
+                fh.write(separator + ",".join(rows))
+                separator = ","
+            fh.write(("\n  ]" if separator else "]") + tail + "\n")
+
+    def write_csv(self, path) -> None:
+        """evaluation.csv: per sample its index, chosen class, true class,
+        answering level ("consensus" where consensus decided) and the repr
+        of the uncertainty at each consulted level, blank where a level was
+        not consulted; \\r\\n row ends, as the csv module writes them."""
+        num_levels = len(self.thresholds)
+        templates = {}
+        for level in range(-1, num_levels):
+            consulted = num_levels if level < 0 else level + 1
+            cells = ["%d", "%d", "%d", "consensus" if level < 0 else str(level)]
+            cells += ["%r"] * consulted + [""] * (num_levels - consulted)
+            templates[level] = ",".join(cells) + "\r\n", consulted
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sample_index", "chosen_class", "true_class", "answering_level"]
-                + [f"u_level_{k}" for k in range(num_levels)]
-            )
-            writer.writerows(
-                [i, cls, label, "consensus" if level is None else level]
-                + [repr(u) for u in us]
-                + [""] * (num_levels - len(us))
-                for i, cls, label, level, _, _, us, _ in self._sample_rows()
-            )
+            fh.write(",".join(["sample_index", "chosen_class", "true_class", "answering_level"]
+                              + [f"u_level_{k}" for k in range(num_levels)]) + "\r\n")
+            for chunk in self._chunks():
+                rows = []
+                for i, level, cls, label, _, _, us, _ in chunk:
+                    template, consulted = templates[level]
+                    rows.append(template % (i, cls, label, *us[:consulted]))
+                fh.write("".join(rows))
 
 
 def batch_evaluate(

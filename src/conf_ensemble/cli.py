@@ -141,7 +141,7 @@ def cmd_evaluate(args) -> int:
     out = _resolve_out(args.out, None)
     record = batch_evaluate(manifest, rcfg, data)
     calibration = expected_calibration_error(record.chosen_top, record.correct)
-    _write_json(out / "evaluation.json", record.to_json_dict())
+    record.write_json(out / "evaluation.json")
     record.write_csv(out / "evaluation.csv")
     _write_json(out / "calibration.json", calibration.to_json_dict())
     _write_json(out / "utilization.json", record.utilization_summary())

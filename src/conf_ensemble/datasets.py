@@ -40,6 +40,12 @@ IDX_LABEL_MAGIC = 0x00000801
 _BLOB_SEPARATION_MAX = 8.0
 _BLOB_SEPARATION_MIN = 0.5
 
+# Rows per write of the per-sample text writers (save_csv and the cascade's
+# EvaluationRecord): each chunk of a column becomes Python values with one
+# .tolist() call and is formatted with string templates.  A constant, not a
+# setting: the bytes written do not depend on it.
+_CHUNK_ROWS = 1024
+
 
 class Dataset:
     """Immutable collection of samples with a stable per-sample index."""
@@ -239,13 +245,20 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write a dataset in the CSV format load_csv reads back."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.feature_dim)] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    """Write a dataset in the CSV format load_csv reads back: a header
+    f0..f{M-1},label, then per sample the repr of each feature and the
+    label, with \\r\\n row ends, as the csv module writes them."""
+    dim = dataset.feature_dim
+    template = ",".join(["%r"] * dim + ["%d"]) + "\r\n"
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join([f"f{i}" for i in range(dim)] + ["label"]) + "\r\n")
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            fh.write("".join(
+                template % (*values, label)
+                for values, label in zip(dataset.features[rows].tolist(),
+                                         dataset.labels[rows].tolist())
+            ))
 
 
 def _read_idx(path, expected_magic: int, expected_dims: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -7,7 +7,10 @@ cannot share a bug with the batch kernel it checks.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import json
 import math
 from pathlib import Path
 
@@ -74,3 +77,78 @@ def artifact_digests(directory) -> dict[str, str]:
         name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
         for name in ("manifest.json", "weights.bin")
     }
+
+
+# The per-sample export as the library wrote it one dict and one csv.writer
+# row per sample: the reference the chunked writers must match byte for byte.
+
+SAMPLE_FIELDS = (
+    "sample_index",
+    "chosen_class",
+    "true_class",
+    "answering_level",
+    "top_probability",
+    "uncertainty",
+    "consulted_uncertainties",
+    "correct",
+)
+
+
+def sample_rows(record):
+    """Per-sample values of an EvaluationRecord as Python scalars, in
+    SAMPLE_FIELDS order."""
+    unc_rows = record.unc.tolist()
+    return zip(
+        range(record.num_samples),
+        record.chosen_class.tolist(),
+        record.labels.tolist(),
+        [None if k < 0 else k for k in record.level.tolist()],
+        record.chosen_top.tolist(),
+        record.chosen_uncertainty.tolist(),
+        [us[:c] for us, c in zip(unc_rows, record.consulted.tolist())],
+        record.correct.tolist(),
+    )
+
+
+def evaluation_json_text(record) -> str:
+    """evaluation.json: the summary and one dict per sample, through
+    json.dumps(indent=2, sort_keys=True), newline-terminated."""
+    doc = {
+        "consensus": record.consensus,
+        "thresholds": list(record.thresholds),
+        "accuracy": record.accuracy,
+        "utilization": record.utilization_summary(),
+        "samples": [dict(zip(SAMPLE_FIELDS, row)) for row in sample_rows(record)],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def evaluation_csv_text(record) -> str:
+    """evaluation.csv through csv.writer: index, chosen class, true class,
+    answering level, and the repr of each consulted level's uncertainty,
+    blank for levels not consulted."""
+    num_levels = len(record.thresholds)
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["sample_index", "chosen_class", "true_class", "answering_level"]
+        + [f"u_level_{k}" for k in range(num_levels)]
+    )
+    writer.writerows(
+        [i, cls, label, "consensus" if level is None else level]
+        + [repr(u) for u in us]
+        + [""] * (num_levels - len(us))
+        for i, cls, label, level, _, _, us, _ in sample_rows(record)
+    )
+    return fh.getvalue()
+
+
+def dataset_csv_text(dataset) -> str:
+    """A dataset's CSV through csv.writer: header f0..f{M-1},label, then
+    the repr of each feature and the integer label per row."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow([f"f{i}" for i in range(dataset.feature_dim)] + ["label"])
+    for row, label in zip(dataset.features, dataset.labels):
+        writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    return fh.getvalue()

@@ -17,6 +17,8 @@ from conf_ensemble import (
     cascade_predict,
 )
 from conf_ensemble.builder import member_prediction_arrays
+from conf_ensemble.cascade import CONSENSUS_CHOICES, EvaluationRecord
+from conf_ensemble.datasets import _CHUNK_ROWS
 
 from conftest import (
     identity_member,
@@ -24,7 +26,7 @@ from conftest import (
     member_with_uncertainty,
     stub_manifest,
 )
-from oracles import predict_logits, softmax
+from oracles import evaluation_csv_text, evaluation_json_text, predict_logits, softmax
 
 X2 = [0.0, 0.0]  # constant-output stubs ignore their input
 
@@ -405,7 +407,9 @@ class TestBatchEvaluate:
                 consensus=rng.choice(["last_member", "most_confident"]),
             )
             record = batch_evaluate(manifest, rcfg, data)
-            samples = json.loads(json.dumps(record.to_json_dict()))["samples"]
+            record.write_json(tmp_path / "evaluation.json")
+            samples = json.loads((tmp_path / "evaluation.json").read_text(encoding="utf-8"))
+            samples = samples["samples"]
             record.write_csv(tmp_path / "evaluation.csv")
             with open(tmp_path / "evaluation.csv", newline="", encoding="utf-8") as fh:
                 csv_rows = list(csv.reader(fh))[1:]
@@ -430,3 +434,71 @@ class TestBatchEvaluate:
                     + [repr(u) for u in consulted]
                     + [""] * (size - len(consulted))
                 )
+
+
+def synthetic_record(seed, n, num_levels, consensus, answered="mixed"):
+    """An EvaluationRecord with the cascade's invariants, from random
+    columns: per-level uncertainties over many orders of magnitude (so
+    float reprs include '0.0', '1e-05' and seventeen-digit forms), every
+    level up to the answering one consulted, and consensus rows choosing by
+    the record's rule.  ``answered`` is "mixed", "all_consensus" or
+    "no_consensus"."""
+    rng = np.random.default_rng(seed)
+    levels = {"mixed": range(-1, num_levels), "all_consensus": [-1],
+              "no_consensus": range(num_levels)}[answered]
+    level = rng.choice(list(levels), size=n).astype(np.int64)
+    consulted = np.where(level < 0, num_levels, level + 1)
+    skipped = np.arange(num_levels)[None, :] >= consulted[:, None]
+    top = 1.0 - 10.0 ** -rng.uniform(0.31, 17.0, size=(n, num_levels))
+    top = np.where(rng.random((n, num_levels)) < 0.1, rng.uniform(0.2, 0.5, (n, num_levels)), top)
+    unc = np.minimum(top, 1.0 - top)
+    classes = rng.integers(0, 5, size=(n, num_levels))
+    classes[skipped], top[skipped], unc[skipped] = -1, 0.0, 0.0
+    if consensus == "last_member":
+        fallback = np.full(n, num_levels - 1)
+    else:
+        fallback = unc.argmin(axis=1)
+    return EvaluationRecord(
+        consensus=consensus,
+        thresholds=tuple(rng.uniform(0, 0.5, size=num_levels).tolist()),
+        labels=rng.integers(0, 5, size=n),
+        classes=classes,
+        top=top,
+        unc=unc,
+        level=level,
+        chosen=np.where(level < 0, fallback, level),
+    )
+
+
+class TestExportBytes:
+    """write_json and write_csv format chunks of rows from templates; the
+    oracles write one dict and one csv.writer row per sample."""
+
+    def assert_matches_oracle(self, record, tmp_path):
+        record.write_json(tmp_path / "evaluation.json")
+        record.write_csv(tmp_path / "evaluation.csv")
+        assert (tmp_path / "evaluation.json").read_bytes() == \
+            evaluation_json_text(record).encode("utf-8")
+        assert (tmp_path / "evaluation.csv").read_bytes() == \
+            evaluation_csv_text(record).encode("utf-8")
+
+    @pytest.mark.parametrize("consensus", CONSENSUS_CHOICES)
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
+    def test_writers_match_the_oracle(self, tmp_path, num_levels, n, consensus):
+        record = synthetic_record(1000 * num_levels + n, n, num_levels, consensus)
+        self.assert_matches_oracle(record, tmp_path)
+
+    @pytest.mark.parametrize("consensus", CONSENSUS_CHOICES)
+    @pytest.mark.parametrize("answered", ["all_consensus", "no_consensus"])
+    @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
+    def test_one_kind_of_answer(self, tmp_path, num_levels, answered, consensus):
+        record = synthetic_record(num_levels, _CHUNK_ROWS + 1, num_levels, consensus, answered)
+        assert record.consensus_count == (record.num_samples if answered == "all_consensus" else 0)
+        self.assert_matches_oracle(record, tmp_path)
+
+    def test_summary_has_no_samples(self):
+        record = synthetic_record(3, 10, 2, "most_confident")
+        doc = json.loads(evaluation_json_text(record))
+        del doc["samples"]
+        assert record.to_json_dict() == doc

@@ -11,8 +11,12 @@ import pytest
 from conf_ensemble import (
     ConfEnsembleError,
     DegenerateSubsetError,
+    RuntimeConfig,
+    batch_evaluate,
     cli,
     generate_blobs,
+    load_csv,
+    load_manifest,
     save_csv,
 )
 from conf_ensemble.cli import (
@@ -25,7 +29,7 @@ from conf_ensemble.cli import (
 )
 
 from conftest import SWEEP_SCRIPT, load_script, set_leaf
-from oracles import artifact_digests
+from oracles import artifact_digests, evaluation_csv_text, evaluation_json_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -255,6 +259,24 @@ class TestEvaluateCommand:
             assert a["answering_level"] == b["answering_level"]
             if a["answering_level"] != "consensus":
                 assert a == b
+
+    @pytest.mark.parametrize("consensus", ["last_member", "most_confident"])
+    def test_per_sample_artifacts_match_the_oracle(self, workdir, built_dir, consensus):
+        data_csv = workdir / "heldout.csv"
+        save_csv(generate_blobs(num_classes=3, per_class=1000, dim=3, spread=1.0,
+                                overlap=0.5, seed=18), data_csv)
+        out = workdir / f"eval-oracle-{consensus}"
+        assert main(["evaluate", "--ensemble", str(built_dir), "--data", str(data_csv),
+                     "--runtime-thresholds", "0.1", "--consensus", consensus,
+                     "--out", str(out)]) == EXIT_OK
+        record = batch_evaluate(load_manifest(built_dir),
+                                RuntimeConfig.homogeneous(0.1, 3, consensus),
+                                load_csv(data_csv, num_classes=3))
+        assert set(record.level.tolist()) == {-1, 0, 1, 2}  # every kind of row
+        assert (out / "evaluation.json").read_bytes() == \
+            evaluation_json_text(record).encode("utf-8")
+        assert (out / "evaluation.csv").read_bytes() == \
+            evaluation_csv_text(record).encode("utf-8")
 
     def test_dimension_mismatch_fails(self, workdir, built_dir):
         bad = workdir / "bad_dim.csv"

@@ -122,12 +122,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             load_experiment_config(write(tmp_path, doc))
 
-    def test_bad_training_field(self, tmp_path):
-        doc = minimal_doc()
-        doc["build"]["training"]["optimizer"] = "adam"
-        with pytest.raises(ConfigError):
-            load_experiment_config(write(tmp_path, doc))
-
     def test_non_integer_epochs(self, tmp_path):
         doc = minimal_doc()
         doc["build"]["training"]["epochs"] = 2.5

@@ -20,6 +20,9 @@ from conf_ensemble import (
     materialize,
     save_csv,
 )
+from conf_ensemble.datasets import _CHUNK_ROWS
+
+from oracles import dataset_csv_text
 
 
 class TestGenerateBlobs:
@@ -100,6 +103,20 @@ class TestCsv:
         loaded = load_csv(path, num_classes=3)
         assert np.array_equal(loaded.features, original.features)
         assert np.array_equal(loaded.labels, original.labels)
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_save_csv_matches_the_oracle(self, tmp_path, n, dim):
+        # save_csv formats chunks of rows from one template; the oracle
+        # writes one csv.writer row per sample.  Magnitudes from 1e-20 to
+        # 1e20, integral values and -0.0 cover every float repr form.
+        rng = np.random.default_rng(10 * n + dim)
+        features = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-20, 21, (n, dim))
+        features[rng.random((n, dim)) < 0.05] = -0.0
+        features[rng.random((n, dim)) < 0.05] = 3.0
+        data = Dataset(features, rng.integers(0, 12, size=n), num_classes=12, id="wide")
+        save_csv(data, tmp_path / "data.csv")
+        assert (tmp_path / "data.csv").read_bytes() == dataset_csv_text(data).encode("utf-8")
 
     def test_missing_label_header(self, tmp_path):
         path = tmp_path / "bad.csv"
