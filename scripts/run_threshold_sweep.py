@@ -54,8 +54,8 @@ def evaluate_grid(name, manifest, data):
     rows = []
     for threshold in DEFAULT_RUNTIME_THRESHOLD_GRID:
         for consensus in (CONSENSUS_LAST_MEMBER, CONSENSUS_MOST_CONFIDENT):
-            rcfg = RuntimeConfig.homogeneous(
-                threshold, manifest.num_members, consensus=consensus
+            rcfg = RuntimeConfig.for_members(
+                (threshold,), manifest.num_members, consensus=consensus
             )
             record = batch_evaluate(manifest, rcfg, data)
             report = expected_calibration_error(record.chosen_top, record.correct)

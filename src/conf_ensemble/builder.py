@@ -35,7 +35,7 @@ from .classifiers import (
     init_model,
 )
 from .datasets import Dataset, SubsetView, materialize
-from .errors import DegenerateSubsetError, InvalidInputError, require_int, require_seed
+from .errors import DegenerateSubsetError, require_int, require_seed
 from .manifest import SELECTION_NESTED, EnsembleManifest, check_schedule
 from .metrics import (
     SCORE_KIND_TOP_PROBABILITY,
@@ -59,7 +59,6 @@ class BuildConfig:
     hidden_units: int | None = None
     classifier_seed: int = 0
     selection_rule: str = SELECTION_NESTED
-    min_subset_size: int | None = None  # None -> max(2 * num_classes, 10)
 
     def __post_init__(self):
         num_members = require_int("num_members", self.num_members)
@@ -72,11 +71,6 @@ class BuildConfig:
         seed = require_seed("classifier_seed", self.classifier_seed)
         object.__setattr__(self, "classifier_seed", seed)
         check_architecture(self.classifier_kind, self.hidden_units)
-        if self.min_subset_size is not None:
-            size = require_int("min_subset_size", self.min_subset_size)
-            if size < 1:
-                raise InvalidInputError(f"min_subset_size must be >= 1, got {size}")
-            object.__setattr__(self, "min_subset_size", size)
 
 
 def _filter_pool(pool: SubsetView, unc: np.ndarray, threshold: float) -> SubsetView:
@@ -173,11 +167,10 @@ def build_ensemble(
     """Train the full member chain.
 
     Raises DegenerateSubsetError as soon as a selected pool falls below
-    the minimum size, naming the level; nothing is silently truncated.
+    max(2 * num_classes, 10) samples, naming the level; nothing is
+    silently truncated.  An empty dataset fails in member 0's fit.
     """
-    if len(data) == 0:
-        raise InvalidInputError("cannot build an ensemble on an empty dataset")
-    min_size = cfg.min_subset_size or max(2 * data.num_classes, 10)
+    min_size = max(2 * data.num_classes, 10)
 
     full_pool = data.all_indices()
     pool = full_pool
@@ -199,9 +192,8 @@ def build_ensemble(
         members.append(model)
         records.append(member_report(level, pool, model, scores, data.labels, elapsed))
 
-    runtime = default_runtime or RuntimeConfig.homogeneous(
-        DEFAULT_RUNTIME_THRESHOLD, cfg.num_members
-    )
+    runtime = default_runtime or RuntimeConfig.for_members((DEFAULT_RUNTIME_THRESHOLD,),
+                                                           cfg.num_members)
     manifest = EnsembleManifest(
         members=tuple(members),
         selection_rule=cfg.selection_rule,

@@ -79,9 +79,13 @@ class RuntimeConfig:
             )
 
     @classmethod
-    def homogeneous(cls, threshold: float, num_members: int,
+    def for_members(cls, thresholds: Sequence[float], num_members: int,
                     consensus: str = CONSENSUS_MOST_CONFIDENT) -> "RuntimeConfig":
-        return cls(thresholds=(threshold,) * num_members, consensus=consensus)
+        """The runtime of a num_members chain: one threshold for all, or one each."""
+        thresholds = tuple(thresholds)
+        rcfg = cls(thresholds * num_members if len(thresholds) == 1 else thresholds, consensus)
+        rcfg.validate_for(num_members)
+        return rcfg
 
     def validate_for(self, num_members: int) -> None:
         if len(self.thresholds) != num_members:

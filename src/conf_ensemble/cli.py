@@ -86,14 +86,11 @@ def _load_eval_data(src: str, num_classes: int) -> Dataset:
     raise ConfigError(f"--data must be a .csv file or a .json dataset block, got {src}")
 
 
-def _parse_thresholds(text: str, num_members: int) -> tuple[float, ...]:
+def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --runtime-thresholds {text!r}: {exc}") from exc
-    if len(values) == 1:
-        return values * num_members
-    return values
 
 
 def _save_ensemble(manifest, report, out: Path) -> None:
@@ -131,13 +128,10 @@ def cmd_build(args) -> int:
 def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.ensemble)
     data = _load_eval_data(args.data, manifest.members[0].spec.num_classes)
-    thresholds = (
-        _parse_thresholds(args.runtime_thresholds, manifest.num_members)
-        if args.runtime_thresholds
-        else manifest.default_runtime.thresholds
-    )
-    consensus = args.consensus or manifest.default_runtime.consensus
-    rcfg = RuntimeConfig(thresholds=thresholds, consensus=consensus)
+    default = manifest.default_runtime
+    given = args.runtime_thresholds and _parse_thresholds(args.runtime_thresholds)
+    rcfg = RuntimeConfig.for_members(given or default.thresholds, manifest.num_members,
+                                     args.consensus or default.consensus)
     out = _resolve_out(args.out, None)
     record = batch_evaluate(manifest, rcfg, data)
     calibration = expected_calibration_error(record.chosen_top, record.correct)
@@ -179,7 +173,7 @@ def cmd_baseline(args) -> int:
     manifest, report = build_ensemble(
         data,
         replace(cfg.build, num_members=1, training_thresholds=()),
-        default_runtime=RuntimeConfig.homogeneous(0.5, 1),
+        default_runtime=RuntimeConfig.for_members((0.5,), 1),
     )
     _save_ensemble(manifest, report, out)
     cls, top, _ = member_prediction_arrays(manifest.members[0], data.features)

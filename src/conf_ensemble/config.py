@@ -6,9 +6,8 @@ Layout (paths resolved relative to the config file):
       "dataset":  {"kind": "blobs" | "csv" | "idx", ...options},
       "build":    {"num_members", "selection_rule", "training_thresholds",
                    "classifier": {"kind", "hidden_units"?, "seed"?},
-                   "training": {...TrainConfig fields},
-                   "min_subset_size"?},
-      "runtime":  [{"threshold": x | "thresholds": [...], "consensus"?}, ...],
+                   "training": {...TrainConfig fields}},
+      "runtime"?: [{"threshold": x | [x per member], "consensus"?}],
       "output_dir"?: "..."
     }
 
@@ -22,9 +21,9 @@ metrics module's defaults.
 
 The build block becomes a BuildConfig, which names no dataset: members
 take their input dimension and class count from the data they are built
-on.  The first runtime block becomes the stored manifest's default; later
-ones are validated only.  A scalar "threshold" is broadcast across all
-members.
+on, and a pool below max(2 * num_classes, 10) samples stops the build.
+The runtime list holds at most one block, the stored manifest's default;
+its "threshold" is one number for every member or a list of one each.
 """
 
 from __future__ import annotations
@@ -59,9 +58,9 @@ _DATASET_OPTIONS = {
 }
 _TOP_KEYS = ("dataset", "build", "runtime", "output_dir")
 _BUILD_KEYS = ("num_members", "selection_rule", "training_thresholds", "classifier",
-               "training", "min_subset_size")
+               "training")
 _CLASSIFIER_KEYS = ("kind", "hidden_units", "seed")
-_RUNTIME_KEYS = ("threshold", "thresholds", "consensus")
+_RUNTIME_KEYS = ("threshold", "consensus")
 
 
 def _known_keys(block, allowed, where: str) -> dict:
@@ -152,17 +151,12 @@ def parse_dataset_block(block: dict, base: Path | None = None) -> DatasetSource:
 
 def parse_runtime_block(block: dict, num_members: int) -> RuntimeConfig:
     _known_keys(block, _RUNTIME_KEYS, "runtime")
-    if "thresholds" in block:
-        thresholds = block["thresholds"]
-    elif "threshold" in block:
-        thresholds = (block["threshold"],) * num_members
-    else:
-        raise ConfigError("runtime block needs 'threshold' or 'thresholds'")
-    rcfg = RuntimeConfig(
-        thresholds=thresholds, consensus=block.get("consensus", CONSENSUS_MOST_CONFIDENT)
+    threshold = _require(block, "threshold", "runtime")
+    return RuntimeConfig.for_members(
+        threshold if isinstance(threshold, list) else (threshold,),
+        num_members,
+        block.get("consensus", CONSENSUS_MOST_CONFIDENT),
     )
-    rcfg.validate_for(num_members)
-    return rcfg
 
 
 def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentConfig:
@@ -188,23 +182,17 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
             ),
             classifier_seed=require_seed("build.classifier.seed", classifier.get("seed", 0)),
             selection_rule=build.get("selection_rule", SELECTION_NESTED),
-            min_subset_size=(
-                require_int("build.min_subset_size", build["min_subset_size"])
-                if "min_subset_size" in build
-                else None
-            ),
         )
         runtime = doc.get("runtime", [])
-        if not isinstance(runtime, list):
-            raise ConfigError("runtime must be a list of blocks")
-        runtimes = [parse_runtime_block(b, build_cfg.num_members) for b in runtime]
+        if not isinstance(runtime, list) or len(runtime) > 1:
+            raise ConfigError("runtime must be a list of at most one block")
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
         return ExperimentConfig(
             dataset=dataset,
             build=build_cfg,
-            runtime=runtimes[0] if runtimes else None,
+            runtime=parse_runtime_block(runtime[0], build_cfg.num_members) if runtime else None,
             output_dir=output_dir,
         )
     except ConfigError:

@@ -17,6 +17,7 @@ import csv
 import gzip
 import hashlib
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -212,8 +213,10 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
 
             feats: list[list[float]] = []
             labels: list[int] = []
+            blank_lines: list[int] = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
+                    blank_lines.append(lineno)
                     continue
                 if len(row) != dim + 1:
                     raise DatasetParseError(
@@ -235,9 +238,18 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not labels:
         raise DatasetParseError(f"{path}: no data rows")
+    features = np.asarray(feats)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:  # checked on the array: a per-cell check would slow every load
+        row, col = bad[0].tolist()
+        lineno = row + 2
+        for blank in blank_lines:  # ascending; each one up to the row's line shifts it
+            lineno += blank <= lineno
+        raise DatasetParseError(f"{path}: line {lineno}: non-finite feature "
+                                f"{features[row, col]} in column {header[col]!r}")
     inferred = num_classes if num_classes is not None else max(labels) + 1
     return Dataset(
-        features=np.asarray(feats),
+        features=features,
         labels=np.asarray(labels),
         num_classes=max(inferred, 2),
         id=path.stem,
@@ -264,8 +276,11 @@ def save_csv(dataset: Dataset, path) -> None:
 def _read_idx(path, expected_magic: int, expected_dims: int) -> tuple[np.ndarray, tuple[int, ...]]:
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            raw = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DatasetParseError(f"{path}: bad gzip stream: {exc}") from None
     if len(raw) < 4 * (1 + expected_dims):
         raise DatasetParseError(f"{path}: truncated IDX header")
     magic = struct.unpack(">I", raw[:4])[0]
@@ -296,6 +311,10 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         raise DatasetParseError(f"{images_path}: no images")
     features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     labs = labels.astype(np.int64)
+    if num_classes is not None and labs.max() >= num_classes:
+        record = int(np.argmax(labs >= num_classes))
+        raise DatasetParseError(f"{labels_path}: record {record}: label {labs[record]} "
+                                f">= num_classes {num_classes}")
     inferred = num_classes if num_classes is not None else int(labs.max()) + 1
     return Dataset(
         features=features,

@@ -1,12 +1,14 @@
 """Shared fixtures: stub members with controlled outputs, the
 overlap-heavy blob dataset the end-to-end tests build on, generated
-JSON values for the field-mutation properties, and a loader for the
-scripts outside the package."""
+JSON values for the field-mutation properties, IDX file writers, and a
+loader for the scripts outside the package."""
 
 from __future__ import annotations
 
+import gzip
 import importlib.util
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +115,7 @@ def stub_manifest(
         members=members,
         selection_rule=selection_rule,
         training_thresholds=(0.1,) * (len(members) - 1),
-        default_runtime=runtime or RuntimeConfig.homogeneous(0.2, len(members)),
+        default_runtime=runtime or RuntimeConfig.for_members((0.2,), len(members)),
         dataset_id="stub",
         dataset_digest="stub",
     )
@@ -155,3 +157,31 @@ JSON_SCALARS = st.one_of(
                      "last_member", "0.2", "2"]),
 )
 JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+
+
+def write_idx_images(path, images: np.ndarray, magic=0x00000803, compress=False):
+    n, rows, cols = images.shape
+    payload = struct.pack(">IIII", magic, n, rows, cols) + images.astype(np.uint8).tobytes()
+    if compress:
+        path.write_bytes(gzip.compress(payload))
+    else:
+        path.write_bytes(payload)
+
+
+def write_idx_labels(path, labels: np.ndarray, magic=0x00000801):
+    payload = struct.pack(">II", magic, labels.shape[0]) + labels.astype(np.uint8).tobytes()
+    path.write_bytes(payload)
+
+
+def write_bad_gzip_images(path, fault: str):
+    """A three-image IDX file behind a damaged .gz: cut in half
+    ("truncated"), with its deflate stream overwritten ("corrupt"), or not
+    compressed at all ("not-gzip")."""
+    payload = struct.pack(">IIII", 0x00000803, 3, 4, 4) + bytes(48)
+    stream = gzip.compress(payload)
+    damaged = {
+        "truncated": stream[: len(stream) // 2],
+        "corrupt": stream[:10] + b"\xff" * 8 + stream[18:],
+        "not-gzip": payload,
+    }
+    path.write_bytes(damaged[fault])

@@ -303,7 +303,7 @@ def test_criterion_7_end_to_end_trends(blobs3):
         level0 = {}
         for t in RUNTIME_GRID:
             record = batch_evaluate(
-                rebased_manifest, RuntimeConfig.homogeneous(t, 3), blobs3
+                rebased_manifest, RuntimeConfig.for_members((t,), 3), blobs3
             )
             level0[t] = record.level_counts[0]
         ordered = [level0[t] for t in sorted(RUNTIME_GRID)]
@@ -317,7 +317,7 @@ def test_criterion_7_end_to_end_trends(blobs3):
         best = max(
             batch_evaluate(
                 rebased_manifest,
-                RuntimeConfig.homogeneous(t, 3, consensus=consensus),
+                RuntimeConfig.for_members((t,), 3, consensus=consensus),
                 blobs3,
             ).accuracy
             for t in RUNTIME_GRID

@@ -6,6 +6,7 @@ import pytest
 from conf_ensemble import (
     BuildConfig,
     DegenerateSubsetError,
+    EmptyTrainingSetError,
     InvalidInputError,
     RuntimeConfig,
     SubsetView,
@@ -146,12 +147,12 @@ class TestBuildEnsemble:
         assert err.value.level == 1
         assert err.value.size == 0
 
-    def test_min_subset_size_enforced(self, blobs3):
-        cfg = BuildConfig(num_members=2, training_thresholds=(0.45,),
-                          **MLP_ARCH, train_config=TRAIN,
-                          min_subset_size=100000)
-        with pytest.raises(DegenerateSubsetError):
-            build_ensemble(blobs3, cfg)
+    def test_empty_dataset_fails_in_fit(self, blobs3):
+        empty = Dataset(blobs3.features[:0], blobs3.labels[:0], num_classes=3, id="empty")
+        cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
+                          **MLP_ARCH, train_config=TRAIN)
+        with pytest.raises(EmptyTrainingSetError, match="cannot fit on an empty dataset"):
+            build_ensemble(empty, cfg)
 
     def test_rebased_three_member_regression(self, blobs3):
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
@@ -235,8 +236,8 @@ class TestBuildConfigValidation:
         "fields",
         [
             dict(num_members=2.0),
-            dict(min_subset_size=10.5),
-            dict(min_subset_size=0),
+            dict(num_members="2"),
+            dict(num_members=True),
             dict(training_thresholds=("0.1",)),
             dict(training_thresholds=(float("nan"),)),
             dict(training_thresholds=(True,)),
@@ -268,8 +269,8 @@ class TestBuildConfigValidation:
             BuildConfig(**kwargs)
 
     def test_default_min_subset_size(self):
-        """Without min_subset_size, a pool needs max(2 * num_classes, 10)
-        samples, num_classes being the dataset's."""
+        """A pool needs max(2 * num_classes, 10) samples, num_classes being
+        the dataset's."""
         cfg = BuildConfig(num_members=2, training_thresholds=(0.5,),
                           classifier_kind="linear", train_config=TrainConfig(epochs=1))
         for num_classes, floor in ((3, 10), (20, 40)):

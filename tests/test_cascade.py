@@ -72,8 +72,18 @@ class TestRuntimeConfig:
             rcfg.validate_for(3)
 
     def test_homogeneous(self):
-        rcfg = RuntimeConfig.homogeneous(0.1, 3)
+        rcfg = RuntimeConfig.for_members((0.1,), 3)
         assert rcfg.thresholds == (0.1, 0.1, 0.1)
+
+    def test_for_members_takes_one_value_per_level(self):
+        rcfg = RuntimeConfig.for_members([0.4, 0.1, 0.0], 3, consensus="last_member")
+        assert rcfg == RuntimeConfig(thresholds=(0.4, 0.1, 0.0), consensus="last_member")
+
+    @pytest.mark.parametrize("thresholds", [(0.4, 0.1), (0.4, 0.1, 0.2, 0.3)])
+    def test_for_members_checks_the_count(self, thresholds):
+        with pytest.raises(InvalidInputError, match=f"{len(thresholds)} runtime thresholds "
+                                                    "for 3 members"):
+            RuntimeConfig.for_members(thresholds, 3)
 
 
 class TestConsensusHeuristics:

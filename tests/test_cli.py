@@ -6,6 +6,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conf_ensemble import (
@@ -28,7 +29,14 @@ from conf_ensemble.cli import (
     main,
 )
 
-from conftest import SWEEP_SCRIPT, load_script, set_leaf
+from conftest import (
+    SWEEP_SCRIPT,
+    load_script,
+    set_leaf,
+    write_bad_gzip_images,
+    write_idx_images,
+    write_idx_labels,
+)
 from oracles import artifact_digests, evaluation_csv_text, evaluation_json_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -176,7 +184,7 @@ class TestBuildCommand:
             ({"build.classifier.seed": -1}, "seed must be >= 0"),
             ({"build.training.seed": -1}, "seed must be >= 0"),
             ({"output_dir": 5}, "output_dir must be a string"),
-            ({"build.min_subset_size": 0}, "min_subset_size must be >= 1"),
+            ({"build.min_subset_size": 0}, "unknown key build.min_subset_size"),
             ({"dataset.overlapp": 0.9}, "unknown key dataset.overlapp"),
             ({"metrics": {"calibration_bins": 15}}, "unknown key config.metrics"),
         ],
@@ -270,13 +278,64 @@ class TestEvaluateCommand:
                      "--runtime-thresholds", "0.1", "--consensus", consensus,
                      "--out", str(out)]) == EXIT_OK
         record = batch_evaluate(load_manifest(built_dir),
-                                RuntimeConfig.homogeneous(0.1, 3, consensus),
+                                RuntimeConfig.for_members((0.1,), 3, consensus),
                                 load_csv(data_csv, num_classes=3))
         assert set(record.level.tolist()) == {-1, 0, 1, 2}  # every kind of row
         assert (out / "evaluation.json").read_bytes() == \
             evaluation_json_text(record).encode("utf-8")
         assert (out / "evaluation.csv").read_bytes() == \
             evaluation_csv_text(record).encode("utf-8")
+
+    @pytest.mark.parametrize("text", ["0.01,", ",0.01", "0.2,,0.1", " "])
+    def test_empty_threshold_field_fails(self, workdir, built_dir, tmp_path, capsys, text):
+        assert main(["evaluate", "--ensemble", str(built_dir),
+                     "--data", str(workdir / "data.csv"), "--runtime-thresholds", text,
+                     "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+        assert f"bad --runtime-thresholds {text!r}" in capsys.readouterr().err
+
+    def test_runtime_thresholds_one_per_level(self, workdir, built_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--ensemble", str(built_dir),
+                     "--data", str(workdir / "data.csv"), "--runtime-thresholds", "0.3,0.1,0",
+                     "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "evaluation.json").read_text())
+        assert doc["thresholds"] == [0.3, 0.1, 0.0]
+
+    def test_runtime_threshold_count_checked(self, workdir, built_dir, tmp_path, capsys):
+        assert main(["evaluate", "--ensemble", str(built_dir),
+                     "--data", str(workdir / "data.csv"), "--runtime-thresholds", "0.2,0.1",
+                     "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+        assert "2 runtime thresholds for 3 members" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["csv", "json"])
+    def test_non_finite_feature_is_a_data_error(self, built_dir, tmp_path, capsys, source):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("f0,f1,f2,label\n1.0,2.0,3.0,0\n\n1.0,nan,3.0,1\n")
+        data = bad
+        if source == "json":
+            data = tmp_path / "nan.json"
+            data.write_text(json.dumps({"kind": "csv", "path": "nan.csv"}))
+        assert main(["evaluate", "--ensemble", str(built_dir), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == EXIT_DATA
+        assert f"{bad}: line 4: non-finite feature nan in column 'f1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["truncated", "corrupt", "not-gzip", "label"])
+    def test_bad_idx_file_is_a_data_error(self, built_dir, tmp_path, capsys, fault):
+        images, labels = tmp_path / "img.idx.gz", tmp_path / "lab.idx"
+        if fault == "label":  # the ensemble has 3 classes
+            write_idx_images(images, np.zeros((3, 4, 4), dtype=np.uint8), compress=True)
+            write_idx_labels(labels, np.array([0, 3, 1], dtype=np.uint8))
+            bad = labels
+        else:
+            write_bad_gzip_images(images, fault)
+            write_idx_labels(labels, np.zeros(3, dtype=np.uint8))
+            bad = images
+        block = tmp_path / "idx.json"
+        block.write_text(json.dumps({"kind": "idx", "images": images.name,
+                                     "labels": labels.name}))
+        assert main(["evaluate", "--ensemble", str(built_dir), "--data", str(block),
+                     "--out", str(tmp_path / "eval")]) == EXIT_DATA
+        assert f"error: {bad}: " in capsys.readouterr().err
 
     def test_dimension_mismatch_fails(self, workdir, built_dir):
         bad = workdir / "bad_dim.csv"

@@ -46,7 +46,9 @@ UNKNOWN_KEYS = [
     ({"kind": "idx", "images": "i", "labels": "l"}, ("dataset", "path"), "dataset.path"),
     (None, ("build", "num_member"), "build.num_member"),
     (None, ("build", "classifier", "hidden"), "build.classifier.hidden"),
-    (None, ("runtime", 1, "treshold"), "runtime.treshold"),
+    (None, ("runtime", 0, "treshold"), "runtime.treshold"),
+    (None, ("runtime", 0, "thresholds"), "runtime.thresholds"),
+    (None, ("build", "min_subset_size"), "build.min_subset_size"),
     (None, ("build", "training", "optimiser"), "build.training.optimiser"),
     (None, ("metrics",), "config.metrics"),
 ]
@@ -69,7 +71,6 @@ class TestExperimentConfig:
         assert cfg.build.train_config.lr_decay_gamma == 0.3
         assert cfg.build.train_config.lr_decay_every_epochs == 15
         assert cfg.build.train_config.weight_decay == 0.01
-        assert cfg.build.min_subset_size is None
 
     def test_resolves_classifier_dims_from_dataset(self, tmp_path):
         cfg = load_experiment_config(write(tmp_path, minimal_doc()))
@@ -87,14 +88,14 @@ class TestExperimentConfig:
 
     def test_runtime_explicit_list(self, tmp_path):
         doc = minimal_doc()
-        doc["runtime"] = [{"thresholds": [0.4, 0.1]}]
+        doc["runtime"] = [{"threshold": [0.4, 0.1]}]
         cfg = load_experiment_config(write(tmp_path, doc))
         assert cfg.runtime.thresholds == (0.4, 0.1)
         assert cfg.runtime.consensus == "most_confident"
 
     def test_runtime_count_checked(self, tmp_path):
         doc = minimal_doc()
-        doc["runtime"] = [{"thresholds": [0.4, 0.1, 0.2]}]
+        doc["runtime"] = [{"threshold": [0.4, 0.1, 0.2]}]
         with pytest.raises(ConfigError):
             load_experiment_config(write(tmp_path, doc))
 
@@ -136,7 +137,6 @@ class TestExperimentConfig:
             ("build.num_members", True),
             ("build.classifier.hidden_units", 16.9),
             ("build.classifier.seed", 2.7),
-            ("build.min_subset_size", 10.5),
         ],
     )
     def test_integer_fields_reject_non_integers(self, tmp_path, path, value):
@@ -167,7 +167,7 @@ class TestExperimentConfig:
             ("build.training.lr_decay_gamma", True, "lr_decay_gamma must be a finite number"),
             ("build.training.weight_decay", "0.01", "weight_decay must be a finite number"),
             ("runtime", [{"threshold": "0.2"}], "runtime threshold must be a finite number"),
-            ("runtime", [{"thresholds": ["0.4", 0.1]}], "runtime threshold must be a finite number"),
+            ("runtime", [{"threshold": ["0.4", 0.1]}], "runtime threshold must be a finite number"),
         ],
     )
     def test_number_fields_reject_non_numbers(self, tmp_path, path, value, message):
@@ -187,7 +187,7 @@ class TestExperimentConfig:
     def test_runtime_that_is_not_a_list(self, tmp_path):
         doc = minimal_doc()
         doc["runtime"] = {"threshold": 0.2}
-        with pytest.raises(ConfigError, match="^runtime must be a list of blocks$"):
+        with pytest.raises(ConfigError, match="^runtime must be a list of at most one block$"):
             load_experiment_config(write(tmp_path, doc))
 
     def test_mlp_without_hidden_units_fails_at_load(self, tmp_path):
@@ -221,24 +221,29 @@ class TestExperimentConfig:
         assert DEFAULT_RUNTIME_THRESHOLD_GRID == (0.4, 0.2, 0.1, 0.01)
 
     def test_shipped_example_config_parses(self):
-        from pathlib import Path
-
-        example = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
-        cfg = load_experiment_config(example)
+        cfg = load_experiment_config(EXAMPLE_CONFIG)
         assert cfg.build.num_members == 3
         assert cfg.build.selection_rule == "rebased"
-        assert cfg.runtime == RuntimeConfig.homogeneous(0.2, 3, consensus="most_confident")
+        assert cfg.runtime == RuntimeConfig.for_members((0.2,), 3, consensus="most_confident")
 
-    def test_later_runtime_blocks_are_validated(self, tmp_path):
-        doc = minimal_doc()
-        doc["runtime"] = [{"threshold": 0.2}, {"threshold": 0.9}]
-        with pytest.raises(ConfigError, match="runtime threshold"):
-            load_experiment_config(write(tmp_path, doc))
+        # The raw shape perfbench/run.py reads from this file.
+        doc = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        runtime = doc["runtime"]
+        assert isinstance(runtime, list)
+        # A number in the sweep's grid, so that the sweep has a row to compare.
+        assert runtime[0]["threshold"] in DEFAULT_RUNTIME_THRESHOLD_GRID
+        assert runtime[0]["consensus"] in ("last_member", "most_confident")
+        dataset = doc["dataset"]
+        assert dataset["kind"] == "blobs"
+        for option in ("num_classes", "per_class", "dim", "spread", "overlap"):
+            assert option in dataset, option
+        assert doc["build"]["num_members"] == 3
+        assert doc["build"]["selection_rule"] == "rebased"
 
-    def test_min_subset_size_below_one_fails_at_load(self, tmp_path):
+    def test_two_runtime_blocks_fail_at_load(self, tmp_path):
         doc = minimal_doc()
-        doc["build"]["min_subset_size"] = 0
-        with pytest.raises(ConfigError, match="min_subset_size must be >= 1, got 0"):
+        doc["runtime"] = [{"threshold": 0.2}, {"threshold": 0.2, "consensus": "last_member"}]
+        with pytest.raises(ConfigError, match="^runtime must be a list of at most one block$"):
             load_experiment_config(write(tmp_path, doc))
 
     @pytest.mark.parametrize(
@@ -246,7 +251,7 @@ class TestExperimentConfig:
     )
     def test_unknown_key_fails_at_load(self, tmp_path, dataset, leaf, path):
         doc = minimal_doc()
-        doc["runtime"] = [{"threshold": 0.2}, {"threshold": 0.1}]
+        doc["runtime"] = [{"threshold": 0.2}]
         doc["dataset"] = dataset or doc["dataset"]
         set_leaf(doc, leaf, 1)
         with pytest.raises(ConfigError, match=f"^unknown key {path}$"):

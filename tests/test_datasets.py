@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import gzip
+import re
 import struct
 
 import numpy as np
@@ -22,6 +22,7 @@ from conf_ensemble import (
 )
 from conf_ensemble.datasets import _CHUNK_ROWS
 
+from conftest import write_bad_gzip_images, write_idx_images, write_idx_labels
 from oracles import dataset_csv_text
 
 
@@ -148,19 +149,22 @@ class TestCsv:
         with pytest.raises(DatasetParseError):
             load_csv(path)
 
-
-def write_idx_images(path, images: np.ndarray, magic=0x00000803, compress=False):
-    n, rows, cols = images.shape
-    payload = struct.pack(">IIII", magic, n, rows, cols) + images.astype(np.uint8).tobytes()
-    if compress:
-        path.write_bytes(gzip.compress(payload))
-    else:
-        path.write_bytes(payload)
-
-
-def write_idx_labels(path, labels: np.ndarray, magic=0x00000801):
-    payload = struct.pack(">II", magic, labels.shape[0]) + labels.astype(np.uint8).tobytes()
-    path.write_bytes(payload)
+    @pytest.mark.parametrize(
+        "text, line, cell",
+        [
+            ("f0,f1,label\n1.0,2.0,0\n1.0,nan,1\n", 3, "nan in column 'f1'"),
+            ("f0,f1,label\n\n1.0,2.0,0\n\n\n-inf,2.0,1\n", 6, "-inf in column 'f0'"),
+            ("f0,f1,label\n\n1.0,1e999,0\n\n2.0,nan,1\n", 3, "inf in column 'f1'"),
+        ],
+        ids=["nan", "after-blank-lines", "overflow"],
+    )
+    def test_non_finite_feature_names_line(self, tmp_path, text, line, cell):
+        # Blank lines are skipped but still counted in the line number.
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        message = f"{path}: line {line}: non-finite feature {cell}"
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
 
 
 class TestIdx:
@@ -196,6 +200,21 @@ class TestIdx:
                          magic=0x00000901)
         write_idx_labels(tmp_path / "lab.idx", np.zeros(2, dtype=np.uint8))
         with pytest.raises(DatasetParseError, match="magic"):
+            load_idx(tmp_path / "img.idx", tmp_path / "lab.idx", num_classes=2)
+
+    @pytest.mark.parametrize("fault", ["truncated", "corrupt", "not-gzip"])
+    def test_bad_gzip_stream_names_the_file(self, tmp_path, fault):
+        path = tmp_path / "img.idx.gz"
+        write_bad_gzip_images(path, fault)
+        write_idx_labels(tmp_path / "lab.idx", np.zeros(3, dtype=np.uint8))
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(f'{path}: bad gzip stream: ')}"):
+            load_idx(path, tmp_path / "lab.idx", num_classes=2)
+
+    def test_label_beyond_declared_classes_names_the_record(self, tmp_path):
+        write_idx_images(tmp_path / "img.idx", np.zeros((3, 2, 2), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lab.idx", np.array([0, 2, 1], dtype=np.uint8))
+        message = f"{tmp_path / 'lab.idx'}: record 1: label 2 >= num_classes 2"
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
             load_idx(tmp_path / "img.idx", tmp_path / "lab.idx", num_classes=2)
 
     def test_truncated_payload(self, tmp_path):
