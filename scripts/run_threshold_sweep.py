@@ -4,8 +4,9 @@
 Builds the config's own ensemble (the full chain) plus one two-member
 nested ensemble per training threshold in the grid, all from the config's
 dataset, classifier and trainer.  Then sweeps the runtime-threshold grid
-with both consensus heuristics and scores member 0 of the full chain as
-the single-model baseline.  Emits a summary CSV/JSON and prints a table.
+with both consensus heuristics.  The single-model baseline is member 0 of
+the full chain, as its build report scores it.  Emits a summary CSV/JSON
+and prints a table.
 A library error exits with the CLI's code for it (conf_ensemble.cli).
 
 Usage:
@@ -33,7 +34,6 @@ from conf_ensemble import (
     expected_calibration_error,
     load_dataset,
     load_experiment_config,
-    member_prediction_arrays,
     write_json,
 )
 from conf_ensemble.cli import run_with_exit_codes
@@ -102,18 +102,14 @@ def main(argv=None):
 
     rows: list[dict] = []
     subset_sizes: dict[str, list[int]] = {}
-    manifests = {}
+    reports = {}
     for name, build in builds.items():
-        manifests[name], report = build_ensemble(data, build)
-        subset_sizes[name] = list(report.subset_sizes())
-        rows += evaluate_grid(name, manifests[name], data)
+        manifest, reports[name] = build_ensemble(data, build)
+        subset_sizes[name] = list(reports[name].subset_sizes())
+        rows += evaluate_grid(name, manifest, data)
 
-    cls0, top0, _ = member_prediction_arrays(manifests[full_name].members[0], data.features)
-    correct0 = cls0 == data.labels
-    baseline = {
-        "accuracy": float(correct0.mean()),
-        "ece": expected_calibration_error(top0, correct0).ece,
-    }
+    member0 = reports[full_name].members[0]
+    baseline = {"accuracy": member0.accuracy, "ece": member0.ece}
 
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -11,7 +11,8 @@ the level's training threshold).  Two ways to pick that pool:
 
 The two rules coincide at level 1.  Pools are int64 index arrays.  Each
 member is scored once over the full dataset; the scores feed both its
-report entry and the next pool.  Builds are deterministic: member s
+report entry (accuracy, ECE, histograms) and the next pool.  Member 0's
+entry is the single-model reference.  Builds are deterministic: member s
 derives its init and shuffling seeds from the configured seeds plus s.
 A BuildConfig names no dataset: each member's input dimension and class
 count are the dataset's.
@@ -41,6 +42,7 @@ from .metrics import (
     SCORE_KIND_TOP_PROBABILITY,
     SCORE_KIND_UNCERTAINTY,
     ScoreHistogram,
+    expected_calibration_error,
     score_histogram,
 )
 
@@ -101,7 +103,9 @@ class MemberBuildRecord:
     index_digest: str
     train_seconds: float
     final_loss: float
-    uncertainty_histogram: ScoreHistogram  # member's scores over the full dataset
+    accuracy: float  # this and the rest: member's scores over the full dataset
+    ece: float
+    uncertainty_histogram: ScoreHistogram
     probability_histogram: ScoreHistogram
 
     def to_json_dict(self) -> dict:
@@ -111,6 +115,8 @@ class MemberBuildRecord:
             "index_digest": self.index_digest,
             "train_seconds": self.train_seconds,
             "final_loss": self.final_loss,
+            "accuracy": self.accuracy,
+            "ece": self.ece,
             "uncertainty_histogram": self.uncertainty_histogram.to_json_dict(),
             "probability_histogram": self.probability_histogram.to_json_dict(),
         }
@@ -154,6 +160,8 @@ def member_report(
         index_digest=_indices_digest(pool.indices),
         train_seconds=train_seconds,
         final_loss=model.final_loss if model.final_loss is not None else float("nan"),
+        accuracy=float(correct.mean()),
+        ece=expected_calibration_error(top, correct).ece,
         uncertainty_histogram=score_histogram(unc, correct, kind=SCORE_KIND_UNCERTAINTY),
         probability_histogram=score_histogram(top, correct, kind=SCORE_KIND_TOP_PROBABILITY),
     )

@@ -4,7 +4,9 @@ Subcommands:
     build       train an ensemble from a config file and store it
     evaluate    run the cascade over a dataset, write metrics artifacts
     histograms  dump one member's uncertainty/probability histograms
-    baseline    train and score the single-model reference
+
+The single-model reference is member 0 of a built chain: build_report.json
+records each member's accuracy and ECE on the build dataset.
 
 Exit codes partition the failure classes so sweeps can script against
 them: 0 ok, 2 config, 3 data, 4 degenerate training subset, 5 storage,
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .builder import build_ensemble, indices_file_content
@@ -77,13 +78,20 @@ def _resolve_out(args_out: str | None, config_out: str | None) -> Path:
 
 
 def _load_eval_data(src: str, num_classes: int) -> Dataset:
+    """The --data file as a dataset of the ensemble's num_classes."""
     path = Path(src)
     if path.suffix == ".csv":
-        return load_csv(path, num_classes=num_classes)
-    if path.suffix == ".json":
+        data = load_csv(path, num_classes=num_classes)
+    elif path.suffix == ".json":
         source = parse_dataset_block(read_json(path), base=path.parent)
-        return load_dataset(source, num_classes=num_classes)
-    raise ConfigError(f"--data must be a .csv file or a .json dataset block, got {src}")
+        data = load_dataset(source, num_classes=num_classes)
+    else:
+        raise ConfigError(f"--data must be a .csv file or a .json dataset block, got {src}")
+    if data.num_classes != num_classes:
+        raise InvalidInputError(
+            f"dataset num_classes {data.num_classes} != ensemble num_classes {num_classes}"
+        )
+    return data
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -129,8 +137,9 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.ensemble)
     data = _load_eval_data(args.data, manifest.members[0].spec.num_classes)
     default = manifest.default_runtime
-    given = args.runtime_thresholds and _parse_thresholds(args.runtime_thresholds)
-    rcfg = RuntimeConfig.for_members(given or default.thresholds, manifest.num_members,
+    given = args.runtime_thresholds
+    thresholds = default.thresholds if given is None else _parse_thresholds(given)
+    rcfg = RuntimeConfig.for_members(thresholds, manifest.num_members,
                                      args.consensus or default.consensus)
     out = _resolve_out(args.out, None)
     record = batch_evaluate(manifest, rcfg, data)
@@ -166,35 +175,6 @@ def cmd_histograms(args) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
-    cfg = load_experiment_config(args.config)
-    out = _resolve_out(args.out, cfg.output_dir)
-    data = load_dataset(cfg.dataset)
-    manifest, report = build_ensemble(
-        data,
-        replace(cfg.build, num_members=1, training_thresholds=()),
-        default_runtime=RuntimeConfig.for_members((0.5,), 1),
-    )
-    _save_ensemble(manifest, report, out)
-    cls, top, _ = member_prediction_arrays(manifest.members[0], data.features)
-    correct = cls == data.labels
-    accuracy = float(correct.mean())
-    calibration = expected_calibration_error(top, correct)
-    _write_json(
-        out / "baseline.json",
-        {
-            "accuracy": accuracy,
-            "ece": calibration.ece,
-            "num_samples": len(data),
-            "final_loss": report.members[0].final_loss,
-            "dataset_id": data.id,
-            "dataset_digest": data.digest(),
-        },
-    )
-    print(f"baseline accuracy {accuracy:.4f}, ece {calibration.ece:.4f}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conf-ensemble",
@@ -222,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.add_argument("--member", type=int, required=True)
     p_hist.add_argument("--out", required=True)
     p_hist.set_defaults(func=cmd_histograms)
-
-    p_base = sub.add_parser("baseline", help="train and score the single-model reference")
-    p_base.add_argument("--config", required=True)
-    p_base.add_argument("--out", default=None)
-    p_base.set_defaults(func=cmd_baseline)
 
     return parser
 

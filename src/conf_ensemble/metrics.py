@@ -91,8 +91,8 @@ def expected_calibration_error(
         raise InvalidInputError("top_probs and correct must be equal-length vectors")
     if probs.size == 0:
         raise InvalidInputError("need at least one prediction")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise InvalidInputError("top probabilities must lie in [0, 1]")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
+        raise InvalidInputError("top_probs must lie in [0, 1]")
 
     idx = bin_indices(probs, 0.0, 1.0, num_bins)
     total = probs.size
@@ -180,10 +180,10 @@ def score_histogram(
     if vals.ndim != 1 or vals.shape != hits.shape:
         raise InvalidInputError("scores and correct must be equal-length vectors")
     lo, hi = _SCORE_RANGES[kind]
-    bad = np.where((vals < lo) | (vals > hi))[0]
+    bad = np.flatnonzero(~((vals >= lo) & (vals <= hi)))  # NaN is out of range too
     if bad.size:
         raise InvalidInputError(
-            f"score at index {int(bad[0])} is {vals[bad[0]]}, outside [{lo}, {hi}]"
+            f"scores value {vals[bad[0]]} at index {int(bad[0])} is outside [{lo}, {hi}]"
         )
 
     idx = bin_indices(vals, lo, hi, bins)

@@ -12,6 +12,7 @@ from conf_ensemble import (
     SubsetView,
     TrainConfig,
     build_ensemble,
+    expected_calibration_error,
     fit,
     generate_blobs,
     init_model,
@@ -213,6 +214,16 @@ class TestBuildEnsemble:
             assert len(record.index_digest) == 64
             assert record.uncertainty_histogram.total == len(blobs3)
             assert record.probability_histogram.total == len(blobs3)
+
+    def test_report_scores_every_member_on_the_full_dataset(self, blobs3):
+        cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
+                          **MLP_ARCH, train_config=TRAIN, selection_rule="rebased")
+        manifest, report = build_ensemble(blobs3, cfg)
+        for member, record in zip(manifest.members, report.members):
+            predicted = [int(np.argmax(predict_logits(member, x))) for x in blobs3.features]
+            assert record.accuracy == float(np.mean(np.asarray(predicted) == blobs3.labels))
+            cls, top, _ = member_prediction_arrays(member, blobs3.features)
+            assert record.ece == expected_calibration_error(top, cls == blobs3.labels).ece
 
 
 class TestBuildConfigValidation:

@@ -197,9 +197,8 @@ class TestBuildCommand:
             set_leaf(doc, path.split("."), value)
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(doc))
-        for command in ("build", "baseline"):
-            assert main([command, "--config", str(config)]) == EXIT_CONFIG
-            assert message in capsys.readouterr().err
+        assert main(["build", "--config", str(config)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_threshold_count(self, workdir):
@@ -221,6 +220,18 @@ def test_bin_counts_are_not_options(workdir, built_dir, capsys, command, option)
               option, "10", "--out", str(workdir / "x")])
     assert exc.value.code == EXIT_CONFIG
     assert f"unrecognized arguments: {option} 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["histograms", "--member", "0"]],
+                         ids=["evaluate", "histograms"])
+def test_class_count_mismatch_fails(built_dir, tmp_path, capsys, command):
+    block = tmp_path / "four_classes.json"
+    block.write_text(json.dumps(dict(BLOBS_BLOCK, num_classes=4)))
+    out = tmp_path / "out"
+    assert main([*command, "--ensemble", str(built_dir), "--data", str(block),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "dataset num_classes 4 != ensemble num_classes 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -286,7 +297,7 @@ class TestEvaluateCommand:
         assert (out / "evaluation.csv").read_bytes() == \
             evaluation_csv_text(record).encode("utf-8")
 
-    @pytest.mark.parametrize("text", ["0.01,", ",0.01", "0.2,,0.1", " "])
+    @pytest.mark.parametrize("text", ["0.01,", ",0.01", "0.2,,0.1", " ", ""])
     def test_empty_threshold_field_fails(self, workdir, built_dir, tmp_path, capsys, text):
         assert main(["evaluate", "--ensemble", str(built_dir),
                      "--data", str(workdir / "data.csv"), "--runtime-thresholds", text,
@@ -429,38 +440,45 @@ class TestHistogramsCommand:
 
 
 class TestBaselineCommand:
-    def test_matches_single_member_evaluation(self, workdir):
+    """The single-model baseline is member 0 of a build: a one-member build
+    stores it, and every build report scores it."""
+
+    @pytest.fixture
+    def single_config(self, workdir):
         doc = experiment_doc()
         doc["build"]["num_members"] = 1
         doc["build"]["training_thresholds"] = []
-        doc["runtime"] = [{"threshold": 0.2}]
         config = workdir / "single.json"
         config.write_text(json.dumps(doc))
+        return config
 
-        base_out = workdir / "baseline"
-        assert main(["baseline", "--config", str(config),
-                     "--out", str(base_out)]) == EXIT_OK
-        baseline = json.loads((base_out / "baseline.json").read_text())
-
+    def test_matches_single_member_evaluation(self, workdir, single_config):
         build_out = workdir / "single-ensemble"
-        assert main(["build", "--config", str(config),
+        assert main(["build", "--config", str(single_config),
                      "--out", str(build_out)]) == EXIT_OK
+        report = json.loads((build_out / "build_report.json").read_text())
         eval_out = workdir / "single-eval"
         assert main(["evaluate", "--ensemble", str(build_out),
                      "--data", str(workdir / "data.csv"),
                      "--runtime-thresholds", "0.3",
                      "--out", str(eval_out)]) == EXIT_OK
         evaluation = json.loads((eval_out / "evaluation.json").read_text())
-        assert evaluation["accuracy"] == baseline["accuracy"]
+        assert evaluation["accuracy"] == report["members"][0]["accuracy"]
 
-    def test_replaces_the_ensemble_in_its_directory(self, workdir):
-        out = workdir / "build-then-baseline"
-        config = str(workdir / "experiment.json")
-        assert main(["build", "--config", config, "--out", str(out)]) == EXIT_OK
-        assert main(["baseline", "--config", config, "--out", str(out)]) == EXIT_OK
+    def test_replaces_the_ensemble_in_its_directory(self, workdir, single_config):
+        out = workdir / "build-then-single"
+        assert main(["build", "--config", str(workdir / "experiment.json"),
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["build", "--config", str(single_config), "--out", str(out)]) == EXIT_OK
         assert list((out / "subsets").glob("level_*.idx")) == []
         report = json.loads((out / "build_report.json").read_text())
         assert report["subset_sizes"] == [3 * BLOBS_BLOCK["per_class"]]
+
+    def test_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--config", "experiment.json"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'baseline'" in capsys.readouterr().err
 
     def test_malformed_data_csv(self, workdir, built_dir):
         bad = workdir / "malformed.csv"

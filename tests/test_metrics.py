@@ -69,6 +69,11 @@ class TestExpectedCalibrationError:
         with pytest.raises(InvalidInputError):
             expected_calibration_error([1.2], [True], num_bins=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_is_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match=r"top_probs must lie in \[0, 1\]"):
+            expected_calibration_error([bad, 0.5], [True, False])
+
     @given(
         st.lists(
             st.tuples(st.floats(min_value=0.0, max_value=1.0), st.booleans()),
@@ -108,6 +113,12 @@ class TestScoreHistogram:
     def test_out_of_range_names_index(self):
         with pytest.raises(InvalidInputError, match="index 1"):
             score_histogram([0.1, 0.7], [True, True], kind="uncertainty", bins=5)
+
+    @pytest.mark.parametrize("kind", ["uncertainty", "top_probability"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_rejected(self, kind, bad):
+        with pytest.raises(InvalidInputError, match=f"scores value {bad} at index 1"):
+            score_histogram([0.1, bad], [True, True], kind=kind)
 
     def test_empty_input_counts_nothing(self):
         hist = score_histogram([], [], kind="uncertainty", bins=4)

@@ -1,5 +1,5 @@
 """The README's library example runs as written, and its command-line
-sections document exactly the options the parsers take."""
+sections document exactly the subcommands and options the parsers take."""
 
 from __future__ import annotations
 
@@ -37,6 +37,11 @@ def long_options(parser: argparse.ArgumentParser) -> set[str]:
     return options - {"--help"}
 
 
+def subcommands(parser: argparse.ArgumentParser) -> set[str]:
+    return {name for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction) for name in action.choices}
+
+
 def sweep_parser() -> argparse.ArgumentParser:
     return load_script(SWEEP_SCRIPT).build_parser()
 
@@ -49,6 +54,11 @@ def sweep_parser() -> argparse.ArgumentParser:
 def test_documented_flags_match_the_parser(heading, parser):
     documented = set(re.findall(r"--[a-z][a-z-]*", readme_section(heading)))
     assert documented == long_options(parser())
+
+
+def test_documented_subcommands_match_the_parser():
+    documented = set(re.findall(r"^conf-ensemble ([a-z-]+)", readme_section("CLI"), re.M))
+    assert documented == subcommands(cli.build_parser())
 
 
 def test_library_example_runs(capsys):

@@ -1,5 +1,5 @@
 """The threshold sweep script, run on a small config and cross-checked
-against the CLI commands that build, evaluate and baseline that config."""
+against the CLI commands that build and evaluate that config."""
 
 from __future__ import annotations
 
@@ -66,11 +66,12 @@ def test_full_chain_row_matches_build_and_evaluate(workdir, swept):
 
 
 def test_baseline_matches_baseline_command(workdir, swept):
-    out = workdir / "baseline"
-    assert main(["baseline", "--config", str(workdir / "experiment.json"),
+    # The baseline is member 0 of the full chain, as `build` reports it.
+    out = workdir / "full-chain"
+    assert main(["build", "--config", str(workdir / "experiment.json"),
                  "--out", str(out)]) == EXIT_OK
-    baseline = json.loads((out / "baseline.json").read_text(encoding="utf-8"))
-    assert swept["baseline"] == {"accuracy": baseline["accuracy"], "ece": baseline["ece"]}
+    member0 = json.loads((out / "build_report.json").read_text(encoding="utf-8"))["members"][0]
+    assert swept["baseline"] == {"accuracy": member0["accuracy"], "ece": member0["ece"]}
 
 
 def test_seed_replaces_the_blobs_seed(workdir, swept):
