@@ -40,11 +40,9 @@ from .config import (
 )
 from .datasets import (
     Dataset,
-    SubsetView,
     generate_blobs,
     load_csv,
     load_idx,
-    materialize,
     save_csv,
 )
 from .errors import (
@@ -54,9 +52,9 @@ from .errors import (
     DegenerateSubsetError,
     EmptyTrainingSetError,
     InvalidInputError,
-    InvalidViewError,
     ManifestDigestError,
     ManifestVersionError,
+    TrainingDivergedError,
 )
 from .manifest import SELECTION_NESTED, SELECTION_REBASED, EnsembleManifest
 from .metrics import (

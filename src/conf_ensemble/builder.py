@@ -35,8 +35,8 @@ from .classifiers import (
     fit,
     init_model,
 )
-from .datasets import Dataset, SubsetView, materialize
-from .errors import DegenerateSubsetError, require_int, require_seed
+from .datasets import Dataset, materialize
+from .errors import DegenerateSubsetError, TrainingDivergedError, require_int, require_seed
 from .manifest import SELECTION_NESTED, EnsembleManifest, check_schedule
 from .metrics import (
     SCORE_KIND_TOP_PROBABILITY,
@@ -75,7 +75,7 @@ class BuildConfig:
         check_architecture(self.classifier_kind, self.hidden_units)
 
 
-def _filter_pool(pool: SubsetView, unc: np.ndarray, threshold: float) -> SubsetView:
+def _filter_pool(pool: np.ndarray, unc: np.ndarray, threshold: float) -> np.ndarray:
     """Keep the samples of ``pool`` the predecessor is uncertain about;
     ``unc`` holds its uncertainty for every row of the dataset.
 
@@ -83,7 +83,7 @@ def _filter_pool(pool: SubsetView, unc: np.ndarray, threshold: float) -> SubsetV
     pool for nested, the full pool for rebased.
     """
     # strict: boundary samples are not forwarded
-    return SubsetView(pool.parent_id, pool.indices[unc[pool.indices] > threshold])
+    return pool[unc[pool] > threshold]
 
 
 def indices_file_content(indices: np.ndarray) -> str:
@@ -144,7 +144,7 @@ class BuildReport:
 
 def member_report(
     level: int,
-    pool: SubsetView,
+    pool: np.ndarray,
     model: TrainedModel,
     scores: tuple[np.ndarray, np.ndarray, np.ndarray],
     labels: np.ndarray,
@@ -156,10 +156,10 @@ def member_report(
     return MemberBuildRecord(
         level=level,
         subset_size=len(pool),
-        subset_indices=pool.indices,
-        index_digest=_indices_digest(pool.indices),
+        subset_indices=pool,
+        index_digest=_indices_digest(pool),
         train_seconds=train_seconds,
-        final_loss=model.final_loss if model.final_loss is not None else float("nan"),
+        final_loss=model.final_loss,
         accuracy=float(correct.mean()),
         ece=expected_calibration_error(top, correct).ece,
         uncertainty_histogram=score_histogram(unc, correct, kind=SCORE_KIND_UNCERTAINTY),
@@ -176,7 +176,8 @@ def build_ensemble(
 
     Raises DegenerateSubsetError as soon as a selected pool falls below
     max(2 * num_classes, 10) samples, naming the level; nothing is
-    silently truncated.  An empty dataset fails in member 0's fit.
+    silently truncated.  An empty dataset fails in member 0's fit, and a
+    diverged fit raises TrainingDivergedError naming the level and epoch.
     """
     min_size = max(2 * data.num_classes, 10)
 
@@ -194,7 +195,10 @@ def build_ensemble(
                               cfg.hidden_units, cfg.classifier_seed + level)
         member_train = replace(cfg.train_config, seed=cfg.train_config.seed + level)
         started = time.perf_counter()
-        model = fit(init_model(spec), materialize(pool, data), member_train)
+        try:
+            model = fit(init_model(spec), materialize(pool, data), member_train)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
         elapsed = time.perf_counter() - started
         scores = member_prediction_arrays(model, data.features)
         members.append(model)

@@ -26,6 +26,7 @@ from .datasets import Dataset
 from .errors import (
     EmptyTrainingSetError,
     InvalidInputError,
+    TrainingDivergedError,
     require_float,
     require_int,
     require_seed,
@@ -129,6 +130,8 @@ class TrainedModel:
                 f"parameter vector has shape {params.shape}, "
                 f"spec requires ({self.spec.param_count()},)"
             )
+        if not np.all(np.isfinite(params)):
+            raise InvalidInputError("parameter vector contains non-finite entries")
         params = params.copy()
         params.setflags(write=False)
         object.__setattr__(self, "parameters", params)
@@ -230,7 +233,9 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
 
     Batch order is drawn from cfg.seed, so (model, data, cfg) fully
     determines the returned parameters.  The learning rate is multiplied
-    by lr_decay_gamma every lr_decay_every_epochs epochs.
+    by lr_decay_gamma every lr_decay_every_epochs epochs.  An overflow,
+    invalid operation or division by zero in an epoch, or a non-finite
+    epoch loss or parameter, raises TrainingDivergedError naming the epoch.
     """
     if len(data) == 0:
         raise EmptyTrainingSetError("cannot fit on an empty dataset")
@@ -252,13 +257,22 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * cfg.lr_decay_gamma ** (epoch // cfg.lr_decay_every_epochs)
         perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            _, grad = objective_and_gradient(spec, params, X[idx], y[idx], cfg.weight_decay)
-            params -= lr * grad
-        history.append(
-            objective_and_gradient(spec, params, X, y, cfg.weight_decay)[0]
-        )
+        # Underflow stays ignored: a healthy softmax's exp underflows.
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for start in range(0, n, cfg.batch_size):
+                    idx = perm[start : start + cfg.batch_size]
+                    _, grad = objective_and_gradient(spec, params, X[idx], y[idx],
+                                                     cfg.weight_decay)
+                    params -= lr * grad
+                loss = objective_and_gradient(spec, params, X, y, cfg.weight_decay)[0]
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(epoch + 1, str(exc)) from None
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(epoch + 1, f"epoch loss is {loss}")
+        if not np.all(np.isfinite(params)):
+            raise TrainingDivergedError(epoch + 1, "parameters are not finite")
+        history.append(loss)
 
     fingerprint = training_fingerprint(data, cfg, spec)
     return replace(

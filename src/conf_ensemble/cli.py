@@ -10,7 +10,8 @@ records each member's accuracy and ECE on the build dataset.
 
 Exit codes partition the failure classes so sweeps can script against
 them: 0 ok, 2 config, 3 data, 4 degenerate training subset, 5 storage,
-1 anything unexpected.
+6 diverged training, 1 anything unexpected.  Every subcommand writes to
+its required --out directory.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .errors import (
     DegenerateSubsetError,
     EmptyTrainingSetError,
     InvalidInputError,
-    InvalidViewError,
     ManifestDigestError,
     ManifestVersionError,
+    TrainingDivergedError,
 )
 from .metrics import (
     SCORE_KIND_TOP_PROBABILITY,
@@ -53,25 +54,23 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 EXIT_STORAGE = 5
+EXIT_DIVERGED = 6
 
 # Library error class -> process exit code (see the module docstring).
 EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     InvalidInputError: EXIT_CONFIG,
     DatasetParseError: EXIT_DATA,
-    InvalidViewError: EXIT_DATA,
     EmptyTrainingSetError: EXIT_DATA,
     DegenerateSubsetError: EXIT_DEGENERATE,
     ManifestVersionError: EXIT_STORAGE,
     ManifestDigestError: EXIT_STORAGE,
     OSError: EXIT_STORAGE,
+    TrainingDivergedError: EXIT_DIVERGED,
 }
 
 
-def _resolve_out(args_out: str | None, config_out: str | None) -> Path:
-    out = args_out or config_out
-    if out is None:
-        raise ConfigError("no output directory: pass --out or set output_dir in the config")
+def _resolve_out(out: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -120,7 +119,7 @@ def _save_ensemble(manifest, report, out: Path) -> None:
 
 def cmd_build(args) -> int:
     cfg = load_experiment_config(args.config)
-    out = _resolve_out(args.out, cfg.output_dir)
+    out = _resolve_out(args.out)
     data = load_dataset(cfg.dataset)
     manifest, report = build_ensemble(data, cfg.build, default_runtime=cfg.runtime)
     _save_ensemble(manifest, report, out)
@@ -141,7 +140,7 @@ def cmd_evaluate(args) -> int:
     thresholds = default.thresholds if given is None else _parse_thresholds(given)
     rcfg = RuntimeConfig.for_members(thresholds, manifest.num_members,
                                      args.consensus or default.consensus)
-    out = _resolve_out(args.out, None)
+    out = _resolve_out(args.out)
     record = batch_evaluate(manifest, rcfg, data)
     calibration = expected_calibration_error(record.chosen_top, record.correct)
     record.write_json(out / "evaluation.json")
@@ -164,7 +163,7 @@ def cmd_histograms(args) -> int:
     data = _load_eval_data(args.data, manifest.members[0].spec.num_classes)
     cls, top, unc = member_prediction_arrays(manifest.members[args.member], data.features)
     correct = cls == data.labels
-    out = _resolve_out(args.out, None)
+    out = _resolve_out(args.out)
     for kind, scores in (
         (SCORE_KIND_UNCERTAINTY, unc),
         (SCORE_KIND_TOP_PROBABILITY, top),
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="train an ensemble from a config file")
     p_build.add_argument("--config", required=True)
-    p_build.add_argument("--out", default=None)
+    p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)
 
     p_eval = sub.add_parser("evaluate", help="run the cascade over a dataset")

@@ -7,9 +7,10 @@ Layout (paths resolved relative to the config file):
       "build":    {"num_members", "selection_rule", "training_thresholds",
                    "classifier": {"kind", "hidden_units"?, "seed"?},
                    "training": {...TrainConfig fields}},
-      "runtime"?: [{"threshold": x | [x per member], "consensus"?}],
-      "output_dir"?: "..."
+      "runtime"?: [{"threshold": x | [x per member], "consensus"?}]
     }
+
+The output directory is not part of the config: it is the CLI's --out.
 
 This module only converts JSON into the library's types, and rejects a
 key the layout does not name.  Every number goes through require_int,
@@ -56,7 +57,7 @@ _DATASET_OPTIONS = {
     "csv": ("path", "num_classes"),
     "idx": ("images", "labels", "num_classes"),
 }
-_TOP_KEYS = ("dataset", "build", "runtime", "output_dir")
+_TOP_KEYS = ("dataset", "build", "runtime")
 _BUILD_KEYS = ("num_members", "selection_rule", "training_thresholds", "classifier",
                "training")
 _CLASSIFIER_KEYS = ("kind", "hidden_units", "seed")
@@ -117,7 +118,6 @@ class ExperimentConfig:
     dataset: DatasetSource
     build: BuildConfig
     runtime: RuntimeConfig | None = None  # None leaves the choice to build_ensemble
-    output_dir: str | None = None
 
 
 def _require(block: dict, key: str, where: str):
@@ -186,14 +186,10 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
         runtime = doc.get("runtime", [])
         if not isinstance(runtime, list) or len(runtime) > 1:
             raise ConfigError("runtime must be a list of at most one block")
-        output_dir = doc.get("output_dir")
-        if output_dir is not None and not isinstance(output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
         return ExperimentConfig(
             dataset=dataset,
             build=build_cfg,
             runtime=parse_runtime_block(runtime[0], build_cfg.num_members) if runtime else None,
-            output_dir=output_dir,
         )
     except ConfigError:
         raise

@@ -1,9 +1,9 @@
-"""Datasets with stable indices, subset views, generators, and loaders.
+"""Datasets with stable indices, generators, and loaders.
 
 A Dataset is immutable after construction: features are an (n, M) float64
-matrix, labels an (n,) int64 vector.  Subsets are views over a parent
-dataset rather than copies, a read-only int64 array of increasing row
-indices, so nesting of training pools is set inclusion on indices.
+matrix, labels an (n,) int64 vector.  A training pool is an int64 array of
+increasing row indices into a dataset, so nesting of pools is set
+inclusion on indices; materialize copies a pool's rows out.
 
 Supported external formats:
   * CSV — header row naming feature columns plus a final "label" column.
@@ -18,7 +18,6 @@ import gzip
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from .errors import (
     DatasetParseError,
     InvalidInputError,
-    InvalidViewError,
     require_float,
     require_int,
     require_seed,
@@ -78,8 +76,8 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def all_indices(self) -> "SubsetView":
-        return SubsetView(parent_id=self.id, indices=np.arange(len(self)))
+    def all_indices(self) -> np.ndarray:
+        return np.arange(len(self))
 
     def digest(self) -> str:
         """Content hash over features, labels, and class count."""
@@ -90,44 +88,13 @@ class Dataset:
         return h.hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
-class SubsetView:
-    """Non-negative, strictly increasing row indices into a parent dataset,
-    held as a read-only int64 array."""
-
-    parent_id: str
-    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or np.any(idx != self.indices):
-            raise InvalidInputError("subset indices must be a vector of integers")
-        if idx.size and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
-            raise InvalidInputError("subset indices must be non-negative and strictly increasing")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def materialize(view: SubsetView, parent: Dataset) -> Dataset:
-    """Copy out the viewed samples, preserving index order."""
-    if view.parent_id != parent.id:
-        raise InvalidViewError(
-            f"view targets dataset {view.parent_id!r}, got {parent.id!r}"
-        )
-    idx = view.indices
-    if idx.size and idx[-1] >= len(parent):
-        raise InvalidViewError(
-            f"view index {idx[-1]} out of range for {len(parent)} samples"
-        )
-    tag = hashlib.sha256(idx.tobytes()).hexdigest()[:8]
+def materialize(indices: np.ndarray, parent: Dataset) -> Dataset:
+    """Copy out the rows of parent at indices, in index order."""
     return Dataset(
-        features=parent.features[idx],
-        labels=parent.labels[idx],
+        features=parent.features[indices],
+        labels=parent.labels[indices],
         num_classes=parent.num_classes,
-        id=f"{parent.id}[{len(idx)}:{tag}]",
+        id=f"{parent.id}[{len(indices)}]",
     )
 
 

@@ -3,7 +3,7 @@ converters (require_int, require_seed, require_float) every numeric field
 goes through.
 
 Error classes map onto CLI exit codes (see cli.py), so keep the
-partition coarse: config, data, degenerate build, storage.
+partition coarse: config, data, degenerate build, storage, diverged fit.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class DatasetParseError(ConfEnsembleError):
     """A dataset file is malformed; message names the offending row/record."""
 
 
-class InvalidViewError(ConfEnsembleError):
-    """A subset view does not match the dataset it is applied to."""
-
-
 class EmptyTrainingSetError(ConfEnsembleError):
     """Training was requested on an empty dataset."""
 
@@ -80,6 +76,18 @@ class DegenerateSubsetError(ConfEnsembleError):
             f"training subset at level {level} has {size} samples, "
             f"below the minimum of {minimum}"
         )
+
+
+class TrainingDivergedError(ConfEnsembleError):
+    """A fit produced a non-finite loss or parameters.  epoch counts from
+    1; level is the member's, once the builder knows it."""
+
+    def __init__(self, epoch: int, detail: str, level: int | None = None):
+        self.epoch = epoch
+        self.detail = detail
+        self.level = level
+        where = f"epoch {epoch}" if level is None else f"level {level}, epoch {epoch}"
+        super().__init__(f"training diverged at {where}: {detail}")
 
 
 class ManifestVersionError(ConfEnsembleError):

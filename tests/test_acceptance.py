@@ -119,7 +119,7 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
         # independent per-sample filter oracle
         def oracle(pool, member, threshold):
             kept = []
-            for i in pool.indices.tolist():
+            for i in pool.tolist():
                 u = uncertainty(softmax(predict_logits(member, blobs3.features[i])))
                 if u > threshold:
                     kept.append(i)
@@ -130,9 +130,9 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
             nested = _filter_pool(full, unc, threshold)
             rebased = _filter_pool(full, unc, threshold)
             expected = oracle(full, trained_m0, threshold)
-            assert nested.indices.tolist() == expected
-            assert rebased.indices.tolist() == expected
-            assert nested.indices.tolist() == rebased.indices.tolist()  # level-1 equivalence
+            assert nested.tolist() == expected
+            assert rebased.tolist() == expected
+            assert nested.tolist() == rebased.tolist()  # level-1 equivalence
 
         # nesting on an actual nested build
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
@@ -145,7 +145,7 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
         # threshold monotonicity across a sweep of 10 thresholds
         sweep = np.linspace(0.0, 0.45, 10)
         picks = [
-            set(_filter_pool(full, unc, float(t)).indices.tolist())
+            set(_filter_pool(full, unc, float(t)).tolist())
             for t in sweep
         ]
         for low, high in zip(picks, picks[1:]):

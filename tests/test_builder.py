@@ -9,17 +9,15 @@ from conf_ensemble import (
     EmptyTrainingSetError,
     InvalidInputError,
     RuntimeConfig,
-    SubsetView,
     TrainConfig,
     build_ensemble,
     expected_calibration_error,
     fit,
     generate_blobs,
     init_model,
-    materialize,
 )
 from conf_ensemble.builder import _filter_pool, member_prediction_arrays
-from conf_ensemble.datasets import Dataset
+from conf_ensemble.datasets import Dataset, materialize
 
 from conftest import MLP_ARCH, MLP_SPEC, TRAIN, identity_member, logits_for_uncertainty
 from oracles import manifests_equal, predict_logits, softmax, uncertainty
@@ -33,7 +31,7 @@ NESTED_SIZES = (3000, 1408, 1389)
 def brute_force_select(pool, member, threshold, parent):
     """Independent per-sample filter: score each sample on its own."""
     kept = []
-    for i in pool.indices.tolist():
+    for i in pool.tolist():
         u = uncertainty(softmax(predict_logits(member, parent.features[i])))
         if u > threshold:
             kept.append(i)
@@ -60,30 +58,29 @@ class TestSelection:
         data, member = crafted_pool(u_values)
         pool = data.all_indices()
         out = _filter_pool(pool, unc_of(member, data), 0.1)
-        assert out.indices.tolist() == [0, 1, 3]
+        assert out.tolist() == [0, 1, 3]
 
     def test_threshold_half_selects_nothing(self, blobs3, trained_m0):
         out = _filter_pool(blobs3.all_indices(), unc_of(trained_m0, blobs3), 0.5)
-        assert out.indices.tolist() == []
+        assert out.tolist() == []
 
     def test_threshold_zero_selects_everything(self, blobs3, trained_m0):
         # MLP softmax outputs are never exactly one-hot, so U > 0 holds.
         pool = blobs3.all_indices()
         out = _filter_pool(pool, unc_of(trained_m0, blobs3), 0.0)
-        assert out.indices.tolist() == pool.indices.tolist()
+        assert out.tolist() == pool.tolist()
 
     def test_matches_brute_force_oracle(self, blobs3, trained_m0):
         pool = blobs3.all_indices()
         unc = unc_of(trained_m0, blobs3)
         for threshold in (0.01, 0.1, 0.3):
             fast = _filter_pool(pool, unc, threshold)
-            assert fast.indices.tolist() == brute_force_select(pool, trained_m0, threshold, blobs3)
+            assert fast.tolist() == brute_force_select(pool, trained_m0, threshold, blobs3)
 
     def test_nested_result_is_subset_of_pool(self, blobs3, trained_m0):
-        pool = SubsetView(parent_id=blobs3.id,
-                          indices=tuple(range(0, len(blobs3), 3)))
+        pool = np.arange(0, len(blobs3), 3)
         out = _filter_pool(pool, unc_of(trained_m0, blobs3), 0.05)
-        assert set(out.indices.tolist()) <= set(pool.indices.tolist())
+        assert set(out.tolist()) <= set(pool.tolist())
 
     def test_level_one_equivalence(self, blobs3):
         # nested filters the previous pool and rebased the full pool; at
@@ -99,14 +96,14 @@ class TestSelection:
 
     def test_rebased_threshold_half_selects_nothing(self, blobs3, trained_m0):
         out = _filter_pool(blobs3.all_indices(), unc_of(trained_m0, blobs3), 0.5)
-        assert out.indices.tolist() == []
+        assert out.tolist() == []
 
     def test_threshold_monotonicity(self, blobs3, trained_m0):
         pool = blobs3.all_indices()
         unc = unc_of(trained_m0, blobs3)
         thresholds = np.linspace(0.0, 0.45, 10)
         selections = [
-            set(_filter_pool(pool, unc, float(t)).indices.tolist())
+            set(_filter_pool(pool, unc, float(t)).tolist())
             for t in thresholds
         ]
         for lower, higher in zip(selections, selections[1:]):
@@ -124,7 +121,7 @@ class TestSelection:
         full = blobs3.all_indices()
         for level in (1, 2):
             prev = report.members[level - 1].subset_indices
-            source = SubsetView(blobs3.id, prev) if rule == "nested" else full
+            source = prev if rule == "nested" else full
             expected = brute_force_select(source, manifest.members[level - 1],
                                           cfg.training_thresholds[level - 1], blobs3)
             assert report.members[level].subset_indices.tolist() == expected

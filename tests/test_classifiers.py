@@ -12,6 +12,7 @@ from conf_ensemble import (
     InvalidInputError,
     TrainConfig,
     TrainedModel,
+    TrainingDivergedError,
     fit,
     generate_blobs,
     init_model,
@@ -94,6 +95,13 @@ class TestSpecAndInit:
     def test_wrong_parameter_count_rejected(self):
         with pytest.raises(InvalidInputError):
             TrainedModel(spec=LINEAR_43, parameters=np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        params = np.zeros(LINEAR_43.param_count())
+        params[-1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            TrainedModel(spec=LINEAR_43, parameters=params)
 
 
 class TestCrossEntropy:
@@ -227,6 +235,19 @@ class TestFit:
         spec = ClassifierSpec(kind="linear", input_dim=2, num_classes=2, seed=3)
         with pytest.raises(EmptyTrainingSetError):
             fit(init_model(spec), empty, TrainConfig())
+
+    def test_diverged_fit_names_the_epoch(self):
+        # lr * weight_decay = 1e4: each step scales the weights by about
+        # -1e4, so they overflow within a few epochs.
+        data = two_blob_dataset()
+        cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=1e6,
+                          weight_decay=1e-2, seed=5)
+        spec = ClassifierSpec(kind="linear", input_dim=2, num_classes=2, seed=3)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^training diverged at epoch \d+: ") as exc:
+            fit(init_model(spec), data, cfg)
+        assert 1 <= exc.value.epoch <= cfg.epochs
+        assert exc.value.level is None
 
     def test_dimension_mismatch_rejected(self):
         data = two_blob_dataset()

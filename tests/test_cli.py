@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from conf_ensemble import (
     ConfEnsembleError,
     DegenerateSubsetError,
     RuntimeConfig,
+    TrainingDivergedError,
     batch_evaluate,
     cli,
     generate_blobs,
@@ -24,6 +26,7 @@ from conf_ensemble.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DEGENERATE,
+    EXIT_DIVERGED,
     EXIT_OK,
     EXIT_STORAGE,
     main,
@@ -137,6 +140,29 @@ class TestBuildCommand:
         assert code == EXIT_DEGENERATE
         assert "level 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("warnings_as_errors", [False, True],
+                             ids=["default-warnings", "warnings-as-errors"])
+    def test_diverged_fit_exit_code(self, workdir, capsys, warnings_as_errors):
+        doc = experiment_doc()
+        doc["build"]["training"]["learning_rate"] = 1e6
+        config = workdir / "diverging.json"
+        config.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error" if warnings_as_errors else "always")
+            code = main(["build", "--config", str(config),
+                         "--out", str(workdir / "diverged-out")])
+        assert code == EXIT_DIVERGED
+        assert caught == []  # numpy raised inside fit rather than warning
+        err = capsys.readouterr().err
+        assert re.search(r"^error: training diverged at level 0, epoch \d+: ", err, re.M)
+        assert not (workdir / "diverged-out" / "manifest.json").exists()
+
+    def test_out_is_required(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--config", str(workdir / "experiment.json")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
     def test_bad_json_exit_code(self, workdir):
         config = workdir / "broken.json"
         config.write_text("{not json")
@@ -183,7 +209,7 @@ class TestBuildCommand:
         [
             ({"build.classifier.seed": -1}, "seed must be >= 0"),
             ({"build.training.seed": -1}, "seed must be >= 0"),
-            ({"output_dir": 5}, "output_dir must be a string"),
+            ({"output_dir": "out"}, "unknown key config.output_dir"),
             ({"build.min_subset_size": 0}, "unknown key build.min_subset_size"),
             ({"dataset.overlapp": 0.9}, "unknown key dataset.overlapp"),
             ({"metrics": {"calibration_bins": 15}}, "unknown key config.metrics"),
@@ -192,12 +218,13 @@ class TestBuildCommand:
              "unknown-key", "metrics-block"],
     )
     def test_config_rule_exits_before_building(self, tmp_path, capsys, edit, message):
-        doc = experiment_doc(output_dir=str(tmp_path / "out"))
+        doc = experiment_doc()
         for path, value in edit.items():
             set_leaf(doc, path.split("."), value)
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(doc))
-        assert main(["build", "--config", str(config)]) == EXIT_CONFIG
+        assert main(["build", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -504,7 +531,7 @@ class TestFileBoundaryErrors:
         ensemble, data = built_dir, workdir / "data.csv"
         if case == "config_not_utf8":
             bad = tmp_path / "experiment.json"
-            bad.write_bytes(b'{"output_dir": "\xff\xfe"}')
+            bad.write_bytes(b'{"dataset": "\xff\xfe"}')
             argv = ["build", "--config", str(bad), "--out", str(tmp_path / "out")]
         else:
             if case == "manifest_not_utf8":
@@ -543,6 +570,8 @@ def test_every_error_class_exits_with_its_documented_code(error_class, monkeypat
     assert error_class.__name__ in codes, "error class missing from the README's exit-code table"
     if error_class is DegenerateSubsetError:
         error = DegenerateSubsetError(level=1, size=0, minimum=10)
+    elif error_class is TrainingDivergedError:
+        error = TrainingDivergedError(epoch=1, detail="injected", level=0)
     else:
         error = error_class("injected")
 

@@ -12,15 +12,12 @@ from conf_ensemble import (
     Dataset,
     DatasetParseError,
     InvalidInputError,
-    InvalidViewError,
-    SubsetView,
     generate_blobs,
     load_csv,
     load_idx,
-    materialize,
     save_csv,
 )
-from conf_ensemble.datasets import _CHUNK_ROWS
+from conf_ensemble.datasets import _CHUNK_ROWS, materialize
 
 from conftest import write_bad_gzip_images, write_idx_images, write_idx_labels
 from oracles import dataset_csv_text
@@ -238,46 +235,23 @@ class TestMaterialize:
         assert np.array_equal(out.labels, parent.labels)
 
     def test_empty_view(self, parent):
-        out = materialize(SubsetView(parent_id=parent.id, indices=()), parent)
+        out = materialize(np.empty(0, dtype=np.int64), parent)
         assert len(out) == 0
         assert out.feature_dim == parent.feature_dim
 
     def test_preserves_order(self, parent):
-        out = materialize(SubsetView(parent_id=parent.id, indices=(0, 2)), parent)
+        out = materialize(np.array([0, 2]), parent)
         assert len(out) == 2
         assert np.array_equal(out.features[0], parent.features[0])
         assert np.array_equal(out.features[1], parent.features[2])
-
-    def test_stale_parent_rejected(self, parent):
-        view = SubsetView(parent_id="something-else", indices=(0,))
-        with pytest.raises(InvalidViewError):
-            materialize(view, parent)
-
-    def test_out_of_range_rejected(self, parent):
-        view = SubsetView(parent_id=parent.id, indices=(0, 99))
-        with pytest.raises(InvalidViewError):
-            materialize(view, parent)
-
-    def test_indices_must_increase(self):
-        with pytest.raises(InvalidInputError):
-            SubsetView(parent_id="x", indices=(3, 1))
-        with pytest.raises(InvalidInputError):
-            SubsetView(parent_id="x", indices=(1, 1))
-        with pytest.raises(InvalidInputError):
-            SubsetView(parent_id="x", indices=(-1, 0))
-
-    @pytest.mark.parametrize("indices", [(0.5, 1.9, 3.2), [[0, 1]], 3])
-    def test_indices_must_be_an_integer_vector(self, indices):
-        with pytest.raises(InvalidInputError):
-            SubsetView(parent_id="x", indices=indices)
 
     @given(st.sets(st.integers(min_value=0, max_value=9)))
     def test_materialized_rows_match_parent(self, index_set):
         parent = generate_blobs(num_classes=2, per_class=5, dim=2, spread=1.0,
                                 overlap=0.0, seed=2)
-        indices = tuple(sorted(index_set))
-        out = materialize(SubsetView(parent_id=parent.id, indices=indices), parent)
-        for k, i in enumerate(indices):
+        indices = np.array(sorted(index_set), dtype=np.int64)
+        out = materialize(indices, parent)
+        for k, i in enumerate(indices.tolist()):
             assert np.array_equal(out.features[k], parent.features[i])
             assert out.labels[k] == parent.labels[i]
 

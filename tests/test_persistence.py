@@ -203,6 +203,16 @@ def _weights_shorter_than_header(directory):
     manifest_path.write_text(json.dumps(doc))
 
 
+def _nan_last_weight(directory):
+    weights_path = directory / WEIGHTS_FILE
+    raw = weights_path.read_bytes()[:-8] + struct.pack("<d", float("nan"))
+    weights_path.write_bytes(raw)
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["weights_digest"] = hashlib.sha256(raw).hexdigest()  # digest still matches
+    manifest_path.write_text(json.dumps(doc))
+
+
 class TestMalformedManifest:
     """Valid JSON of the wrong shape is a storage error, not a crash."""
 
@@ -219,6 +229,7 @@ class TestMalformedManifest:
             _string_training_threshold,
             _runtime_threshold_out_of_range,
             _weights_file_elsewhere,
+            _nan_last_weight,
         ],
     )
     def test_typed_error_and_storage_exit(self, built, blobs3, tmp_path, corrupt):
