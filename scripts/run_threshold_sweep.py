@@ -3,10 +3,11 @@
 
 Builds the config's own ensemble (the full chain) plus one two-member
 nested ensemble per training threshold in the grid, all from the config's
-dataset, classifier and trainer.  Then sweeps the runtime-threshold grid
-with both consensus heuristics.  The single-model baseline is member 0 of
-the full chain, as its build report scores it.  Emits a summary CSV/JSON
-and prints a table.
+dataset, classifier and trainer.  The builds share one member cache, so
+a member common to several of them (member 0 always) is trained once.
+Then sweeps the runtime-threshold grid with both consensus heuristics.
+The single-model baseline is member 0 of the full chain, as its build
+report scores it.  Emits a summary CSV/JSON and prints a table.
 A library error exits with the CLI's code for it (conf_ensemble.cli).
 
 Usage:
@@ -50,6 +51,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def sweep_builds(full):
+    """The ensembles to compare, by name: one two-member nested chain per
+    training threshold in the grid, then the full chain ``full``."""
+    builds = {
+        f"2member-tt{threshold:g}": replace(
+            full,
+            num_members=2,
+            training_thresholds=(threshold,),
+            selection_rule=SELECTION_NESTED,
+        )
+        for threshold in DEFAULT_TRAINING_THRESHOLD_GRID
+    }
+    builds[f"{full.num_members}member-{full.selection_rule}"] = full
+    return builds
+
+
 def evaluate_grid(name, manifest, data):
     rows = []
     for threshold in DEFAULT_RUNTIME_THRESHOLD_GRID:
@@ -87,24 +104,15 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    full = cfg.build
-    full_name = f"{full.num_members}member-{full.selection_rule}"
-    builds = {
-        f"2member-tt{threshold:g}": replace(
-            full,
-            num_members=2,
-            training_thresholds=(threshold,),
-            selection_rule=SELECTION_NESTED,
-        )
-        for threshold in DEFAULT_TRAINING_THRESHOLD_GRID
-    }
-    builds[full_name] = full
+    builds = sweep_builds(cfg.build)
+    full_name = list(builds)[-1]
 
     rows: list[dict] = []
     subset_sizes: dict[str, list[int]] = {}
     reports = {}
+    trained = {}
     for name, build in builds.items():
-        manifest, reports[name] = build_ensemble(data, build)
+        manifest, reports[name] = build_ensemble(data, build, trained=trained)
         subset_sizes[name] = list(reports[name].subset_sizes())
         rows += evaluate_grid(name, manifest, data)
 

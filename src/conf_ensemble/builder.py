@@ -34,6 +34,7 @@ from .classifiers import (
     check_architecture,
     fit,
     init_model,
+    training_fingerprint,
 )
 from .datasets import Dataset, materialize
 from .errors import DegenerateSubsetError, TrainingDivergedError, require_int, require_seed
@@ -171,8 +172,15 @@ def build_ensemble(
     data: Dataset,
     cfg: BuildConfig,
     default_runtime: RuntimeConfig | None = None,
+    trained: dict[str, TrainedModel] | None = None,
 ) -> tuple[EnsembleManifest, BuildReport]:
     """Train the full member chain.
+
+    ``trained`` is an optional member cache, keyed by training
+    fingerprint: a member whose fingerprint is in it is reused instead of
+    fitted again, and each member fitted is added to it.  Builds that
+    share it (the threshold sweep's) train each distinct member once.
+    A member's train_seconds covers its lookup and any fit.
 
     Raises DegenerateSubsetError as soon as a selected pool falls below
     max(2 * num_classes, 10) samples, naming the level; nothing is
@@ -195,10 +203,18 @@ def build_ensemble(
                               cfg.hidden_units, cfg.classifier_seed + level)
         member_train = replace(cfg.train_config, seed=cfg.train_config.seed + level)
         started = time.perf_counter()
-        try:
-            model = fit(init_model(spec), materialize(pool, data), member_train)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
+        pool_data = materialize(pool, data)
+        # The spec seeds the init; an init taken from elsewhere (say, the
+        # predecessor's parameters) must be hashed into the key too.
+        key = training_fingerprint(pool_data, member_train, spec)
+        model = trained.get(key) if trained is not None else None
+        if model is None:
+            try:
+                model = fit(init_model(spec), pool_data, member_train)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
+            if trained is not None:
+                trained[key] = model
         elapsed = time.perf_counter() - started
         scores = member_prediction_arrays(model, data.features)
         members.append(model)

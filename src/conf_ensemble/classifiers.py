@@ -16,6 +16,7 @@ every 15 epochs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -141,16 +142,23 @@ class TrainedModel:
         return self.loss_history[-1] if self.loss_history else None
 
 
-def _unpack(spec: ClassifierSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weights, bias) views into params, one pair per layer."""
-    layers = []
+@functools.lru_cache(maxsize=64)
+def _layer_bounds(spec: ClassifierSpec) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(fan_in, fan_out, weights start, bias start, bias end) per layer:
+    where each layer sits in the flat parameter vector."""
+    bounds = []
     offset = 0
     for fan_in, fan_out in spec.layer_shapes():
-        w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += w.size
-        layers.append((w, params[offset : offset + fan_out]))
-        offset += fan_out
-    return layers
+        bias = offset + fan_in * fan_out
+        bounds.append((fan_in, fan_out, offset, bias, bias + fan_out))
+        offset = bias + fan_out
+    return tuple(bounds)
+
+
+def _unpack(spec: ClassifierSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, bias) views into params, one pair per layer."""
+    return [(params[w:b].reshape(fan_in, fan_out), params[b:end])
+            for fan_in, fan_out, w, b, end in _layer_bounds(spec)]
 
 
 def init_model(spec: ClassifierSpec) -> TrainedModel:
@@ -174,9 +182,15 @@ def softmax_batch(logits: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"expected a 2-d logit matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("logits contain non-finite entries")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+    return _softmax_rows(arr)
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """softmax_batch without its checks, for a finite 2-d float64 matrix;
+    logits itself is left unchanged."""
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    exps /= exps.sum(axis=1, keepdims=True)
+    return exps
 
 
 def _forward(
@@ -199,20 +213,22 @@ def objective_and_gradient(
     weight_decay: float,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch plus 0.5 * weight_decay * ||params||^2,
-    with its analytic gradient (all parameters, biases included, are decayed)."""
+    with its analytic gradient (all parameters, biases included, are decayed).
+
+    Logits are not checked for finiteness: under fit's np.errstate, the
+    overflow that would make one non-finite raises first."""
     n = X.shape[0]
+    rows = np.arange(n)
     layers = _unpack(spec, params)
     inputs, logits = _forward(layers, X)
 
-    probs = softmax_batch(logits)
-    picked = np.clip(probs[np.arange(n), y], LOSS_PROB_FLOOR, None)
+    delta = _softmax_rows(logits)  # the probabilities, then d loss / d logits
+    picked = np.maximum(delta[rows, y], LOSS_PROB_FLOOR)
     loss = -float(np.mean(np.log(picked)))
-
-    delta = probs.copy()  # d loss / d logits
-    delta[np.arange(n), y] -= 1.0
+    delta[rows, y] -= 1.0
     delta /= n
 
-    grad = np.zeros_like(params)
+    grad = np.empty_like(params)  # every entry is one layer's gw or gb
     g_layers = _unpack(spec, grad)
     for k in range(len(layers) - 1, -1, -1):
         h = inputs[k]
@@ -236,6 +252,8 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
     by lr_decay_gamma every lr_decay_every_epochs epochs.  An overflow,
     invalid operation or division by zero in an epoch, or a non-finite
     epoch loss or parameter, raises TrainingDivergedError naming the epoch.
+    So does a final epoch loss above the loss at initialisation (naming
+    the last epoch): such a fit made the model worse than its start.
     """
     if len(data) == 0:
         raise EmptyTrainingSetError("cannot fit on an empty dataset")
@@ -254,25 +272,31 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
     rng = np.random.default_rng(cfg.seed)
     history = []
     n = len(data)
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate * cfg.lr_decay_gamma ** (epoch // cfg.lr_decay_every_epochs)
-        perm = rng.permutation(n)
-        # Underflow stays ignored: a healthy softmax's exp underflows.
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+    epoch = 0  # while the loss at initialisation is computed
+    # Underflow stays ignored: a healthy softmax's exp underflows.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            initial = objective_and_gradient(spec, params, X, y, cfg.weight_decay)[0]
+            for epoch in range(1, cfg.epochs + 1):
+                decays = (epoch - 1) // cfg.lr_decay_every_epochs
+                lr = cfg.learning_rate * cfg.lr_decay_gamma ** decays
+                perm = rng.permutation(n)
                 for start in range(0, n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
                     _, grad = objective_and_gradient(spec, params, X[idx], y[idx],
                                                      cfg.weight_decay)
                     params -= lr * grad
                 loss = objective_and_gradient(spec, params, X, y, cfg.weight_decay)[0]
-        except FloatingPointError as exc:
-            raise TrainingDivergedError(epoch + 1, str(exc)) from None
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch + 1, f"epoch loss is {loss}")
-        if not np.all(np.isfinite(params)):
-            raise TrainingDivergedError(epoch + 1, "parameters are not finite")
-        history.append(loss)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, f"epoch loss is {loss}")
+                if not np.all(np.isfinite(params)):
+                    raise TrainingDivergedError(epoch, "parameters are not finite")
+                history.append(loss)
+    except FloatingPointError as exc:
+        raise TrainingDivergedError(epoch, str(exc)) from None
+    if history[-1] > initial:
+        raise TrainingDivergedError(
+            epoch, f"final loss {history[-1]:.4g} exceeds initial loss {initial:.4g}")
 
     fingerprint = training_fingerprint(data, cfg, spec)
     return replace(

@@ -79,8 +79,9 @@ class DegenerateSubsetError(ConfEnsembleError):
 
 
 class TrainingDivergedError(ConfEnsembleError):
-    """A fit produced a non-finite loss or parameters.  epoch counts from
-    1; level is the member's, once the builder knows it."""
+    """A fit produced a non-finite loss or parameters, or ended with a
+    loss above its loss at initialisation.  epoch counts from 1 (0: the
+    initial loss); level is the member's, once the builder knows it."""
 
     def __init__(self, epoch: int, detail: str, level: int | None = None):
         self.epoch = epoch

@@ -1,7 +1,8 @@
 """Shared fixtures: stub members with controlled outputs, the
 overlap-heavy blob dataset the end-to-end tests build on, generated
-JSON values for the field-mutation properties, IDX file writers, and a
-loader for the scripts outside the package."""
+JSON values for the field-mutation properties, IDX file writers, a
+counter of the builder's fits, and a loader for the scripts outside the
+package."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from conf_ensemble import (
     generate_blobs,
     init_model,
 )
+from conf_ensemble import builder
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SCRIPT = ROOT / "scripts" / "run_threshold_sweep.py"
@@ -56,6 +58,21 @@ def blobs3():
 @pytest.fixture(scope="session")
 def trained_m0(blobs3):
     return fit(init_model(MLP_SPEC), blobs3, TRAIN)
+
+
+@pytest.fixture
+def fitted(monkeypatch):
+    """The fits build_ensemble runs during the test, as (model, data, cfg)
+    argument tuples."""
+    calls = []
+    real_fit = builder.fit
+
+    def counting_fit(*args):
+        calls.append(args)
+        return real_fit(*args)
+
+    monkeypatch.setattr(builder, "fit", counting_fit)
+    return calls
 
 
 def constant_member(

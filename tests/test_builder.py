@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,57 @@ class TestBuildEnsemble:
             assert record.accuracy == float(np.mean(np.asarray(predicted) == blobs3.labels))
             cls, top, _ = member_prediction_arrays(member, blobs3.features)
             assert record.ece == expected_calibration_error(top, cls == blobs3.labels).ece
+
+
+class TestMemberCache:
+    """build_ensemble's ``trained`` cache is keyed by training fingerprint:
+    a member is reused exactly when its data, train config and spec (and
+    so its init) are all unchanged."""
+
+    DATA = dict(num_classes=3, per_class=100, dim=2, spread=1.0, overlap=0.5, seed=4)
+    BASE = BuildConfig(num_members=2, training_thresholds=(0.1,), classifier_kind="mlp",
+                       hidden_units=4, classifier_seed=1,
+                       train_config=TrainConfig(epochs=10, batch_size=32,
+                                                learning_rate=0.05, seed=2))
+
+    def test_equal_fingerprints_hit(self, fitted):
+        trained = {}
+        first, _ = build_ensemble(generate_blobs(**self.DATA), self.BASE, trained=trained)
+        assert len(fitted) == 2
+        again, _ = build_ensemble(generate_blobs(**self.DATA), self.BASE, trained=trained)
+        assert len(fitted) == 2
+        assert [m.parameters.tobytes() for m in again.members] == \
+            [m.parameters.tobytes() for m in first.members]
+        assert {m.training_fingerprint for m in first.members} == set(trained)
+        # A longer chain with the same prefix trains only its new level.
+        longer = replace(self.BASE, num_members=3, training_thresholds=(0.1, 0.1))
+        build_ensemble(generate_blobs(**self.DATA), longer, trained=trained)
+        assert len(fitted) == 3
+
+    @pytest.mark.parametrize("change, refit", [
+        (dict(classifier_seed=2), 2),
+        (dict(train_config=replace(BASE.train_config, seed=3)), 2),
+        (dict(training_thresholds=(0.2,)), 1),
+    ], ids=["classifier_seed", "training_seed", "training_threshold"])
+    def test_a_changed_input_misses(self, fitted, change, refit):
+        trained = {}
+        data = generate_blobs(**self.DATA)
+        _, base = build_ensemble(data, self.BASE, trained=trained)
+        fitted.clear()
+        _, report = build_ensemble(data, replace(self.BASE, **change), trained=trained)
+        assert len(fitted) == refit
+        assert len(trained) == 2 + refit
+        if refit == 1:  # member 0 is reused; the changed pool is not
+            assert report.members[1].subset_size != base.members[1].subset_size
+            assert fitted[0][0].spec.seed == self.BASE.classifier_seed + 1
+
+    def test_a_changed_dataset_misses(self, fitted):
+        trained = {}
+        build_ensemble(generate_blobs(**self.DATA), self.BASE, trained=trained)
+        other = generate_blobs(**{**self.DATA, "seed": 5})
+        build_ensemble(other, self.BASE, trained=trained)
+        assert len(fitted) == 4
+        assert len(trained) == 4
 
 
 class TestBuildConfigValidation:

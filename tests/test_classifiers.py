@@ -18,6 +18,7 @@ from conf_ensemble import (
     init_model,
     predict_logits_batch,
 )
+from conf_ensemble import classifiers
 from conf_ensemble.classifiers import objective_and_gradient
 
 from oracles import cross_entropy_loss, predict_logits, softmax
@@ -248,6 +249,44 @@ class TestFit:
             fit(init_model(spec), data, cfg)
         assert 1 <= exc.value.epoch <= cfg.epochs
         assert exc.value.level is None
+
+    def test_final_loss_above_initial_loss_diverges(self):
+        # lr 50 overshoots without overflowing: the loss goes from 0.813 at
+        # initialisation to 1.105, and fit must not return such a model.
+        data = generate_blobs(num_classes=3, per_class=100, dim=2, spread=1.0,
+                              overlap=0.5, seed=11)
+        cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=50.0, weight_decay=0.0,
+                          seed=5)
+        spec = ClassifierSpec(kind="mlp", input_dim=2, num_classes=3, hidden_units=8, seed=3)
+        initial = objective_and_gradient(spec, init_model(spec).parameters, data.features,
+                                         data.labels, cfg.weight_decay)[0]
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^training diverged at epoch 5: final loss 1\.105 "
+                                 r"exceeds initial loss 0\.813$"):
+            fit(init_model(spec), data, cfg)
+        assert initial == pytest.approx(0.813, abs=5e-4)
+
+    def test_objective_calls_seen_by_the_tracer(self, monkeypatch):
+        # perfbench counts each objective_and_gradient call as an SGD step,
+        # or, when it receives the fit's own feature array, as a loss pass.
+        data = two_blob_dataset()
+        cfg = TrainConfig(epochs=4, batch_size=64, learning_rate=0.01, seed=5)
+        spec = ClassifierSpec(kind="mlp", input_dim=2, num_classes=2, hidden_units=3, seed=3)
+        full, steps = [], []
+        real = classifiers.objective_and_gradient
+
+        def counting(spec, params, X, y, weight_decay):
+            (full if X is data.features else steps).append(len(X))
+            return real(spec, params, X, y, weight_decay)
+
+        monkeypatch.setattr(classifiers, "objective_and_gradient", counting)
+        model = fit(init_model(spec), data, cfg)
+        steps_per_epoch = math.ceil(len(data) / cfg.batch_size)
+        assert len(steps) == cfg.epochs * steps_per_epoch
+        assert len(full) == cfg.epochs + 1  # the initial loss, then one per epoch
+        assert full == [len(data)] * (cfg.epochs + 1)
+        assert sum(steps) == cfg.epochs * len(data)
+        assert len(model.loss_history) == cfg.epochs
 
     def test_dimension_mismatch_rejected(self):
         data = two_blob_dataset()

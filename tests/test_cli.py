@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conf_ensemble import (
+    ClassifierSpec,
     ConfEnsembleError,
     DegenerateSubsetError,
     RuntimeConfig,
@@ -18,10 +19,14 @@ from conf_ensemble import (
     batch_evaluate,
     cli,
     generate_blobs,
+    init_model,
     load_csv,
+    load_dataset,
+    load_experiment_config,
     load_manifest,
     save_csv,
 )
+from conf_ensemble.classifiers import objective_and_gradient
 from conf_ensemble.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -43,6 +48,7 @@ from conftest import (
 from oracles import artifact_digests, evaluation_csv_text, evaluation_json_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+EXAMPLE_CONFIG = README.parent / "configs" / "example_blobs.json"
 
 BLOBS_BLOCK = {
     "kind": "blobs",
@@ -156,6 +162,39 @@ class TestBuildCommand:
         err = capsys.readouterr().err
         assert re.search(r"^error: training diverged at level 0, epoch \d+: ", err, re.M)
         assert not (workdir / "diverged-out" / "manifest.json").exists()
+
+    def test_final_loss_above_initial_exit_code(self, workdir, capsys):
+        # At lr 50 the example's member 1 goes from 1.193 at initialisation
+        # to 19.08: nothing overflows, but it ends worse than it started.
+        doc = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        doc["build"]["training"]["learning_rate"] = 50
+        config = workdir / "overshooting.json"
+        config.write_text(json.dumps(doc))
+        code = main(["build", "--config", str(config), "--out", str(workdir / "overshot")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "error: training diverged at level 1, epoch 30: "
+            "final loss 19.08 exceeds initial loss 1.193\n")
+        assert not (workdir / "overshot" / "manifest.json").exists()
+
+    def test_example_members_end_below_their_initial_loss(self, workdir):
+        out = workdir / "example"
+        assert main(["build", "--config", str(EXAMPLE_CONFIG), "--out", str(out)]) == EXIT_OK
+        cfg = load_experiment_config(EXAMPLE_CONFIG)
+        data = load_dataset(cfg.dataset)
+        report = json.loads((out / "build_report.json").read_text(encoding="utf-8"))
+        pools = [data.all_indices()] + [
+            np.loadtxt(out / "subsets" / f"level_{k}.idx", dtype=np.int64) for k in (1, 2)]
+        losses = []
+        for level, (pool, member) in enumerate(zip(pools, report["members"])):
+            spec = ClassifierSpec(cfg.build.classifier_kind, data.feature_dim,
+                                  data.num_classes, cfg.build.hidden_units,
+                                  cfg.build.classifier_seed + level)
+            initial = objective_and_gradient(spec, init_model(spec).parameters,
+                                             data.features[pool], data.labels[pool],
+                                             cfg.build.train_config.weight_decay)[0]
+            losses.append((round(initial, 3), round(member["final_loss"], 3)))
+        assert losses == [(1.398, 0.137), (1.331, 0.287), (1.307, 0.243)]
 
     def test_out_is_required(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conf_ensemble import InvalidInputError
 from conf_ensemble.cascade import member_prediction_arrays
-from conf_ensemble.classifiers import softmax_batch
+from conf_ensemble.classifiers import _softmax_rows, softmax_batch
 
 from conftest import identity_member
 from oracles import softmax, uncertainty
@@ -109,6 +109,14 @@ class TestSoftmaxBatch:
     @given(logit_matrices(bound=100.0), st.floats(min_value=-100, max_value=100))
     def test_shift_invariant_rows(self, logits, c):
         assert softmax_batch(logits + c) == pytest.approx(softmax_batch(logits), abs=1e-9)
+
+    @given(logit_matrices())
+    def test_unchecked_kernel_matches_bit_for_bit(self, logits):
+        # The training objective calls the kernel without softmax_batch's
+        # checks; on valid input the two must not differ in a single bit.
+        before = logits.copy()
+        assert _softmax_rows(logits).tobytes() == softmax_batch(logits).tobytes()
+        assert logits.tobytes() == before.tobytes()
 
     @given(logit_matrices())
     def test_rows_match_reference(self, logits):

@@ -10,7 +10,14 @@ import sys
 
 import pytest
 
-from conf_ensemble import generate_blobs, save_csv
+from conf_ensemble import (
+    build_ensemble,
+    generate_blobs,
+    load_dataset,
+    load_experiment_config,
+    save_csv,
+    save_manifest,
+)
 from conf_ensemble.cli import EXIT_CONFIG, EXIT_OK, main
 
 from conftest import ROOT, SWEEP_SCRIPT, load_script
@@ -102,3 +109,38 @@ def test_library_error_exits_with_its_code_and_no_traceback(tmp_path):
     assert result.returncode == EXIT_CONFIG
     assert result.stderr == "error: bad dataset option: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+def report_without_times(report):
+    doc = report.to_json_dict()
+    for member in doc["members"]:
+        del member["train_seconds"]
+    return doc
+
+
+def test_cached_builds_match_uncached_builds(workdir, tmp_path):
+    cfg = load_experiment_config(workdir / "experiment.json")
+    data = load_dataset(cfg.dataset)
+    trained = {}
+    for name, build in sweep.sweep_builds(cfg.build).items():
+        cached, cached_report = build_ensemble(data, build, trained=trained)
+        fresh, fresh_report = build_ensemble(data, build)
+        weights = [save_manifest(m, tmp_path / name / kind) / "weights.bin"
+                   for m, kind in ((cached, "cached"), (fresh, "fresh"))]
+        assert weights[0].read_bytes() == weights[1].read_bytes()
+        assert ([m.training_fingerprint for m in cached.members]
+                == [m.training_fingerprint for m in fresh.members])
+        assert report_without_times(cached_report) == report_without_times(fresh_report)
+    # member 0 is shared by all four builds, level 1 by tt0.01 and the
+    # rebased chain (the rules coincide there)
+    assert len(trained) == 5
+    assert all(model.training_fingerprint == key for key, model in trained.items())
+
+
+def test_each_invocation_trains_each_distinct_member_once(workdir, fitted):
+    first = run_sweep(workdir, "counted-1")
+    assert len(fitted) == 5
+    # A second invocation in the same process trains them all again: the
+    # cache lives for one main() call only.
+    assert run_sweep(workdir, "counted-2") == first
+    assert len(fitted) == 10
