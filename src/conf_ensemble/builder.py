@@ -100,7 +100,8 @@ def _indices_digest(indices: np.ndarray) -> str:
 class MemberBuildRecord:
     level: int
     subset_size: int
-    subset_indices: np.ndarray = field(compare=False)  # compared via index_digest
+    # Compared via index_digest and written to subsets/, not to the report.
+    subset_indices: np.ndarray = field(compare=False)
     index_digest: str
     train_seconds: float
     final_loss: float
@@ -108,19 +109,6 @@ class MemberBuildRecord:
     ece: float
     uncertainty_histogram: ScoreHistogram
     probability_histogram: ScoreHistogram
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "subset_size": self.subset_size,
-            "index_digest": self.index_digest,
-            "train_seconds": self.train_seconds,
-            "final_loss": self.final_loss,
-            "accuracy": self.accuracy,
-            "ece": self.ece,
-            "uncertainty_histogram": self.uncertainty_histogram.to_json_dict(),
-            "probability_histogram": self.probability_histogram.to_json_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -134,13 +122,8 @@ class BuildReport:
         return tuple(m.subset_size for m in self.members)
 
     def to_json_dict(self) -> dict:
-        return {
-            "selection_rule": self.selection_rule,
-            "dataset_id": self.dataset_id,
-            "dataset_digest": self.dataset_digest,
-            "subset_sizes": list(self.subset_sizes()),
-            "members": [m.to_json_dict() for m in self.members],
-        }
+        """build_report.json: the report's fields plus subset_sizes."""
+        return dict(vars(self), subset_sizes=self.subset_sizes())
 
 
 def member_report(

@@ -145,7 +145,7 @@ def cmd_evaluate(args) -> int:
     calibration = expected_calibration_error(record.chosen_top, record.correct)
     record.write_json(out / "evaluation.json")
     record.write_csv(out / "evaluation.csv")
-    _write_json(out / "calibration.json", calibration.to_json_dict())
+    _write_json(out / "calibration.json", calibration)
     _write_json(out / "utilization.json", record.utilization_summary())
     print(
         f"accuracy {record.accuracy:.4f}, ece {calibration.ece:.4f}, "

@@ -17,8 +17,8 @@ key the layout does not name.  Every number goes through require_int,
 require_seed or require_float, here or in the type that owns it, so a
 string, boolean, NaN or Infinity is a ConfigError.  The rules are the
 types' own: BuildConfig, TrainConfig and RuntimeConfig run at load, before
-any dataset is read.  Bin counts are not configured: every report uses the
-metrics module's defaults.
+any dataset is read.  Bin counts are not configured: they are the
+metrics module's constants.
 
 The build block becomes a BuildConfig, which names no dataset: members
 take their input dimension and class count from the data they are built
@@ -198,10 +198,11 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
 
 
 def read_json(path: Path):
-    """Parse a JSON file; undecodable bytes or bad syntax raise ConfigError."""
+    """Parse a JSON file; undecodable bytes, bad syntax or nesting too deep
+    to parse raise ConfigError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

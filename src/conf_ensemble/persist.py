@@ -2,15 +2,24 @@
 
 An ensemble directory holds:
 
-  manifest.json — format_version, member specs, schedules, provenance,
-                  and the sha256 of the weights file;
+  manifest.json — the EnsembleManifest's fields, each member written as
+                  its ClassifierSpec's fields plus level, param_count
+                  and training_fingerprint, and the store's own
+                  format_version, weights_file and the sha256 of
+                  the weights file;
   weights.bin   — little-endian binary: 8-byte magic, u32 FORMAT_VERSION,
                   u32 member count, then per member a u64 parameter count
                   followed by that many float64 values.
 
 FORMAT_VERSION is the only version written or read.  Loading re-validates
 everything (magic, version, counts against the spec shapes, the recorded
-digest), so silent corruption cannot pass.
+digest), so silent corruption cannot pass.  Loading builds each record
+back from the JSON keys its dataclass fields name (_from_fields), so the
+written and the read schema of a member spec, the default runtime and
+the manifest are one list each: the dataclass's fields.
+
+write_json is the one JSON writer of the package's small artifacts: a
+dataclass record is written as its fields.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,38 +82,29 @@ def _unpack_weights(raw: bytes, path: Path) -> list[np.ndarray]:
 
 
 def manifest_to_json_dict(manifest: EnsembleManifest, weights_digest: str) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "selection_rule": manifest.selection_rule,
-        "training_thresholds": list(manifest.training_thresholds),
-        "default_runtime": {
-            "thresholds": list(manifest.default_runtime.thresholds),
-            "consensus": manifest.default_runtime.consensus,
-        },
-        "dataset_id": manifest.dataset_id,
-        "dataset_digest": manifest.dataset_digest,
-        "weights_file": WEIGHTS_FILE,
-        "weights_digest": weights_digest,
-        "members": [
-            {
-                "level": level,
-                "kind": m.spec.kind,
-                "input_dim": m.spec.input_dim,
-                "num_classes": m.spec.num_classes,
-                "hidden_units": m.spec.hidden_units,
-                "seed": m.spec.seed,
-                "param_count": m.spec.param_count(),
-                "training_fingerprint": m.training_fingerprint,
-            }
-            for level, m in enumerate(manifest.members)
-        ],
-    }
+    members = [
+        dict(vars(m.spec), level=level, param_count=m.spec.param_count(),
+             training_fingerprint=m.training_fingerprint)
+        for level, m in enumerate(manifest.members)
+    ]
+    return dict(vars(manifest), members=members, format_version=FORMAT_VERSION,
+                weights_file=WEIGHTS_FILE, weights_digest=weights_digest)
+
+
+def _record_fields(record) -> dict:
+    """json's hook for a dataclass record: its fields, less any declared
+    field(compare=False), whose value another field stands for (as
+    MemberBuildRecord.index_digest does for subset_indices)."""
+    if not is_dataclass(record):
+        raise TypeError(f"{type(record).__name__} is not JSON serializable")
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.compare}
 
 
 def write_json(path, doc) -> None:
-    """A JSON artifact: indented, keys sorted, newline-terminated."""
+    """A JSON artifact: indented, keys sorted, newline-terminated; a
+    dataclass anywhere in doc is written as its fields (_record_fields)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_record_fields)
         fh.write("\n")
 
 
@@ -125,7 +126,7 @@ def load_manifest(directory) -> EnsembleManifest:
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestDigestError(f"{manifest_path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestDigestError(f"{manifest_path}: top level must be a JSON object")
@@ -170,13 +171,7 @@ def _reconstruct(doc, directory: Path, manifest_path: Path) -> EnsembleManifest:
             raise ManifestDigestError(
                 f"{manifest_path}: member levels not contiguous at position {level}"
             )
-        spec = ClassifierSpec(
-            kind=entry["kind"],
-            input_dim=entry["input_dim"],
-            num_classes=entry["num_classes"],
-            hidden_units=entry["hidden_units"],
-            seed=entry["seed"],
-        )
+        spec = _from_fields(ClassifierSpec, entry)
         if params.size != spec.param_count() or entry["param_count"] != spec.param_count():
             raise ManifestDigestError(
                 f"{weights_path}: member {level} has {params.size} parameters, "
@@ -190,14 +185,12 @@ def _reconstruct(doc, directory: Path, manifest_path: Path) -> EnsembleManifest:
             )
         )
 
-    return EnsembleManifest(
-        members=tuple(members),
-        selection_rule=doc["selection_rule"],
-        training_thresholds=tuple(doc["training_thresholds"]),
-        default_runtime=RuntimeConfig(
-            thresholds=tuple(doc["default_runtime"]["thresholds"]),
-            consensus=doc["default_runtime"]["consensus"],
-        ),
-        dataset_id=doc["dataset_id"],
-        dataset_digest=doc["dataset_digest"],
-    )
+    runtime = _from_fields(RuntimeConfig, doc["default_runtime"])
+    return _from_fields(EnsembleManifest, dict(doc, members=tuple(members),
+                                               default_runtime=runtime))
+
+
+def _from_fields(cls, block):
+    """cls built from the entries of block that its fields name; other
+    entries are ignored, and a missing one is a KeyError."""
+    return cls(**{f.name: block[f.name] for f in fields(cls)})

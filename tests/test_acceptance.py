@@ -251,22 +251,31 @@ def test_criterion_5_cascade_oracle():
 
 def test_criterion_6_ece_correctness():
     with criterion(6, "ECE correctness"):
-        report = expected_calibration_error([0.8, 0.6], [True, False], num_bins=1)
-        assert report.ece == abs(0.5 - (0.8 + 0.6) / 2)
-        assert report.ece == pytest.approx(0.2, abs=1e-12)
+        # 15 bins: 0.82 * 15 = 12.3 and 0.84 * 15 = 12.6 share bin 12, so
+        # the ECE is |0.5 - 0.83|.
+        report = expected_calibration_error([0.82, 0.84], [True, False])
+        assert report.ece == abs(0.5 - (0.82 + 0.84) / 2)
+        assert report.ece == pytest.approx(0.33, abs=1e-12)
 
-        perfect = expected_calibration_error([1.0] * 100, [True] * 100, num_bins=15)
+        # 0.75 * 15 = 11.25 (bin 11) and 0.55 * 15 = 8.25 (bin 8), half the
+        # weight each: 0.5 * |1 - 0.75| + 0.5 * |0 - 0.55| = 0.4.
+        split = expected_calibration_error([0.75, 0.55], [True, False])
+        assert split.ece == pytest.approx(0.4, abs=1e-12)
+
+        perfect = expected_calibration_error([1.0] * 100, [True] * 100)
         assert perfect.ece < 1e-12
 
-        wrong = expected_calibration_error([1.0] * 100, [False] * 100, num_bins=15)
+        wrong = expected_calibration_error([1.0] * 100, [False] * 100)
         assert wrong.ece == 1.0
 
         rng = np.random.default_rng(66)
         for _ in range(50):
             n = int(rng.integers(1, 80))
-            probs = rng.uniform(0, 1, n)
+            k = int(rng.integers(0, 15))  # one bin, clear of its edges
+            probs = rng.uniform((k + 0.01) / 15, (k + 0.99) / 15, n)
             correct = rng.uniform(0, 1, n) < 0.6
-            single = expected_calibration_error(probs, correct, num_bins=1)
+            single = expected_calibration_error(probs, correct)
+            assert [b.count for b in single.bins if b.count] == [n]
             assert single.ece == pytest.approx(
                 abs(float(correct.mean()) - float(probs.mean())), abs=1e-12
             )

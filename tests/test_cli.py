@@ -464,6 +464,43 @@ class TestEvaluateCommand:
         assert code == EXIT_STORAGE
 
 
+class TestArtifactSchemas:
+    """The exact keys of each JSON artifact.  Each is its record's fields,
+    so a field added to a record shows up here as a deliberate edit."""
+
+    HISTOGRAM = {"bin_edges", "correct_counts", "incorrect_counts", "score_kind"}
+
+    def test_build_report(self, built_dir):
+        report = json.loads((built_dir / "build_report.json").read_text(encoding="utf-8"))
+        assert set(report) == {"dataset_digest", "dataset_id", "members", "selection_rule",
+                               "subset_sizes"}
+        for member in report["members"]:
+            assert set(member) == {"accuracy", "ece", "final_loss", "index_digest", "level",
+                                   "probability_histogram", "subset_size", "train_seconds",
+                                   "uncertainty_histogram"}
+            assert set(member["uncertainty_histogram"]) == self.HISTOGRAM
+            assert set(member["probability_histogram"]) == self.HISTOGRAM
+
+    def test_calibration(self, workdir, built_dir, tmp_path):
+        assert main(["evaluate", "--ensemble", str(built_dir),
+                     "--data", str(workdir / "data.csv"), "--out", str(tmp_path)]) == EXIT_OK
+        calibration = json.loads((tmp_path / "calibration.json").read_text(encoding="utf-8"))
+        assert set(calibration) == {"bins", "ece", "num_bins"}
+        assert len(calibration["bins"]) == calibration["num_bins"] == 15
+        for entry in calibration["bins"]:
+            assert set(entry) == {"count", "fraction_correct", "mean_confidence", "weight"}
+
+    def test_manifest(self, built_dir):
+        manifest = json.loads((built_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest) == {"dataset_digest", "dataset_id", "default_runtime",
+                                 "format_version", "members", "selection_rule",
+                                 "training_thresholds", "weights_digest", "weights_file"}
+        assert set(manifest["default_runtime"]) == {"consensus", "thresholds"}
+        for member in manifest["members"]:
+            assert set(member) == {"hidden_units", "input_dim", "kind", "level", "num_classes",
+                                   "param_count", "seed", "training_fingerprint"}
+
+
 class TestHistogramsCommand:
     def test_writes_both_kinds_with_full_counts(self, workdir, built_dir):
         out = workdir / "hists"
@@ -588,6 +625,33 @@ class TestFileBoundaryErrors:
                     "--out", str(tmp_path / "eval")]
         assert main(argv) == expected
         assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, expected", [("config", EXIT_CONFIG), ("data", EXIT_CONFIG),
+                                            ("manifest", EXIT_STORAGE)])
+def test_deeply_nested_json_is_a_typed_error(workdir, built_dir, tmp_path, capsys,
+                                             path, expected):
+    """JSON nested too deep for the parser exits with the file's code and
+    one error line, not a RecursionError traceback."""
+    nested = "[" * 200_000
+    ensemble, data = built_dir, workdir / "data.csv"
+    if path == "config":
+        bad = tmp_path / "experiment.json"
+        argv = ["build", "--config", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        if path == "manifest":
+            ensemble = tmp_path / "ensemble"
+            shutil.copytree(built_dir, ensemble)
+            bad = ensemble / "manifest.json"
+        else:
+            data = bad = tmp_path / "data.json"
+        argv = ["evaluate", "--ensemble", str(ensemble), "--data", str(data),
+                "--out", str(tmp_path / "eval")]
+    bad.write_text(nested, encoding="utf-8")
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert "recursion" in err
 
 
 def documented_exit_codes() -> dict[str, int]:

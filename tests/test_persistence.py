@@ -270,6 +270,68 @@ class TestEveryManifestField:
             pass
 
 
+class TestManifestKeys:
+    """A member entry or default_runtime with a key dropped fails to load,
+    naming the key; a key the reader does not know is ignored."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dropped_key_fails_and_added_key_is_ignored(self, built, stored, data):
+        store, original = stored
+        doc = json.loads(original)
+        block = data.draw(st.sampled_from([doc["default_runtime"]] + doc["members"]))
+        drop = data.draw(st.booleans())
+        if drop:
+            key = data.draw(st.sampled_from(sorted(block)))
+            del block[key]
+        else:
+            key = data.draw(st.text(max_size=12).filter(lambda k: k not in block))
+            block[key] = data.draw(JSON_VALUES)
+        (store / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        if drop:
+            with pytest.raises(ManifestDigestError, match=f"missing field {key!r}"):
+                load_manifest(store)
+        else:
+            assert manifests_equal(built, load_manifest(store))
+
+
+class TestDamagedWeights:
+    """weights.bin cut short or with one byte flipped, under a digest that
+    matches it, so that the file's own checks must run.  Only a storage
+    error may escape; a cut file and a damaged header always fail."""
+
+    HEADER = len(WEIGHTS_MAGIC) + 8 + 8  # magic, version and count, first size
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_load_succeeds_or_raises_storage_error(self, stored, data):
+        store, original = stored
+        weights_path = store / WEIGHTS_FILE
+        intact = weights_path.read_bytes()
+        position = data.draw(st.integers(min_value=0, max_value=len(intact) - 1))
+        truncate = data.draw(st.booleans())
+        if truncate:
+            raw = intact[:position]
+        else:
+            flipped = intact[position] ^ data.draw(st.integers(min_value=1, max_value=255))
+            raw = intact[:position] + bytes([flipped]) + intact[position + 1:]
+        doc = json.loads(original)
+        doc["weights_digest"] = hashlib.sha256(raw).hexdigest()
+        (store / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        weights_path.write_bytes(raw)
+        try:
+            if truncate or position < self.HEADER:
+                with pytest.raises((ManifestDigestError, ManifestVersionError)):
+                    load_manifest(store)
+            else:
+                try:
+                    load_manifest(store)
+                except (ManifestDigestError, ManifestVersionError):
+                    pass
+        finally:
+            weights_path.write_bytes(intact)
+
+
 class TestBuildDeterminism:
     def test_two_builds_same_digests(self, blobs3, tmp_path):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
