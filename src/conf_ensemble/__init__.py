@@ -7,8 +7,11 @@ consensus fallbacks and calibration/accuracy reporting.
 """
 
 from .builder import (
+    SELECTION_NESTED,
+    SELECTION_REBASED,
     BuildConfig,
     BuildReport,
+    EnsembleManifest,
     build_ensemble,
     member_prediction_arrays,
 )
@@ -56,7 +59,6 @@ from .errors import (
     ManifestVersionError,
     TrainingDivergedError,
 )
-from .manifest import SELECTION_NESTED, SELECTION_REBASED, EnsembleManifest
 from .metrics import (
     CalibrationReport,
     ScoreHistogram,

@@ -16,6 +16,10 @@ entry is the single-model reference.  Builds are deterministic: member s
 derives its init and shuffling seeds from the configured seeds plus s.
 A BuildConfig names no dataset: each member's input dimension and class
 count are the dataset's.
+
+check_schedule states the build-schedule rules (member count, selection
+rule, a training threshold per later member) once, for both BuildConfig
+and EnsembleManifest, the built chain, so a stored manifest obeys them too.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cascade import RuntimeConfig, member_prediction_arrays
+from .cascade import RuntimeConfig, check_thresholds, member_prediction_arrays
 from .classifiers import (
     ClassifierSpec,
     TrainConfig,
@@ -37,8 +41,13 @@ from .classifiers import (
     training_fingerprint,
 )
 from .datasets import Dataset, materialize
-from .errors import DegenerateSubsetError, TrainingDivergedError, require_int, require_seed
-from .manifest import SELECTION_NESTED, EnsembleManifest, check_schedule
+from .errors import (
+    DegenerateSubsetError,
+    InvalidInputError,
+    TrainingDivergedError,
+    require_int,
+    require_seed,
+)
 from .metrics import (
     SCORE_KIND_TOP_PROBABILITY,
     SCORE_KIND_UNCERTAINTY,
@@ -48,6 +57,57 @@ from .metrics import (
 )
 
 DEFAULT_RUNTIME_THRESHOLD = 0.2
+
+SELECTION_NESTED = "nested"
+SELECTION_REBASED = "rebased"
+SELECTION_RULES = (SELECTION_NESTED, SELECTION_REBASED)
+
+
+def check_schedule(
+    num_members: int, selection_rule: str, training_thresholds
+) -> tuple[float, ...]:
+    """The build schedule's rules: at least one member, a known selection
+    rule, and one training threshold (see check_thresholds) per level >= 1.
+    Returns the thresholds as floats."""
+    if num_members < 1:
+        raise InvalidInputError(f"num_members must be >= 1, got {num_members}")
+    if selection_rule not in SELECTION_RULES:
+        raise InvalidInputError(f"unknown selection rule {selection_rule!r}")
+    thresholds = check_thresholds("training threshold", training_thresholds)
+    if len(thresholds) != num_members - 1:
+        raise InvalidInputError(
+            f"{len(thresholds)} training thresholds for {num_members} members; "
+            f"need one per level >= 1"
+        )
+    return thresholds
+
+
+@dataclass(frozen=True, eq=False)
+class EnsembleManifest:
+    """Ordered members plus the schedules and provenance needed to rerun
+    or audit them.  Member position in the tuple is its cascade level."""
+
+    members: tuple[TrainedModel, ...]
+    selection_rule: str
+    training_thresholds: tuple[float, ...]
+    default_runtime: RuntimeConfig
+    dataset_id: str
+    dataset_digest: str
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "training_thresholds",
+            check_schedule(len(self.members), self.selection_rule, self.training_thresholds),
+        )
+        self.default_runtime.validate_for(len(self.members))
+        shapes = {(m.spec.input_dim, m.spec.num_classes) for m in self.members}
+        if len(shapes) > 1:
+            raise InvalidInputError("all members must share input_dim and num_classes")
+
+    @property
+    def num_members(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -159,11 +219,12 @@ def build_ensemble(
 ) -> tuple[EnsembleManifest, BuildReport]:
     """Train the full member chain.
 
-    ``trained`` is an optional member cache, keyed by training
-    fingerprint: a member whose fingerprint is in it is reused instead of
-    fitted again, and each member fitted is added to it.  Builds that
-    share it (the threshold sweep's) train each distinct member once.
-    A member's train_seconds covers its lookup and any fit.
+    ``trained`` is a member cache, keyed by training fingerprint: a
+    member whose fingerprint is in it is reused instead of fitted again,
+    and each member fitted is added to it.  Builds that share one (the
+    threshold sweep's) train each distinct member once; without one, a
+    build uses its own.  A member's train_seconds covers its lookup and
+    any fit.
 
     Raises DegenerateSubsetError as soon as a selected pool falls below
     max(2 * num_classes, 10) samples, naming the level; nothing is
@@ -171,6 +232,7 @@ def build_ensemble(
     diverged fit raises TrainingDivergedError naming the level and epoch.
     """
     min_size = max(2 * data.num_classes, 10)
+    trained = {} if trained is None else trained
 
     full_pool = data.all_indices()
     pool = full_pool
@@ -190,14 +252,13 @@ def build_ensemble(
         # The spec seeds the init; an init taken from elsewhere (say, the
         # predecessor's parameters) must be hashed into the key too.
         key = training_fingerprint(pool_data, member_train, spec)
-        model = trained.get(key) if trained is not None else None
+        model = trained.get(key)
         if model is None:
             try:
                 model = fit(init_model(spec), pool_data, member_train)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
-            if trained is not None:
-                trained[key] = model
+            trained[key] = model
         elapsed = time.perf_counter() - started
         scores = member_prediction_arrays(model, data.features)
         members.append(model)

@@ -23,7 +23,9 @@ The record's to_json_dict() is the evaluation summary; write_json and
 write_csv stream the per-sample artifacts from the columns in chunks.
 
 Thresholds, runtime and training alike, are finite numbers in U's range
-[0, 0.5]; check_thresholds is the one place that rule is written.
+[0, 0.5]; check_thresholds is the one place that rule is written.  That a
+dataset fits the members is ClassifierSpec.check_data's rule, which
+batch_evaluate runs before any forward pass.
 
 Note the boundary asymmetry with training-pool selection: a sample whose
 uncertainty equals the threshold exactly is not accepted here, and is
@@ -40,11 +42,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .classifiers import TrainedModel, predict_logits_batch, softmax_batch
-from .datasets import _CHUNK_ROWS, Dataset
+from .datasets import CHUNK_ROWS, Dataset
 from .errors import InvalidInputError, require_float
 
 if TYPE_CHECKING:
-    from .manifest import EnsembleManifest
+    from .builder import EnsembleManifest
 
 CONSENSUS_LAST_MEMBER = "last_member"
 CONSENSUS_MOST_CONFIDENT = "most_confident"
@@ -274,14 +276,14 @@ class EvaluationRecord:
         }
 
     def _chunks(self):
-        """The per-sample columns, _CHUNK_ROWS rows at a time, each chunk
+        """The per-sample columns, CHUNK_ROWS rows at a time, each chunk
         an iterator of (sample index, answering level, chosen class, true
         class, top probability, uncertainty, uncertainty at every level,
         correct) tuples of Python values."""
         columns = (self.level, self.chosen_class, self.labels, self.chosen_top,
                    self.chosen_uncertainty, self.unc, self.correct)
-        for start in range(0, self.num_samples, _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
+        for start in range(0, self.num_samples, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
             yield zip(range(start, self.num_samples), *(c[rows].tolist() for c in columns))
 
     def to_json_dict(self) -> dict:
@@ -366,22 +368,10 @@ def batch_evaluate(
 
     Same kernel as cascade_predict, applied to every row at once; each
     member runs only on the samples still unresolved at its level.  A
-    dataset of the wrong width fails in the first member's forward pass;
-    an empty one reaches no forward pass and gives an empty record.
+    dataset that does not fit the members (ClassifierSpec.check_data)
+    fails here, an empty one included; an empty one that fits gives an
+    empty record.
     """
-    spec0 = manifest.members[0].spec
-    if data.num_classes != spec0.num_classes:
-        raise InvalidInputError(
-            f"dataset num_classes {data.num_classes} != ensemble num_classes {spec0.num_classes}"
-        )
-    classes, top, unc, level, chosen = _run_cascade(manifest.members, rcfg, data.features)
-    return EvaluationRecord(
-        consensus=rcfg.consensus,
-        thresholds=rcfg.thresholds,
-        labels=data.labels,
-        classes=classes,
-        top=top,
-        unc=unc,
-        level=level,
-        chosen=chosen,
-    )
+    manifest.members[0].spec.check_data(data)
+    return EvaluationRecord(rcfg.consensus, rcfg.thresholds, data.labels,
+                            *_run_cascade(manifest.members, rcfg, data.features))

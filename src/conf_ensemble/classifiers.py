@@ -12,6 +12,10 @@ from the spec seed, batch order from the train config seed.
 
 Default hyperparameters: learning rate 1e-3, weight decay 1e-2, gamma 0.3
 every 15 epochs.
+
+ClassifierSpec.check_data is the one statement of "this dataset fits this
+model" (feature width and class count); fit, the cascade's batch_evaluate
+and the CLI's --data loading all run it.
 """
 
 from __future__ import annotations
@@ -68,6 +72,16 @@ class ClassifierSpec:
             raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.num_classes < 2:
             raise InvalidInputError(f"num_classes must be >= 2, got {self.num_classes}")
+
+    def check_data(self, data: Dataset) -> None:
+        """The one check that data fits this model: its feature width is
+        input_dim and its class count num_classes."""
+        if data.feature_dim != self.input_dim:
+            raise InvalidInputError(
+                f"dataset feature_dim {data.feature_dim} != model input_dim {self.input_dim}")
+        if data.num_classes != self.num_classes:
+            raise InvalidInputError(
+                f"dataset num_classes {data.num_classes} != model num_classes {self.num_classes}")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per dense layer, input to output; each layer's
@@ -258,14 +272,7 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
     if len(data) == 0:
         raise EmptyTrainingSetError("cannot fit on an empty dataset")
     spec = model.spec
-    if data.feature_dim != spec.input_dim:
-        raise InvalidInputError(
-            f"dataset feature_dim {data.feature_dim} != spec input_dim {spec.input_dim}"
-        )
-    if data.num_classes != spec.num_classes:
-        raise InvalidInputError(
-            f"dataset num_classes {data.num_classes} != spec num_classes {spec.num_classes}"
-        )
+    spec.check_data(data)
 
     X, y = data.features, data.labels
     params = model.parameters.copy()

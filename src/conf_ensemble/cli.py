@@ -27,7 +27,8 @@ from .cascade import (
     batch_evaluate,
     member_prediction_arrays,
 )
-from .config import load_dataset, load_experiment_config, parse_dataset_block, read_json
+from .classifiers import ClassifierSpec
+from .config import load_dataset, load_experiment_config, parse_dataset_block
 from .datasets import Dataset, load_csv
 from .errors import (
     ConfigError,
@@ -46,7 +47,7 @@ from .metrics import (
     score_histogram,
 )
 # perfbench times the CLI's JSON writes by patching cli._write_json.
-from .persist import load_manifest, save_manifest, write_json as _write_json
+from .persist import load_manifest, read_json, save_manifest, write_json as _write_json
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -76,20 +77,17 @@ def _resolve_out(out: str) -> Path:
     return path
 
 
-def _load_eval_data(src: str, num_classes: int) -> Dataset:
-    """The --data file as a dataset of the ensemble's num_classes."""
+def _load_eval_data(src: str, spec: ClassifierSpec) -> Dataset:
+    """The --data file as a dataset that fits spec (spec.check_data)."""
     path = Path(src)
     if path.suffix == ".csv":
-        data = load_csv(path, num_classes=num_classes)
+        data = load_csv(path, num_classes=spec.num_classes)
     elif path.suffix == ".json":
-        source = parse_dataset_block(read_json(path), base=path.parent)
-        data = load_dataset(source, num_classes=num_classes)
+        source = parse_dataset_block(read_json(path, ConfigError), base=path.parent)
+        data = load_dataset(source, num_classes=spec.num_classes)
     else:
         raise ConfigError(f"--data must be a .csv file or a .json dataset block, got {src}")
-    if data.num_classes != num_classes:
-        raise InvalidInputError(
-            f"dataset num_classes {data.num_classes} != ensemble num_classes {num_classes}"
-        )
+    spec.check_data(data)
     return data
 
 
@@ -134,7 +132,7 @@ def cmd_build(args) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.ensemble)
-    data = _load_eval_data(args.data, manifest.members[0].spec.num_classes)
+    data = _load_eval_data(args.data, manifest.members[0].spec)
     default = manifest.default_runtime
     given = args.runtime_thresholds
     thresholds = default.thresholds if given is None else _parse_thresholds(given)
@@ -160,8 +158,9 @@ def cmd_histograms(args) -> int:
         raise ConfigError(
             f"--member {args.member} out of range for {manifest.num_members} members"
         )
-    data = _load_eval_data(args.data, manifest.members[0].spec.num_classes)
-    cls, top, unc = member_prediction_arrays(manifest.members[args.member], data.features)
+    member = manifest.members[args.member]
+    data = _load_eval_data(args.data, member.spec)
+    cls, top, unc = member_prediction_arrays(member, data.features)
     correct = cls == data.labels
     out = _resolve_out(args.out)
     for kind, scores in (

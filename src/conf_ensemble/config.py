@@ -12,13 +12,14 @@ Layout (paths resolved relative to the config file):
 
 The output directory is not part of the config: it is the CLI's --out.
 
-This module only converts JSON into the library's types, and rejects a
-key the layout does not name.  Every number goes through require_int,
-require_seed or require_float, here or in the type that owns it, so a
-string, boolean, NaN or Infinity is a ConfigError.  The rules are the
-types' own: BuildConfig, TrainConfig and RuntimeConfig run at load, before
-any dataset is read.  Bin counts are not configured: they are the
-metrics module's constants.
+This module only converts JSON into the library's types.  persist's
+read_json reads the file and its known_keys rejects a key the layout does
+not name, as they do for a manifest.  Every number goes through
+require_int, require_seed or require_float, here or in the type that owns
+it, so a string, boolean, NaN or Infinity is a ConfigError.  The rules
+are the types' own: BuildConfig, TrainConfig and RuntimeConfig run at
+load, before any dataset is read.  Bin counts are not configured: they
+are the metrics module's constants.
 
 The build block becomes a BuildConfig, which names no dataset: members
 take their input dimension and class count from the data they are built
@@ -29,11 +30,10 @@ its "threshold" is one number for every member or a list of one each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .builder import BuildConfig
+from .builder import SELECTION_NESTED, BuildConfig
 from .cascade import CONSENSUS_MOST_CONFIDENT, RuntimeConfig
 from .classifiers import TrainConfig
 from .datasets import Dataset, generate_blobs, load_csv, load_idx
@@ -44,7 +44,7 @@ from .errors import (
     require_int,
     require_seed,
 )
-from .manifest import SELECTION_NESTED
+from .persist import known_keys, read_json
 
 # Default threshold grids; the sweep script walks these.  The acceptance
 # suite keeps its own copies (TRAINING_GRID, RUNTIME_GRID).
@@ -64,17 +64,6 @@ _CLASSIFIER_KEYS = ("kind", "hidden_units", "seed")
 _RUNTIME_KEYS = ("threshold", "consensus")
 
 
-def _known_keys(block, allowed, where: str) -> dict:
-    """block, once it is an object whose every key is in allowed; where is
-    the block's path in the config, for the error message."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} block must be an object")
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {where}.{key}")
-    return block
-
-
 @dataclass(frozen=True)
 class DatasetSource:
     kind: str
@@ -83,7 +72,7 @@ class DatasetSource:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _DATASET_OPTIONS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        _known_keys(self.options, _DATASET_OPTIONS[self.kind], "dataset")
+        known_keys(self.options, _DATASET_OPTIONS[self.kind], "dataset", ConfigError)
 
 
 def load_dataset(source: DatasetSource, num_classes: int | None = None) -> Dataset:
@@ -150,7 +139,7 @@ def parse_dataset_block(block: dict, base: Path | None = None) -> DatasetSource:
 
 
 def parse_runtime_block(block: dict, num_members: int) -> RuntimeConfig:
-    _known_keys(block, _RUNTIME_KEYS, "runtime")
+    known_keys(block, _RUNTIME_KEYS, "runtime", ConfigError)
     threshold = _require(block, "threshold", "runtime")
     return RuntimeConfig.for_members(
         threshold if isinstance(threshold, list) else (threshold,),
@@ -162,15 +151,14 @@ def parse_runtime_block(block: dict, num_members: int) -> RuntimeConfig:
 def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentConfig:
     """Convert a parsed config document; any rule it breaks is a ConfigError."""
     try:
-        _known_keys(doc, _TOP_KEYS, "config")
+        known_keys(doc, _TOP_KEYS, "config", ConfigError)
         dataset = parse_dataset_block(_require(doc, "dataset", "config"), base)
-        build = _known_keys(_require(doc, "build", "config"), _BUILD_KEYS, "build")
-        classifier = _known_keys(
-            _require(build, "classifier", "build"), _CLASSIFIER_KEYS, "build.classifier"
-        )
-        training = _known_keys(
-            build.get("training", {}), {f.name for f in fields(TrainConfig)}, "build.training"
-        )
+        build = known_keys(_require(doc, "build", "config"), _BUILD_KEYS, "build",
+                           ConfigError)
+        classifier = known_keys(_require(build, "classifier", "build"), _CLASSIFIER_KEYS,
+                                "build.classifier", ConfigError)
+        training = known_keys(build.get("training", {}), {f.name for f in fields(TrainConfig)},
+                              "build.training", ConfigError)
         hidden = classifier.get("hidden_units")
         build_cfg = BuildConfig(
             num_members=require_int("build.num_members", _require(build, "num_members", "build")),
@@ -197,15 +185,6 @@ def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentCo
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def read_json(path: Path):
-    """Parse a JSON file; undecodable bytes, bad syntax or nesting too deep
-    to parse raise ConfigError."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
-    return parse_experiment_config(read_json(path), base=path.parent)
+    return parse_experiment_config(read_json(path, ConfigError), base=path.parent)

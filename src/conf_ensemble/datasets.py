@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
+import itertools
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -43,7 +45,7 @@ _BLOB_SEPARATION_MIN = 0.5
 # EvaluationRecord): each chunk of a column becomes Python values with one
 # .tolist() call and is formatted with string templates.  A constant, not a
 # setting: the bytes written do not depend on it.
-_CHUNK_ROWS = 1024
+CHUNK_ROWS = 1024
 
 
 class Dataset:
@@ -180,26 +182,23 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
 
             feats: list[list[float]] = []
             labels: list[int] = []
-            blank_lines: list[int] = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
-                    blank_lines.append(lineno)
                     continue
                 if len(row) != dim + 1:
-                    raise DatasetParseError(
-                        f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
-                    )
+                    raise DatasetParseError(f"{path}: line {reader.line_num}: "
+                                            f"expected {dim + 1} fields, got {len(row)}")
                 try:
                     feats.append([float(v) for v in row[:dim]])
                     label = int(row[dim])
                 except ValueError as exc:
-                    raise DatasetParseError(f"{path}: line {lineno}: {exc}") from None
+                    raise DatasetParseError(f"{path}: line {reader.line_num}: {exc}") from None
                 if label < 0:
-                    raise DatasetParseError(f"{path}: line {lineno}: negative label {label}")
-                if num_classes is not None and label >= num_classes:
                     raise DatasetParseError(
-                        f"{path}: line {lineno}: label {label} >= num_classes {num_classes}"
-                    )
+                        f"{path}: line {reader.line_num}: negative label {label}")
+                if num_classes is not None and label >= num_classes:
+                    raise DatasetParseError(f"{path}: line {reader.line_num}: "
+                                            f"label {label} >= num_classes {num_classes}")
                 labels.append(label)
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from None
@@ -209,9 +208,10 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:  # checked on the array: a per-cell check would slow every load
         row, col = bad[0].tolist()
-        lineno = row + 2
-        for blank in blank_lines:  # ascending; each one up to the row's line shifts it
-            lineno += blank <= lineno
+        with open(path, newline="", encoding="utf-8") as fh:  # re-read for the row's line
+            reader = csv.reader(fh)
+            lines = (reader.line_num for record in reader if record)
+            lineno = next(itertools.islice(lines, row + 1, None))  # + 1: the header
         raise DatasetParseError(f"{path}: line {lineno}: non-finite feature "
                                 f"{features[row, col]} in column {header[col]!r}")
     inferred = num_classes if num_classes is not None else max(labels) + 1
@@ -231,8 +231,8 @@ def save_csv(dataset: Dataset, path) -> None:
     template = ",".join(["%r"] * dim + ["%d"]) + "\r\n"
     with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join([f"f{i}" for i in range(dim)] + ["label"]) + "\r\n")
-        for start in range(0, len(dataset), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
+        for start in range(0, len(dataset), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
             fh.write("".join(
                 template % (*values, label)
                 for values, label in zip(dataset.features[rows].tolist(),
@@ -257,7 +257,7 @@ def _read_idx(path, expected_magic: int, expected_dims: int) -> tuple[np.ndarray
         )
     dims = struct.unpack(f">{expected_dims}I", raw[4 : 4 + 4 * expected_dims])
     offset = 4 + 4 * expected_dims
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # a Python int: np.prod would wrap at 2**64
     body = np.frombuffer(raw, dtype=np.uint8, offset=offset)
     if body.size != count:
         raise DatasetParseError(

@@ -16,10 +16,13 @@ everything (magic, version, counts against the spec shapes, the recorded
 digest), so silent corruption cannot pass.  Loading builds each record
 back from the JSON keys its dataclass fields name (_from_fields), so the
 written and the read schema of a member spec, the default runtime and
-the manifest are one list each: the dataclass's fields.
+the manifest are one list each: the dataclass's fields, plus the keys
+the store writes beside them; any other key is a storage error naming it.
 
-write_json is the one JSON writer of the package's small artifacts: a
-dataclass record is written as its fields.
+read_json reads every JSON file (a config, a --data block, a manifest),
+and known_keys is the one rule for a key a block does not name, in a
+config and a manifest alike; write_json writes the small artifacts (a
+dataclass record as its fields).
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .builder import EnsembleManifest
 from .cascade import RuntimeConfig
 from .classifiers import ClassifierSpec, TrainedModel
 from .errors import InvalidInputError, ManifestDigestError, ManifestVersionError
-from .manifest import EnsembleManifest
 
 FORMAT_VERSION = 1
 MANIFEST_FILE = "manifest.json"
@@ -108,6 +111,26 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def read_json(path: Path, error: type[Exception]):
+    """The parsed JSON document at path; undecodable bytes, bad syntax or
+    nesting too deep to parse raise error naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: malformed JSON: {exc}") from exc
+
+
+def known_keys(block, allowed, where: str, error: type[Exception]) -> dict:
+    """block, once it is an object whose every key is in allowed; anything
+    else raises error naming where, the block's path in its document."""
+    if not isinstance(block, dict):
+        raise error(f"{where} block must be an object")
+    for key in block:
+        if key not in allowed:
+            raise error(f"unknown key {where}.{key}")
+    return block
+
+
 def save_manifest(manifest: EnsembleManifest, directory) -> Path:
     """Write manifest.json and weights.bin; returns the directory."""
     directory = Path(directory)
@@ -123,11 +146,7 @@ def load_manifest(directory) -> EnsembleManifest:
     """Load and re-validate a stored ensemble."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_FILE
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ManifestDigestError(f"{manifest_path}: malformed JSON: {exc}") from exc
+    doc = read_json(manifest_path, ManifestDigestError)
     if not isinstance(doc, dict):
         raise ManifestDigestError(f"{manifest_path}: top level must be a JSON object")
 
@@ -171,7 +190,8 @@ def _reconstruct(doc, directory: Path, manifest_path: Path) -> EnsembleManifest:
             raise ManifestDigestError(
                 f"{manifest_path}: member levels not contiguous at position {level}"
             )
-        spec = _from_fields(ClassifierSpec, entry)
+        spec = _from_fields(ClassifierSpec, entry, f"members[{level}]",
+                            ("level", "param_count", "training_fingerprint"))
         if params.size != spec.param_count() or entry["param_count"] != spec.param_count():
             raise ManifestDigestError(
                 f"{weights_path}: member {level} has {params.size} parameters, "
@@ -185,12 +205,17 @@ def _reconstruct(doc, directory: Path, manifest_path: Path) -> EnsembleManifest:
             )
         )
 
-    runtime = _from_fields(RuntimeConfig, doc["default_runtime"])
+    runtime = _from_fields(RuntimeConfig, doc["default_runtime"], "default_runtime")
     return _from_fields(EnsembleManifest, dict(doc, members=tuple(members),
-                                               default_runtime=runtime))
+                                               default_runtime=runtime),
+                        "manifest", ("format_version", "weights_file", "weights_digest"))
 
 
-def _from_fields(cls, block):
-    """cls built from the entries of block that its fields name; other
-    entries are ignored, and a missing one is a KeyError."""
-    return cls(**{f.name: block[f.name] for f in fields(cls)})
+def _from_fields(cls, block, where: str, stored=()):
+    """cls built from the entries of block that its fields name.  The
+    block may hold those and the keys stored beside them (stored); any
+    other key is an InvalidInputError naming it (known_keys), and a
+    missing field is a KeyError."""
+    names = [f.name for f in fields(cls)]
+    known_keys(block, (*names, *stored), where, InvalidInputError)
+    return cls(**{name: block[name] for name in names})

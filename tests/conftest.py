@@ -190,6 +190,12 @@ def write_idx_labels(path, labels: np.ndarray, magic=0x00000801):
     path.write_bytes(payload)
 
 
+def write_overflowing_idx_images(path):
+    """A gzipped IDX image header of 2**16 images of 2**24 x 2**24 pixels,
+    2**64 bytes in all, with no payload."""
+    path.write_bytes(gzip.compress(struct.pack(">IIII", 0x00000803, 2**16, 2**24, 2**24)))
+
+
 def write_bad_gzip_images(path, fault: str):
     """A three-image IDX file behind a damaged .gz: cut in half
     ("truncated"), with its deflate stream overwritten ("corrupt"), or not

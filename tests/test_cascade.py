@@ -18,7 +18,7 @@ from conf_ensemble import (
 )
 from conf_ensemble.builder import member_prediction_arrays
 from conf_ensemble.cascade import CONSENSUS_CHOICES, EvaluationRecord
-from conf_ensemble.datasets import _CHUNK_ROWS
+from conf_ensemble.datasets import CHUNK_ROWS
 
 from conftest import (
     identity_member,
@@ -385,11 +385,16 @@ class TestBatchEvaluate:
         manifest = stub_manifest([member_with_uncertainty(0.3)])  # 2 classes, 2-dim input
         rcfg = RuntimeConfig(thresholds=(0.2,))
         wide = Dataset(np.zeros((5, 3)), np.zeros(5, dtype=np.int64), num_classes=2, id="wide")
-        with pytest.raises(InvalidInputError, match="features must have shape"):
+        message = "^dataset feature_dim 3 != model input_dim 2$"
+        with pytest.raises(InvalidInputError, match=message):
             batch_evaluate(manifest, rcfg, wide)
-        # No row reaches a forward pass, so the width is never checked.
+        # The width is checked before any forward pass, so no row is needed.
         empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), num_classes=2, id="e")
-        record = batch_evaluate(manifest, rcfg, empty)
+        with pytest.raises(InvalidInputError, match=message):
+            batch_evaluate(manifest, rcfg, empty)
+        # An empty dataset that fits gives an empty record.
+        fits = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), num_classes=2, id="f")
+        record = batch_evaluate(manifest, rcfg, fits)
         assert record.num_samples == 0
         assert record.level_counts == (0,)
         assert record.consensus_count == 0
@@ -493,7 +498,7 @@ class TestExportBytes:
             evaluation_csv_text(record).encode("utf-8")
 
     @pytest.mark.parametrize("consensus", CONSENSUS_CHOICES)
-    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
     def test_writers_match_the_oracle(self, tmp_path, num_levels, n, consensus):
         record = synthetic_record(1000 * num_levels + n, n, num_levels, consensus)
@@ -503,7 +508,7 @@ class TestExportBytes:
     @pytest.mark.parametrize("answered", ["all_consensus", "no_consensus"])
     @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
     def test_one_kind_of_answer(self, tmp_path, num_levels, answered, consensus):
-        record = synthetic_record(num_levels, _CHUNK_ROWS + 1, num_levels, consensus, answered)
+        record = synthetic_record(num_levels, CHUNK_ROWS + 1, num_levels, consensus, answered)
         assert record.consensus_count == (record.num_samples if answered == "all_consensus" else 0)
         self.assert_matches_oracle(record, tmp_path)
 

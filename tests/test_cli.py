@@ -44,6 +44,7 @@ from conftest import (
     write_bad_gzip_images,
     write_idx_images,
     write_idx_labels,
+    write_overflowing_idx_images,
 )
 from oracles import artifact_digests, evaluation_csv_text, evaluation_json_text
 
@@ -296,7 +297,32 @@ def test_class_count_mismatch_fails(built_dir, tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([*command, "--ensemble", str(built_dir), "--data", str(block),
                  "--out", str(out)]) == EXIT_CONFIG
-    assert "dataset num_classes 4 != ensemble num_classes 3" in capsys.readouterr().err
+    assert "dataset num_classes 4 != model num_classes 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, mismatch, message", [
+    ("csv", {"dim": 7}, "dataset feature_dim 7 != model input_dim 3"),
+    ("json", {"dim": 7}, "dataset feature_dim 7 != model input_dim 3"),
+    ("json", {"num_classes": 4}, "dataset num_classes 4 != model num_classes 3"),
+], ids=["csv-width", "json-width", "json-classes"])
+@pytest.mark.parametrize("command", [["evaluate"], ["histograms", "--member", "1"]],
+                         ids=["evaluate", "histograms"])
+def test_data_that_does_not_fit_exits_before_out(built_dir, tmp_path, capsys, command,
+                                                 source, mismatch, message):
+    """Each command checks the --data dataset against the ensemble's
+    members, a CSV or a JSON block alike, before it creates --out.  (A CSV
+    takes the ensemble's class count, so a label beyond it is a data error.)"""
+    block = dict(BLOBS_BLOCK, per_class=5, **mismatch)
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(block))
+    if source == "csv":
+        data = tmp_path / "data.csv"
+        save_csv(generate_blobs(**{k: v for k, v in block.items() if k != "kind"}), data)
+    out = tmp_path / "out"
+    assert main([*command, "--ensemble", str(built_dir), "--data", str(data),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -396,13 +422,18 @@ class TestEvaluateCommand:
                      "--out", str(tmp_path / "eval")]) == EXIT_DATA
         assert f"{bad}: line 4: non-finite feature nan in column 'f1'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["truncated", "corrupt", "not-gzip", "label"])
+    @pytest.mark.parametrize("fault", ["truncated", "corrupt", "not-gzip", "label",
+                                       "size-overflow"])
     def test_bad_idx_file_is_a_data_error(self, built_dir, tmp_path, capsys, fault):
         images, labels = tmp_path / "img.idx.gz", tmp_path / "lab.idx"
         if fault == "label":  # the ensemble has 3 classes
             write_idx_images(images, np.zeros((3, 4, 4), dtype=np.uint8), compress=True)
             write_idx_labels(labels, np.array([0, 3, 1], dtype=np.uint8))
             bad = labels
+        elif fault == "size-overflow":  # one label per image
+            write_overflowing_idx_images(images)
+            write_idx_labels(labels, np.zeros(2**16, dtype=np.uint8))
+            bad = images
         else:
             write_bad_gzip_images(images, fault)
             write_idx_labels(labels, np.zeros(3, dtype=np.uint8))

@@ -17,9 +17,14 @@ from conf_ensemble import (
     load_idx,
     save_csv,
 )
-from conf_ensemble.datasets import _CHUNK_ROWS, materialize
+from conf_ensemble.datasets import CHUNK_ROWS, materialize
 
-from conftest import write_bad_gzip_images, write_idx_images, write_idx_labels
+from conftest import (
+    write_bad_gzip_images,
+    write_idx_images,
+    write_idx_labels,
+    write_overflowing_idx_images,
+)
 from oracles import dataset_csv_text
 
 
@@ -102,7 +107,7 @@ class TestCsv:
         assert np.array_equal(loaded.features, original.features)
         assert np.array_equal(loaded.labels, original.labels)
 
-    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     @pytest.mark.parametrize("dim", [1, 4])
     def test_save_csv_matches_the_oracle(self, tmp_path, n, dim):
         # save_csv formats chunks of rows from one template; the oracle
@@ -134,6 +139,12 @@ class TestCsv:
         with pytest.raises(DatasetParseError, match="line 2"):
             load_csv(path)
 
+    def test_line_numbers_count_lines_not_records(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('f0,label\n"1.5\n",0\n\n1.0,oops\n')
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(str(path))}: line 5: "):
+            load_csv(path)
+
     def test_label_beyond_declared_classes(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,0\n2.0,5\n")
@@ -152,11 +163,13 @@ class TestCsv:
             ("f0,f1,label\n1.0,2.0,0\n1.0,nan,1\n", 3, "nan in column 'f1'"),
             ("f0,f1,label\n\n1.0,2.0,0\n\n\n-inf,2.0,1\n", 6, "-inf in column 'f0'"),
             ("f0,f1,label\n\n1.0,1e999,0\n\n2.0,nan,1\n", 3, "inf in column 'f1'"),
+            ('f0,label\n"1.5\n",0\n2.0,0\nnan,1\n', 5, "nan in column 'f0'"),
         ],
-        ids=["nan", "after-blank-lines", "overflow"],
+        ids=["nan", "after-blank-lines", "overflow", "after-quoted-newline"],
     )
     def test_non_finite_feature_names_line(self, tmp_path, text, line, cell):
-        # Blank lines are skipped but still counted in the line number.
+        # Blank lines are skipped but still counted in the line number, and
+        # so is each line of a quoted cell that spans lines.
         path = tmp_path / "bad.csv"
         path.write_text(text)
         message = f"{path}: line {line}: non-finite feature {cell}"
@@ -213,6 +226,16 @@ class TestIdx:
         message = f"{tmp_path / 'lab.idx'}: record 1: label 2 >= num_classes 2"
         with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
             load_idx(tmp_path / "img.idx", tmp_path / "lab.idx", num_classes=2)
+
+    def test_header_size_beyond_int64_names_the_file(self, tmp_path):
+        # 2**16 * 2**24 * 2**24 = 2**64 bytes, which an int64 product wraps
+        # to 0; one label per image, so the count check passes.
+        path = tmp_path / "img.idx.gz"
+        write_overflowing_idx_images(path)
+        write_idx_labels(tmp_path / "lab.idx", np.zeros(2**16, dtype=np.uint8))
+        message = f"{path}: payload holds 0 bytes, header promises {2**64}"
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
+            load_idx(path, tmp_path / "lab.idx", num_classes=2)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "img.idx"

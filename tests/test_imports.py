@@ -1,7 +1,12 @@
 """Every imported name is used.  The scan covers src/ (but not the package
 __init__.py, whose imports are its exports), scripts/ and tests/.  A name
 counts as used when the module refers to it anywhere, a string annotation
-included; an import line marked ``# noqa`` is skipped."""
+included; an import line marked ``# noqa`` is skipped.
+
+No module in src/ or scripts/ imports an underscore name from another
+module of the package: what one module shares with another is public.
+Binding a public name to a private alias (``write_json as _write_json``)
+is allowed."""
 
 from __future__ import annotations
 
@@ -11,6 +16,9 @@ import pytest
 
 from conftest import ROOT
 
+PROGRAM = sorted(
+    list((ROOT / "src").rglob("*.py")) + list((ROOT / "scripts").glob("*.py"))
+)
 SOURCES = sorted(
     [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py"))
@@ -58,3 +66,21 @@ def test_every_import_is_used(path):
         if name not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_package_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from the package, relatively or by name."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "conf_ensemble")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_name_is_imported_from_the_package(path):
+    private = _private_package_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -213,6 +214,25 @@ def _nan_last_weight(directory):
     manifest_path.write_text(json.dumps(doc))
 
 
+def _add_key(directory, pick):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    pick(doc)["score_kind"] = "uncertainty"  # a field a later version might add
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _added_member_key(directory):
+    _add_key(directory, lambda doc: doc["members"][1])
+
+
+def _added_runtime_key(directory):
+    _add_key(directory, lambda doc: doc["default_runtime"])
+
+
+def _added_top_level_key(directory):
+    _add_key(directory, lambda doc: doc)
+
+
 class TestMalformedManifest:
     """Valid JSON of the wrong shape is a storage error, not a crash."""
 
@@ -230,6 +250,9 @@ class TestMalformedManifest:
             _runtime_threshold_out_of_range,
             _weights_file_elsewhere,
             _nan_last_weight,
+            _added_member_key,
+            _added_runtime_key,
+            _added_top_level_key,
         ],
     )
     def test_typed_error_and_storage_exit(self, built, blobs3, tmp_path, corrupt):
@@ -271,28 +294,31 @@ class TestEveryManifestField:
 
 
 class TestManifestKeys:
-    """A member entry or default_runtime with a key dropped fails to load,
-    naming the key; a key the reader does not know is ignored."""
+    """A member entry or default_runtime with a key dropped, and a member
+    entry, default_runtime or the top level with a key added, fail to
+    load, naming the key."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_dropped_key_fails_and_added_key_is_ignored(self, built, stored, data):
+    def test_dropped_or_added_key_fails_naming_it(self, stored, data):
         store, original = stored
         doc = json.loads(original)
-        block = data.draw(st.sampled_from([doc["default_runtime"]] + doc["members"]))
-        drop = data.draw(st.booleans())
-        if drop:
+        blocks = {"default_runtime": doc["default_runtime"],
+                  **{f"members[{i}]": entry for i, entry in enumerate(doc["members"])}}
+        if data.draw(st.booleans()):
+            block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
             key = data.draw(st.sampled_from(sorted(block)))
             del block[key]
+            message = re.escape(f"missing field {key!r}")
         else:
+            where = data.draw(st.sampled_from(sorted(blocks) + ["manifest"]))
+            block = doc if where == "manifest" else blocks[where]
             key = data.draw(st.text(max_size=12).filter(lambda k: k not in block))
             block[key] = data.draw(JSON_VALUES)
+            message = re.escape(f"malformed manifest: unknown key {where}.{key}") + r"\Z"
         (store / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
-        if drop:
-            with pytest.raises(ManifestDigestError, match=f"missing field {key!r}"):
-                load_manifest(store)
-        else:
-            assert manifests_equal(built, load_manifest(store))
+        with pytest.raises(ManifestDigestError, match=message):
+            load_manifest(store)
 
 
 class TestDamagedWeights:
