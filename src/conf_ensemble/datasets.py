@@ -7,6 +7,9 @@ inclusion on indices; materialize copies a pool's rows out.
 
 Supported external formats:
   * CSV — header row naming feature columns plus a final "label" column.
+    The data rows are parsed in one np.loadtxt pass; the csv-module row
+    loop reads whatever that pass refuses and is the only error reporter,
+    naming the first faulty line.
   * IDX — the classic big-endian ubyte container (magic 0x00000803 for
     images, 0x00000801 for labels); pixels are scaled to [0, 1].
 """
@@ -16,9 +19,10 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
-import itertools
 import math
+import re
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -46,6 +50,15 @@ _BLOB_SEPARATION_MIN = 0.5
 # .tolist() call and is formatted with string templates.  A constant, not a
 # setting: the bytes written do not depend on it.
 CHUNK_ROWS = 1024
+
+# The largest label a CSV may hold: labels are stored as int64.
+_MAX_LABEL = 2**63 - 1
+
+# The bytes CSV data rows may hold for the one-pass parse: numbers in plain
+# notation, commas, spaces, tabs and line ends.  Over these np.loadtxt reads
+# a cell exactly as float() and int() do; beyond them it is laxer (it reads
+# "1\x1c" as 1), so any other byte sends the file to the row loop.
+_TABLE_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
 class Dataset:
@@ -164,7 +177,12 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Load a dataset from CSV: feature columns then a final "label" column.
 
     num_classes declares the label range; when omitted it is inferred as
-    max(label) + 1.  Malformed rows raise DatasetParseError naming the line.
+    max(label) + 1.  The data rows are parsed in one np.loadtxt pass, whose
+    table is used only when it is exactly what the row loop would return;
+    otherwise the row loop reads them and raises DatasetParseError naming
+    the first faulty line.  The csv module's field limit (131,072
+    characters) binds the row loop only: an over-long cell that is a plain
+    number loads, one the np.loadtxt pass refuses is a parse error.
     """
     path = Path(path)
     try:
@@ -176,51 +194,84 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
                 raise DatasetParseError(f"{path}: empty file") from None
             if not header or header[-1].strip() != "label":
                 raise DatasetParseError(f"{path}: last header column must be 'label'")
-            dim = len(header) - 1
-            if dim < 1:
+            if len(header) < 2:
                 raise DatasetParseError(f"{path}: no feature columns")
-
-            feats: list[list[float]] = []
-            labels: list[int] = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != dim + 1:
-                    raise DatasetParseError(f"{path}: line {reader.line_num}: "
-                                            f"expected {dim + 1} fields, got {len(row)}")
-                try:
-                    feats.append([float(v) for v in row[:dim]])
-                    label = int(row[dim])
-                except ValueError as exc:
-                    raise DatasetParseError(f"{path}: line {reader.line_num}: {exc}") from None
-                if label < 0:
-                    raise DatasetParseError(
-                        f"{path}: line {reader.line_num}: negative label {label}")
-                if num_classes is not None and label >= num_classes:
-                    raise DatasetParseError(f"{path}: line {reader.line_num}: "
-                                            f"label {label} >= num_classes {num_classes}")
-                labels.append(label)
+            table = _parse_table(path, len(header) - 1, reader.line_num, num_classes)
+            features, labels = table or _parse_rows(reader, path, header, num_classes)
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from None
-    if not labels:
-        raise DatasetParseError(f"{path}: no data rows")
-    features = np.asarray(feats)
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:  # checked on the array: a per-cell check would slow every load
-        row, col = bad[0].tolist()
-        with open(path, newline="", encoding="utf-8") as fh:  # re-read for the row's line
-            reader = csv.reader(fh)
-            lines = (reader.line_num for record in reader if record)
-            lineno = next(itertools.islice(lines, row + 1, None))  # + 1: the header
-        raise DatasetParseError(f"{path}: line {lineno}: non-finite feature "
-                                f"{features[row, col]} in column {header[col]!r}")
-    inferred = num_classes if num_classes is not None else max(labels) + 1
+    except csv.Error as exc:
+        raise DatasetParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    inferred = num_classes if num_classes is not None else int(labels.max()) + 1
     return Dataset(
         features=features,
-        labels=np.asarray(labels),
+        labels=labels,
         num_classes=max(inferred, 2),
         id=path.stem,
     )
+
+
+def _parse_table(path: Path, dim: int, header_lines: int,
+                 num_classes: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The data rows parsed in one np.loadtxt call, or None unless they are
+    exactly what _parse_rows would return."""
+    raw = path.read_bytes()
+    header = re.match(rb"(?:[^\r\n]*(?:\r\n|\r|\n)){%d}" % header_lines, raw)
+    if header is None or raw[header.end():].translate(None, _TABLE_BYTES):
+        return None
+    with warnings.catch_warnings():
+        # Any warning means the table is not to be trusted: numpy 1.2x reads
+        # a "1.0" label as 1 with only a DeprecationWarning, and an input
+        # with no data rows warns too.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=header_lines, comments=None,
+                               encoding="utf-8", ndmin=1,
+                               dtype=[("f", np.float64, (dim,)), ("y", np.int64)])
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            return None
+    features, labels = table["f"], np.ascontiguousarray(table["y"])
+    if not (np.isfinite(features).all() and labels.min() >= 0
+            and (num_classes is None or labels.max() < num_classes)):
+        return None
+    return features, labels
+
+
+def _parse_rows(reader, path: Path, header: list[str],
+                num_classes: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The reference parser: the rows left in reader, one at a time,
+    raising DatasetParseError at the first faulty line."""
+    dim = len(header) - 1
+    feats: list[list[float]] = []
+    labels: list[int] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != dim + 1:
+            raise DatasetParseError(f"{path}: line {reader.line_num}: "
+                                    f"expected {dim + 1} fields, got {len(row)}")
+        try:
+            values = [float(v) for v in row[:dim]]
+            label = int(row[dim])
+        except ValueError as exc:
+            raise DatasetParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        if label < 0:
+            raise DatasetParseError(f"{path}: line {reader.line_num}: negative label {label}")
+        if num_classes is not None and label >= num_classes:
+            raise DatasetParseError(f"{path}: line {reader.line_num}: "
+                                    f"label {label} >= num_classes {num_classes}")
+        if label > _MAX_LABEL:
+            raise DatasetParseError(f"{path}: line {reader.line_num}: "
+                                    f"label {label} > {_MAX_LABEL}")
+        for name, value in zip(header, values):
+            if not math.isfinite(value):
+                raise DatasetParseError(f"{path}: line {reader.line_num}: "
+                                        f"non-finite feature {value} in column {name!r}")
+        feats.append(values)
+        labels.append(label)
+    if not labels:
+        raise DatasetParseError(f"{path}: no data rows")
+    return np.asarray(feats), np.asarray(labels, dtype=np.int64)
 
 
 def save_csv(dataset: Dataset, path) -> None:

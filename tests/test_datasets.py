@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conf_ensemble import (
@@ -17,6 +18,7 @@ from conf_ensemble import (
     load_idx,
     save_csv,
 )
+from conf_ensemble import datasets
 from conf_ensemble.datasets import CHUNK_ROWS, materialize
 
 from conftest import (
@@ -26,6 +28,48 @@ from conftest import (
     write_overflowing_idx_images,
 )
 from oracles import dataset_csv_text
+
+
+@st.composite
+def well_formed_csv(draw):
+    """CSV text load_csv must accept, with its declared class count or None:
+    widths 1-6, LF, CRLF or CR line ends, blank lines, whitespace around
+    cells, float literals in several forms and +-signed labels."""
+    dim = draw(st.integers(1, 6))
+    classes = draw(st.integers(2, 5))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    value = st.floats(-1e300, 1e300)  # finite in every form below
+    forms = st.sampled_from(["{!r}", "{:.3e}", "{:g}", "{:+.17g}", "{:f}"])
+    lines = [",".join([f"f{i}" for i in range(dim)] + ["label"])]
+    for _ in range(draw(st.integers(1, 8))):
+        cells = [draw(forms).format(draw(value)) for _ in range(dim)]
+        label = draw(st.integers(0, classes - 1))
+        cells.append(draw(st.sampled_from(["{}", "+{}"])).format(label))
+        lines.append(",".join(draw(pad) + cell + draw(pad) for cell in cells))
+        lines.extend([""] * draw(st.integers(0, 2)))
+    return end.join(lines) + end, draw(st.sampled_from([None, classes]))
+
+
+@st.composite
+def damaged_csv(draw):
+    """A well-formed CSV with any one character inserted anywhere."""
+    content, num_classes = draw(well_formed_csv())
+    at = draw(st.integers(0, len(content)))
+    return content[:at] + draw(st.characters(codec="utf-8")) + content[at:], num_classes
+
+
+def csv_outcome(path, num_classes):
+    """The loaded dataset's digest, or the DatasetParseError message."""
+    try:
+        return load_csv(path, num_classes=num_classes).digest()
+    except DatasetParseError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "data.csv"
 
 
 class TestGenerateBlobs:
@@ -175,6 +219,130 @@ class TestCsv:
         message = f"{path}: line {line}: non-finite feature {cell}"
         with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
             load_csv(path)
+
+    def test_first_faulty_line_wins(self, tmp_path):
+        # A non-finite feature is found on its own line, not after every
+        # row has been read, so the bad label on line 5 is never reached.
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,nan,1\n1.0,2.0,1\n1.0,2.0,7\n")
+        message = f"{path}: line 3: non-finite feature nan in column 'f1'"
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
+            load_csv(path, num_classes=3)
+
+    def test_label_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,99999999999999999999\n")
+        message = f"{path}: line 3: label 99999999999999999999 > {2**63 - 1}"
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
+
+    def test_cell_beyond_the_csv_field_limit_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1.0,0\n" + "x" * 200_000 + ",1\n")
+        message = f"{path}: line 3: field larger than field limit (131072)"
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
+
+    def test_long_numeric_cell_loads(self, tmp_path):
+        # The field limit is the csv module's: the one-pass parse has none.
+        path = tmp_path / "long.csv"
+        path.write_text("f0,label\n0.5" + "0" * 200_000 + ",1\n")
+        data = load_csv(path)
+        assert data.features.tolist() == [[0.5]]
+        assert data.labels.tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "content, num_classes, expected",
+        [
+            ("f0,f1,label\n1.0,nan,0\n", None,
+             "line 2: non-finite feature nan in column 'f1'"),
+            ("f0,f1,label\ninf,2.0,0\n", None,
+             "line 2: non-finite feature inf in column 'f0'"),
+            ("f0,f1,label\n1.0,1e400,0\n", None,
+             "line 2: non-finite feature inf in column 'f1'"),
+            ("f0,f1,label\n1.0,-Infinity,0\n", None,
+             "line 2: non-finite feature -inf in column 'f1'"),
+            ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,-1\n", None, "line 3: negative label -1"),
+            ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,2\n", 2, "line 3: label 2 >= num_classes 2"),
+            ("f0,f1,label\n", None, "no data rows"),
+            ("f0,f1,label\r\n", None, "no data rows"),
+            ("f0,f1,label\n1.0,2.0,0\n   \n", None, "line 3: expected 3 fields, got 1"),
+            ("f0,f1,label\n# c\n1.0,2.0,0\n", None, "line 2: expected 3 fields, got 1"),
+            ("f0,f1,label\n1.5#x,2.0,0\n", None,
+             "line 2: could not convert string to float: '1.5#x'"),
+            ("f0,f1,label\n1.5,2.0,0#x\n", None,
+             "line 2: invalid literal for int() with base 10: '0#x'"),
+            ("f0,f1,label\n1.5,2.0,1.0\n", None,
+             "line 2: invalid literal for int() with base 10: '1.0'"),
+            ("f0,f1,label\n1.0,2.0\x1c,1\n", None,
+             "line 2: could not convert string to float: '2.0\\x1c'"),
+            ("f0,f1,label\n1.0,2.0,1ロ\n", None,
+             "line 2: invalid literal for int() with base 10: '1ロ'"),
+            ("f0,f1,label\n1_0,2.0,1\n", None, ([[10.0, 2.0]], [1])),
+            ("f0,f1,label\n\u0661,2.0,\u0661\n", None, ([[1.0, 2.0]], [1])),
+            ('f0,f1,label\n"1.5",2.0,"1"\n', None, ([[1.5, 2.0]], [1])),
+            ('f0,f1,label\n"1.5\n",2.0,1\n3.0,4.0,0\n', None, ([[1.5, 2.0], [3.0, 4.0]], [1, 0])),
+            ('"f0\n",f1,label\n1.5,2.0,1\n', None, ([[1.5, 2.0]], [1])),
+            ("f0,f1,label\n1.0,0\n", None, "line 2: expected 3 fields, got 2"),
+            ("f0,f1,label\n1.0,2.0,0,\n", None, "line 2: expected 3 fields, got 4"),
+            (b"f0,f1,label\n1.0,2.0,\xff\n", None,
+             "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 20: "
+             "invalid start byte"),
+            ("\ufefff0,f1,label\n1.0,2.0,1\n", None, ([[1.0, 2.0]], [1])),
+        ],
+        ids=["nan", "inf", "1e400", "Infinity", "negative-label", "label-beyond-classes",
+             "header-only", "header-only-crlf", "whitespace-line", "comment-line",
+             "hash-in-feature", "hash-in-label", "float-label", "control-character",
+             "non-ascii-suffix", "underscore", "unicode-digits",
+             "quoted-cells", "quoted-newline", "quoted-header-newline", "ragged",
+             "trailing-comma", "not-utf8", "bom"],
+    )
+    def test_edge_cases(self, tmp_path, content, num_classes, expected):
+        """Each file loads to the values, or fails with the message, that the
+        row loop gives, whichever parse reads it."""
+        path = tmp_path / "edge.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8", newline="")
+        if isinstance(expected, str):
+            message = f"{path}: {expected}"
+            with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
+                load_csv(path, num_classes=num_classes)
+        else:
+            data = load_csv(path, num_classes=num_classes)
+            assert (data.features.tolist(), data.labels.tolist()) == expected
+
+    def test_round_trip_takes_the_one_pass_parse(self, tmp_path):
+        original = generate_blobs(num_classes=3, per_class=20, dim=4, spread=1.0,
+                                  overlap=0.3, seed=5)
+        path = tmp_path / "blobs.csv"
+        save_csv(original, path)
+        with mock.patch.object(datasets, "_parse_rows", side_effect=AssertionError):
+            loaded = load_csv(path, num_classes=3)
+        assert loaded.digest() == original.digest()
+
+    @settings(max_examples=60, deadline=None)
+    @given(well_formed_csv())
+    def test_one_pass_parse_matches_the_row_loop(self, csv_path, case):
+        content, num_classes = case
+        csv_path.write_text(content, encoding="utf-8", newline="")
+        with mock.patch.object(datasets, "_parse_rows", side_effect=AssertionError):
+            fast = load_csv(csv_path, num_classes=num_classes)
+        with mock.patch.object(datasets, "_parse_table", return_value=None):
+            rows = load_csv(csv_path, num_classes=num_classes)
+        assert fast.digest() == rows.digest()
+
+    @settings(max_examples=100, deadline=None)
+    @given(damaged_csv())
+    def test_one_pass_parse_never_changes_the_outcome(self, csv_path, case):
+        # Whatever a cell holds, load_csv loads what the row loop loads, or
+        # fails with its message.
+        content, num_classes = case
+        csv_path.write_text(content, encoding="utf-8", newline="")
+        with mock.patch.object(datasets, "_parse_table", return_value=None):
+            rows = csv_outcome(csv_path, num_classes)
+        assert csv_outcome(csv_path, num_classes) == rows
 
 
 class TestIdx:
