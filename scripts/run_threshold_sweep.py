@@ -8,7 +8,8 @@ a member common to several of them (member 0 always) is trained once.
 Then sweeps the runtime-threshold grid with both consensus heuristics.
 The single-model baseline is member 0 of the full chain, as its build
 report scores it.  Emits a summary CSV/JSON and prints a table.
-A library error exits with the CLI's code for it (conf_ensemble.cli).
+A library error exits with the code its error class carries, as in the
+CLI (conf_ensemble.cli.run_with_exit_codes).
 
 Usage:
     python scripts/run_threshold_sweep.py --out runs/sweep
@@ -26,8 +27,6 @@ from pathlib import Path
 from conf_ensemble import (
     CONSENSUS_LAST_MEMBER,
     CONSENSUS_MOST_CONFIDENT,
-    DEFAULT_RUNTIME_THRESHOLD_GRID,
-    DEFAULT_TRAINING_THRESHOLD_GRID,
     SELECTION_NESTED,
     RuntimeConfig,
     batch_evaluate,
@@ -40,6 +39,11 @@ from conf_ensemble import (
 from conf_ensemble.cli import run_with_exit_codes
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
+
+# The grids the sweep walks: one two-member nested build per training
+# threshold, and every ensemble evaluated at each runtime threshold.
+DEFAULT_TRAINING_THRESHOLD_GRID = (0.2, 0.1, 0.01)
+DEFAULT_RUNTIME_THRESHOLD_GRID = (0.4, 0.2, 0.1, 0.01)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,14 +33,7 @@ from .classifiers import (
     init_model,
     predict_logits_batch,
 )
-from .config import (
-    DEFAULT_RUNTIME_THRESHOLD_GRID,
-    DEFAULT_TRAINING_THRESHOLD_GRID,
-    DatasetSource,
-    ExperimentConfig,
-    load_dataset,
-    load_experiment_config,
-)
+from .config import DatasetSource, ExperimentConfig, load_dataset, load_experiment_config
 from .datasets import (
     Dataset,
     generate_blobs,

@@ -56,7 +56,8 @@ from .metrics import (
     score_histogram,
 )
 
-DEFAULT_RUNTIME_THRESHOLD = 0.2
+# Every member's stored runtime threshold when a build is given no runtime.
+UNSET_RUNTIME_THRESHOLD = 0.2
 
 SELECTION_NESTED = "nested"
 SELECTION_REBASED = "rebased"
@@ -264,8 +265,8 @@ def build_ensemble(
         members.append(model)
         records.append(member_report(level, pool, model, scores, data.labels, elapsed))
 
-    runtime = default_runtime or RuntimeConfig.for_members((DEFAULT_RUNTIME_THRESHOLD,),
-                                                           cfg.num_members)
+    runtime = default_runtime or RuntimeConfig.for_members((UNSET_RUNTIME_THRESHOLD,),
+                                                         cfg.num_members)
     manifest = EnsembleManifest(
         members=tuple(members),
         selection_rule=cfg.selection_rule,

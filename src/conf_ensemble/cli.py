@@ -10,8 +10,11 @@ records each member's accuracy and ECE on the build dataset.
 
 Exit codes partition the failure classes so sweeps can script against
 them: 0 ok, 2 config, 3 data, 4 degenerate training subset, 5 storage,
-6 diverged training, 1 anything unexpected.  Every subcommand writes to
-its required --out directory.
+6 diverged training, 1 anything unexpected.  Each error class carries its
+code (errors.py); run_with_exit_codes only reads it.  Every subcommand
+writes to its required --out directory, and creates it only once the
+result it will hold exists: a command that fails before then leaves no
+--out behind.
 """
 
 from __future__ import annotations
@@ -30,16 +33,7 @@ from .cascade import (
 from .classifiers import ClassifierSpec
 from .config import load_dataset, load_experiment_config, parse_dataset_block
 from .datasets import Dataset, load_csv
-from .errors import (
-    ConfigError,
-    DatasetParseError,
-    DegenerateSubsetError,
-    EmptyTrainingSetError,
-    InvalidInputError,
-    ManifestDigestError,
-    ManifestVersionError,
-    TrainingDivergedError,
-)
+from .errors import EXIT_OK, EXIT_STORAGE, ConfEnsembleError, ConfigError
 from .metrics import (
     SCORE_KIND_TOP_PROBABILITY,
     SCORE_KIND_UNCERTAINTY,
@@ -48,27 +42,6 @@ from .metrics import (
 )
 # perfbench times the CLI's JSON writes by patching cli._write_json.
 from .persist import load_manifest, read_json, save_manifest, write_json as _write_json
-
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_DEGENERATE = 4
-EXIT_STORAGE = 5
-EXIT_DIVERGED = 6
-
-# Library error class -> process exit code (see the module docstring).
-EXIT_CODES = {
-    ConfigError: EXIT_CONFIG,
-    InvalidInputError: EXIT_CONFIG,
-    DatasetParseError: EXIT_DATA,
-    EmptyTrainingSetError: EXIT_DATA,
-    DegenerateSubsetError: EXIT_DEGENERATE,
-    ManifestVersionError: EXIT_STORAGE,
-    ManifestDigestError: EXIT_STORAGE,
-    OSError: EXIT_STORAGE,
-    TrainingDivergedError: EXIT_DIVERGED,
-}
 
 
 def _resolve_out(out: str) -> Path:
@@ -117,9 +90,9 @@ def _save_ensemble(manifest, report, out: Path) -> None:
 
 def cmd_build(args) -> int:
     cfg = load_experiment_config(args.config)
-    out = _resolve_out(args.out)
     data = load_dataset(cfg.dataset)
     manifest, report = build_ensemble(data, cfg.build, default_runtime=cfg.runtime)
+    out = _resolve_out(args.out)
     _save_ensemble(manifest, report, out)
     for record in report.members:
         print(
@@ -138,8 +111,8 @@ def cmd_evaluate(args) -> int:
     thresholds = default.thresholds if given is None else _parse_thresholds(given)
     rcfg = RuntimeConfig.for_members(thresholds, manifest.num_members,
                                      args.consensus or default.consensus)
-    out = _resolve_out(args.out)
     record = batch_evaluate(manifest, rcfg, data)
+    out = _resolve_out(args.out)
     calibration = expected_calibration_error(record.chosen_top, record.correct)
     record.write_json(out / "evaluation.json")
     record.write_csv(out / "evaluation.csv")
@@ -205,14 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_with_exit_codes(command, *args) -> int:
-    """command(*args), whose return value is the exit code; an error class
-    in EXIT_CODES is printed as ``error: ...`` and exits with its code,
-    anything else propagates (exit 1 with a traceback)."""
+    """command(*args), whose return value is the exit code.  A library
+    error is printed as ``error: ...`` and exits with its class's
+    exit_code, an OSError with EXIT_STORAGE; anything else propagates
+    (exit 1 with a traceback)."""
     try:
         return command(*args)
-    except tuple(EXIT_CODES) as exc:
+    except (ConfEnsembleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+        return exc.exit_code if isinstance(exc, ConfEnsembleError) else EXIT_STORAGE
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,8 @@ require_int, require_seed or require_float, here or in the type that owns
 it, so a string, boolean, NaN or Infinity is a ConfigError.  The rules
 are the types' own: BuildConfig, TrainConfig and RuntimeConfig run at
 load, before any dataset is read.  Bin counts are not configured: they
-are the metrics module's constants.
+are the metrics module's constants.  Neither are threshold grids: the
+sweep script (scripts/run_threshold_sweep.py) holds the grids it walks.
 
 The build block becomes a BuildConfig, which names no dataset: members
 take their input dimension and class count from the data they are built
@@ -45,11 +46,6 @@ from .errors import (
     require_seed,
 )
 from .persist import known_keys, read_json
-
-# Default threshold grids; the sweep script walks these.  The acceptance
-# suite keeps its own copies (TRAINING_GRID, RUNTIME_GRID).
-DEFAULT_TRAINING_THRESHOLD_GRID = (0.2, 0.1, 0.01)
-DEFAULT_RUNTIME_THRESHOLD_GRID = (0.4, 0.2, 0.1, 0.01)
 
 # The keys each block may hold; a dataset block's depend on its kind.
 _DATASET_OPTIONS = {

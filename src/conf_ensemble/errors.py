@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package, and the number
-converters (require_int, require_seed, require_float) every numeric field
-goes through.
+"""Exception hierarchy shared across the package, the process exit codes
+its classes carry, and the number converters (require_int, require_seed,
+require_float) every numeric field goes through.
 
-Error classes map onto CLI exit codes (see cli.py), so keep the
-partition coarse: config, data, degenerate build, storage, diverged fit.
+Each error class declares the exit code the CLI and the sweep script end
+with when it escapes (cli.run_with_exit_codes), and a subclass inherits
+its parent's.  The partition stays coarse: config, data, degenerate
+build, storage, diverged fit; the base class itself exits 1.
 """
 
 from __future__ import annotations
@@ -12,13 +14,25 @@ import math
 import numbers
 import operator
 
+EXIT_OK = 0
+EXIT_UNEXPECTED = 1
+EXIT_CONFIG = 2
+EXIT_DATA = 3
+EXIT_DEGENERATE = 4
+EXIT_STORAGE = 5  # also any OSError
+EXIT_DIVERGED = 6
+
 
 class ConfEnsembleError(Exception):
     """Base class for all library errors."""
 
+    exit_code = EXIT_UNEXPECTED
+
 
 class InvalidInputError(ConfEnsembleError):
     """A value violates an operation's precondition (bad shape, range, NaN...)."""
+
+    exit_code = EXIT_CONFIG
 
 
 def require_int(name: str, value) -> int:
@@ -56,17 +70,25 @@ def require_float(name: str, value) -> float:
 class ConfigError(ConfEnsembleError):
     """Experiment configuration failed to parse or validate."""
 
+    exit_code = EXIT_CONFIG
+
 
 class DatasetParseError(ConfEnsembleError):
     """A dataset file is malformed; message names the offending row/record."""
+
+    exit_code = EXIT_DATA
 
 
 class EmptyTrainingSetError(ConfEnsembleError):
     """Training was requested on an empty dataset."""
 
+    exit_code = EXIT_DATA
+
 
 class DegenerateSubsetError(ConfEnsembleError):
     """A selected training subset fell below the minimum viable size."""
+
+    exit_code = EXIT_DEGENERATE
 
     def __init__(self, level: int, size: int, minimum: int):
         self.level = level
@@ -83,6 +105,8 @@ class TrainingDivergedError(ConfEnsembleError):
     loss above its loss at initialisation.  epoch counts from 1 (0: the
     initial loss); level is the member's, once the builder knows it."""
 
+    exit_code = EXIT_DIVERGED
+
     def __init__(self, epoch: int, detail: str, level: int | None = None):
         self.epoch = epoch
         self.detail = detail
@@ -94,6 +118,10 @@ class TrainingDivergedError(ConfEnsembleError):
 class ManifestVersionError(ConfEnsembleError):
     """Stored ensemble uses an unsupported format version."""
 
+    exit_code = EXIT_STORAGE
+
 
 class ManifestDigestError(ConfEnsembleError):
     """Stored weights or manifest do not match their recorded digest."""
+
+    exit_code = EXIT_STORAGE

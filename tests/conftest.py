@@ -1,8 +1,8 @@
 """Shared fixtures: stub members with controlled outputs, the
 overlap-heavy blob dataset the end-to-end tests build on, generated
-JSON values for the field-mutation properties, IDX file writers, a
-counter of the builder's fits, and a loader for the scripts outside the
-package."""
+JSON values for the field-mutation properties, IDX file writers and
+generated IDX files, a counter of the builder's fits, and a loader for
+the scripts outside the package."""
 
 from __future__ import annotations
 
@@ -188,6 +188,35 @@ def write_idx_images(path, images: np.ndarray, magic=0x00000803, compress=False)
 def write_idx_labels(path, labels: np.ndarray, magic=0x00000801):
     payload = struct.pack(">II", magic, labels.shape[0]) + labels.astype(np.uint8).tobytes()
     path.write_bytes(payload)
+
+
+@st.composite
+def idx_file(draw, magic: int, dims: tuple[int, ...]):
+    """(content, suffix) of a generated IDX file with this header, mostly
+    well formed.  Otherwise its magic is wrong, its payload a byte off
+    the size the header promises, its bytes cut short, or it is named
+    ".gz" without being gzipped."""
+    fault = draw(st.sampled_from([None, None, None, None, "magic", "size", "cut", "gzip"]))
+    if fault == "magic":
+        magic = draw(st.sampled_from([0x00000801, 0x00000803, 0xDEADBEEF]).filter(
+            lambda other: other != magic))
+    size = math.prod(dims) + (draw(st.sampled_from([-1, 1])) if fault == "size" else 0)
+    content = struct.pack(f">{1 + len(dims)}I", magic, *dims)
+    content += draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+    if fault == "cut":
+        content = content[: draw(st.integers(0, len(content) - 1))]
+    suffix = ".gz" if fault == "gzip" else draw(st.sampled_from(["", ".gz"]))
+    return (gzip.compress(content) if suffix and fault != "gzip" else content), suffix
+
+
+@st.composite
+def idx_files(draw):
+    """Generated IDX image and label files, each as idx_file gives it:
+    up to 4 images of up to 4 x 4 pixels, and mostly as many labels."""
+    n, rows, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    labels = n if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+    return (draw(idx_file(0x00000803, (n, rows, cols))),
+            draw(idx_file(0x00000801, (labels,))))
 
 
 def write_overflowing_idx_images(path):

@@ -13,6 +13,7 @@ import io
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,57 @@ def predict_logits(model, features) -> np.ndarray:
         if k < len(shapes) - 1:
             h = np.tanh(h)
     return h
+
+
+class Replay(NamedTuple):
+    """One row's cascade outcome: the answering level (None where consensus
+    decided), the level whose prediction was chosen, that prediction's
+    class, top probability and uncertainty, and the uncertainty of each
+    member consulted, in order."""
+
+    answering_level: int | None
+    chosen_level: int
+    chosen_class: int
+    top_probability: float
+    uncertainty: float
+    uncertainties: tuple[float, ...]
+
+    @property
+    def consulted(self) -> int:
+        return len(self.uncertainties)
+
+
+def cascade_replay(members, thresholds, consensus, features) -> Replay:
+    """The decision rule on one feature row: score the members in order,
+    each with predict_logits, softmax and uncertainty, and accept at the
+    first level k whose U is below thresholds[k].  If none is, consensus
+    picks the last member ("last_member") or the first member with the
+    lowest U (otherwise)."""
+    scored = []  # (class, top probability, U) of each member consulted
+    for level, member in enumerate(members):
+        probs = softmax(predict_logits(member, features))
+        cls = int(np.argmax(probs))
+        scored.append((cls, float(probs[cls]), uncertainty(probs)))
+        if scored[-1][2] < thresholds[level]:
+            return Replay(level, level, *scored[-1], tuple(u for _, _, u in scored))
+    chosen = len(scored) - 1
+    if consensus != "last_member":
+        chosen = 0
+        for level, (_, _, u) in enumerate(scored):
+            if u < scored[chosen][2]:
+                chosen = level
+    return Replay(None, chosen, *scored[chosen], tuple(u for _, _, u in scored))
+
+
+def record_row(record, i) -> Replay:
+    """Row i of an EvaluationRecord as a Replay.  Its uncertainties are
+    those of the levels that hold a class, not as many as the answering
+    level implies, so a row scored past its answer does not match."""
+    level = int(record.level[i])
+    return Replay(None if level < 0 else level, int(record.chosen[i]),
+                  int(record.chosen_class[i]), float(record.chosen_top[i]),
+                  float(record.chosen_uncertainty[i]),
+                  tuple(record.unc[i][record.classes[i] >= 0].tolist()))
 
 
 def manifests_equal(a, b) -> bool:

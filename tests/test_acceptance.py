@@ -15,12 +15,11 @@ import pytest
 
 from conf_ensemble import (
     BuildConfig,
+    Dataset,
     DegenerateSubsetError,
-    Prediction,
     RuntimeConfig,
     batch_evaluate,
     build_ensemble,
-    cascade_predict,
     expected_calibration_error,
     load_manifest,
     save_manifest,
@@ -32,7 +31,15 @@ from conf_ensemble.persist import WEIGHTS_FILE
 from conf_ensemble.classifiers import ClassifierSpec, init_model
 
 from conftest import MLP_ARCH, TRAIN, member_with_uncertainty, stub_manifest
-from oracles import artifact_digests, manifests_equal, predict_logits, softmax, uncertainty
+from oracles import (
+    artifact_digests,
+    cascade_replay,
+    manifests_equal,
+    predict_logits,
+    record_row,
+    softmax,
+    uncertainty,
+)
 
 TRAINING_GRID = (0.2, 0.1, 0.01)
 RUNTIME_GRID = (0.4, 0.2, 0.1, 0.01)
@@ -181,72 +188,42 @@ def test_criterion_4_degenerate_boundaries(blobs3, trained_m0):
 
 def test_criterion_5_cascade_oracle():
     with criterion(5, "cascade oracle"):
+        # Stub members score every row the same, and their U collides at
+        # 0.2 and 0.25 (exactly 0.25 for two classes), with each other and
+        # with the thresholds.
         rng = random.Random(555)
-        fixtures = 0
-        for _ in range(1000):
+        x = [0.0, 0.0]
+        answered = set()
+        for trial in range(1000):
             size = rng.randint(1, 4)
-            num_classes = rng.choice([2, 3, 4])
-            intended = [
-                0.25 if rng.random() < 0.2 else rng.uniform(0.005, 0.5)
-                for _ in range(size)
-            ]
+            num_classes = rng.choice([2, 3, 4, 5])
             members = [
-                member_with_uncertainty(u, top_class=rng.randrange(num_classes),
-                                        num_classes=num_classes, input_dim=2)
-                for u in intended
+                member_with_uncertainty(
+                    rng.choice([0.2, 0.25]) if rng.random() < 0.3 else rng.uniform(0.005, 0.5),
+                    top_class=rng.randrange(num_classes), num_classes=num_classes)
+                for _ in range(size)
             ]
             thresholds = tuple(
-                rng.choice([0.0, 0.1, 0.25, 0.5, rng.uniform(0, 0.5)])
+                rng.choice([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, rng.uniform(0, 0.5)])
                 for _ in range(size)
             )
-            consensus = rng.choice(["last_member", "most_confident"])
-            manifest = stub_manifest(members)
-            rcfg = RuntimeConfig(thresholds=thresholds, consensus=consensus)
-            x = [0.0, 0.0]
-
-            realized = []
-            for member in members:
-                probs = softmax(predict_logits(member, x))
-                top_class = int(np.argmax(probs))
-                top = float(probs[top_class])
-                realized.append(
-                    Prediction(class_index=top_class, top_probability=top,
-                               uncertainty=min(top, 1 - top))
-                )
-
-            # brute-force replay of the decision rule
-            want_level = None
-            for level, p in enumerate(realized):
-                if p.uncertainty < thresholds[level]:
-                    want_level = level
-                    break
-            if want_level is not None:
-                want = realized[want_level]
-            elif consensus == "last_member":
-                want = realized[-1]
-            else:
-                best = 0
-                for i in range(1, size):
-                    if realized[i].uncertainty < realized[best].uncertainty:
-                        best = i
-                want = realized[best]
-
-            chosen, trace = cascade_predict(manifest, rcfg, x)
-            assert trace.accepted_level == want_level
-            assert chosen == want  # exact: class, probability, uncertainty
-
-            # utilization counts via batch path on a 3-row dataset
-            from conf_ensemble import Dataset
+            rcfg = RuntimeConfig(thresholds=thresholds,
+                                 consensus=rng.choice(["last_member", "most_confident"]))
+            want = cascade_replay(members, thresholds, rcfg.consensus, x)
 
             data = Dataset(np.asarray([x] * 3), np.asarray([0, 1, 0]),
                            num_classes=num_classes, id="fix")
-            record = batch_evaluate(manifest, rcfg, data)
-            if want_level is None:
-                assert record.consensus_count == 3
-            else:
-                assert record.level_counts[want_level] == 3
-            fixtures += 1
-        assert fixtures == 1000
+            record = batch_evaluate(stub_manifest(members), rcfg, data)
+            # exact: levels, class, probability, U and the members consulted
+            assert [record_row(record, i) for i in range(3)] == [want] * 3, f"trial {trial}"
+            assert record.consulted.tolist() == [want.consulted] * 3
+            counts = [0] * size
+            if want.answering_level is not None:
+                counts[want.answering_level] = 3
+            assert record.level_counts == tuple(counts)
+            assert record.consensus_count == 3 - sum(counts)
+            answered.add(want.answering_level)
+        assert answered == {None, 0, 1, 2, 3}
 
 
 def test_criterion_6_ece_correctness():

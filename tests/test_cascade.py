@@ -11,7 +11,6 @@ from conf_ensemble import (
     Dataset,
     EnsembleManifest,
     InvalidInputError,
-    Prediction,
     RuntimeConfig,
     batch_evaluate,
     cascade_predict,
@@ -26,28 +25,26 @@ from conftest import (
     member_with_uncertainty,
     stub_manifest,
 )
-from oracles import evaluation_csv_text, evaluation_json_text, predict_logits, softmax
+from oracles import cascade_replay, evaluation_csv_text, evaluation_json_text, record_row
 
 X2 = [0.0, 0.0]  # constant-output stubs ignore their input
 
 
 def consensus_pick(members, consensus):
     """Run stubs with every threshold at 0, so consensus decides, through
-    both cascade_predict and batch_evaluate; returns the chosen level."""
+    batch_evaluate; each row must be cascade_replay's, which is returned."""
     manifest = stub_manifest(members)
     rcfg = RuntimeConfig(thresholds=(0.0,) * len(members), consensus=consensus)
-    chosen, trace = cascade_predict(manifest, rcfg, X2)
-    assert trace.consensus_used
-    assert len(trace.steps) == len(members)
-    level = next(s.member_index for s in trace.steps if s.prediction == chosen)
+    want = cascade_replay(members, rcfg.thresholds, consensus, X2)
+    assert want.answering_level is None
+    assert want.consulted == len(members)
 
     data = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64),
                    num_classes=members[0].spec.num_classes, id="flat")
     record = batch_evaluate(manifest, rcfg, data)
     assert record.consensus_count == 3
-    assert record.chosen.tolist() == [level] * 3
-    assert record.chosen_class.tolist() == [chosen.class_index] * 3
-    return level, trace
+    assert [record_row(record, i) for i in range(3)] == [want] * 3
+    return want
 
 
 class TestRuntimeConfig:
@@ -91,32 +88,32 @@ class TestConsensusHeuristics:
         members = [member_with_uncertainty(0.4, num_classes=3),
                    member_with_uncertainty(0.2, num_classes=3),
                    member_with_uncertainty(0.45, top_class=2, num_classes=3)]
-        level, trace = consensus_pick(members, "last_member")
-        assert level == 2
-        assert trace.chosen.class_index == 2
+        pick = consensus_pick(members, "last_member")
+        assert pick.chosen_level == 2
+        assert pick.chosen_class == 2
 
     def test_last_member_single(self):
-        level, _ = consensus_pick([member_with_uncertainty(0.3)], "last_member")
-        assert level == 0
+        pick = consensus_pick([member_with_uncertainty(0.3)], "last_member")
+        assert pick.chosen_level == 0
 
     def test_most_confident(self):
         members = [member_with_uncertainty(0.4),
                    member_with_uncertainty(0.1, top_class=1),
                    member_with_uncertainty(0.3)]
-        level, trace = consensus_pick(members, "most_confident")
-        assert level == 1
-        assert trace.chosen.class_index == 1
+        pick = consensus_pick(members, "most_confident")
+        assert pick.chosen_level == 1
+        assert pick.chosen_class == 1
 
     def test_most_confident_tie_breaks_low_index(self):
         members = [member_with_uncertainty(0.2), member_with_uncertainty(0.2, top_class=1)]
-        level, trace = consensus_pick(members, "most_confident")
-        assert trace.steps[0].prediction.uncertainty == trace.steps[1].prediction.uncertainty
-        assert level == 0
-        assert trace.chosen.class_index == 0
+        pick = consensus_pick(members, "most_confident")
+        assert pick.uncertainties[0] == pick.uncertainties[1]
+        assert pick.chosen_level == 0
+        assert pick.chosen_class == 0
 
     def test_most_confident_single(self):
-        level, _ = consensus_pick([member_with_uncertainty(0.05)], "most_confident")
-        assert level == 0
+        pick = consensus_pick([member_with_uncertainty(0.05)], "most_confident")
+        assert pick.chosen_level == 0
 
     def test_empty_ensemble_rejected(self):
         # With no empty ensemble, consensus always has a prediction to pick.
@@ -127,6 +124,9 @@ class TestConsensusHeuristics:
 
 
 class TestCascadePredict:
+    """cascade_predict, the one-query API: a (Prediction, CascadeTrace)
+    for one feature vector."""
+
     def test_accept_at_level_zero_with_max_threshold(self):
         manifest = stub_manifest([member_with_uncertainty(0.3)])
         rcfg = RuntimeConfig(thresholds=(0.5,))
@@ -171,79 +171,6 @@ class TestCascadePredict:
         with pytest.raises(InvalidInputError):
             cascade_predict(manifest, rcfg, [0.0, 0.0, 0.0])
 
-
-def oracle_walk(realized, thresholds, consensus):
-    """Brute-force replay of the decision rule on realized predictions."""
-    for level, p in enumerate(realized):
-        if p.uncertainty < thresholds[level]:
-            return level, p
-    if consensus == "last_member":
-        return None, realized[-1]
-    best = 0
-    for i in range(1, len(realized)):
-        if realized[i].uncertainty < realized[best].uncertainty:
-            best = i
-    return None, realized[best]
-
-
-def realized_prediction(member):
-    """The stub's realized prediction: one forward evaluation, outside the
-    cascade.  The oracle walk below replays the decision logic on these
-    values, so decisions must agree exactly."""
-    probs = softmax(predict_logits(member, X2))
-    cls = int(np.argmax(probs))
-    top = float(probs[cls])
-    return Prediction(class_index=cls, top_probability=top,
-                      uncertainty=min(top, 1 - top))
-
-
-class TestRandomizedCascadeOracle:
-    def test_thousand_fixtures(self):
-        rng = random.Random(2024)
-        for trial in range(1000):
-            size = rng.randint(1, 4)
-            num_classes = rng.choice([2, 3, 5])
-            members = []
-            for _ in range(size):
-                if rng.random() < 0.15:
-                    u = 0.2  # exact collisions exercise the tie-break
-                else:
-                    u = rng.uniform(0.005, 0.5)
-                members.append(
-                    member_with_uncertainty(
-                        u,
-                        top_class=rng.randrange(num_classes),
-                        num_classes=num_classes,
-                        input_dim=2,
-                    )
-                )
-            thresholds = tuple(
-                rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, rng.uniform(0, 0.5)])
-                for _ in range(size)
-            )
-            consensus = rng.choice(["last_member", "most_confident"])
-            manifest = stub_manifest(members)
-            rcfg = RuntimeConfig(thresholds=thresholds, consensus=consensus)
-
-            chosen, trace = cascade_predict(manifest, rcfg, X2)
-            realized = [realized_prediction(m) for m in members]
-            want_level, want_pred = oracle_walk(realized, thresholds, consensus)
-
-            assert trace.accepted_level == want_level, f"trial {trial}"
-            assert chosen.class_index == want_pred.class_index, f"trial {trial}"
-            assert chosen.uncertainty == want_pred.uncertainty, f"trial {trial}"
-            expected_consulted = size if want_level is None else want_level + 1
-            assert len(trace.steps) == expected_consulted
-
-    def test_stubs_deliver_intended_uncertainty(self):
-        # The fixture builder solves for the bias that yields uncertainty u.
-        for u in (0.01, 0.17, 0.2, 0.44, 0.5):
-            for n in (2, 3, 5):
-                member = member_with_uncertainty(u, num_classes=n)
-                assert realized_prediction(member).uncertainty == pytest.approx(
-                    u, abs=1e-9
-                )
-
     def test_trace_invariants(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -260,6 +187,30 @@ class TestRandomizedCascadeOracle:
             if accepted:
                 assert trace.steps[-1].accepted  # acceptance terminates the trace
 
+    def test_matches_the_replay(self):
+        rng = random.Random(2024)
+        for trial in range(200):
+            size = rng.randint(1, 4)
+            num_classes = rng.choice([2, 3, 5])
+            members = [
+                member_with_uncertainty(0.2 if rng.random() < 0.15 else rng.uniform(0.005, 0.5),
+                                        top_class=rng.randrange(num_classes),
+                                        num_classes=num_classes)
+                for _ in range(size)
+            ]
+            rcfg = RuntimeConfig(
+                thresholds=tuple(rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, rng.uniform(0, 0.5)])
+                                 for _ in range(size)),
+                consensus=rng.choice(CONSENSUS_CHOICES),
+            )
+            chosen, trace = cascade_predict(stub_manifest(members), rcfg, X2)
+            want = cascade_replay(members, rcfg.thresholds, rcfg.consensus, X2)
+            assert trace.accepted_level == want.answering_level, f"trial {trial}"
+            assert trace.steps[want.chosen_level].prediction == chosen, f"trial {trial}"
+            assert (chosen.class_index, chosen.top_probability, chosen.uncertainty) == \
+                want[2:5], f"trial {trial}"
+            assert tuple(s.prediction.uncertainty for s in trace.steps) == want.uncertainties
+
 
 class TestBatchEvaluate:
     def test_single_member_utilization(self, blobs3, trained_m0):
@@ -273,40 +224,40 @@ class TestBatchEvaluate:
     def test_matches_per_sample_replay(self, blobs3, trained_m0):
         # Trained members: decisions must agree; scores may differ by the
         # ulp-level associativity gap between batched and row-wise matmul.
-        members = [trained_m0, member_with_uncertainty(0.15, num_classes=3, input_dim=4)]
-        manifest = stub_manifest(members)
-        rcfg = RuntimeConfig(thresholds=(0.05, 0.2), consensus="most_confident")
-        record = batch_evaluate(manifest, rcfg, blobs3)
+        # The second runtime rejects the stub at exactly its own U, so
+        # consensus decides between the two members row by row.
+        stub = member_with_uncertainty(0.15, num_classes=3, input_dim=4)
+        members = [trained_m0, stub]
+        stub_u = cascade_replay([stub], (0.0,), "last_member", blobs3.features[0]).uncertainty
+        chosen = set()
+        for thresholds in ((0.05, 0.2), (0.05, stub_u)):
+            rcfg = RuntimeConfig(thresholds=thresholds, consensus="most_confident")
+            record = batch_evaluate(stub_manifest(members), rcfg, blobs3)
 
-        level_counts = [0, 0]
-        consensus_count = 0
-        hits = 0
-        for i in range(len(blobs3)):
-            chosen, trace = cascade_predict(manifest, rcfg, blobs3.features[i])
-            want_level = -1 if trace.accepted_level is None else trace.accepted_level
-            assert record.level[i] == want_level
-            assert record.chosen_class[i] == chosen.class_index
-            assert record.chosen_uncertainty[i] == pytest.approx(
-                chosen.uncertainty, abs=1e-12
-            )
-            assert record.consulted[i] == len(trace.steps)
-            if trace.accepted_level is None:
-                consensus_count += 1
-            else:
-                level_counts[trace.accepted_level] += 1
-            hits += chosen.class_index == blobs3.labels[i]
-        assert record.level_counts == tuple(level_counts)
-        assert record.consensus_count == consensus_count
-        assert record.accuracy == hits / len(blobs3)
+            level_counts = [0, 0]
+            hits = 0
+            for i in range(len(blobs3)):
+                want = cascade_replay(members, thresholds, rcfg.consensus, blobs3.features[i])
+                got = record_row(record, i)
+                assert got[:5] == pytest.approx(want[:5], abs=1e-12), f"row {i}"
+                assert got.uncertainties == pytest.approx(want.uncertainties, abs=1e-12)
+                assert record.consulted[i] == want.consulted
+                if want.answering_level is not None:
+                    level_counts[want.answering_level] += 1
+                hits += want.chosen_class == blobs3.labels[i]
+                chosen.add(want[:2])
+            assert record.level_counts == tuple(level_counts)
+            assert record.consensus_count == len(blobs3) - sum(level_counts)
+            assert record.accuracy == hits / len(blobs3)
+        # Each level answers, and consensus picks each member, somewhere.
+        assert chosen == {(0, 0), (1, 1), (None, 0), (None, 1)}
 
     def test_stub_manifests_replay_exactly(self):
         # Constant-output stubs make both evaluation paths bit-identical,
-        # so utilization counts must match a per-sample replay exactly.
+        # so every row must equal the replay exactly.
         rng = random.Random(99)
-        features = np.asarray([[0.0, 0.0]] * 40)
+        features = np.asarray([X2] * 40)
         labels = np.asarray([i % 2 for i in range(40)])
-        from conf_ensemble import Dataset
-
         data = Dataset(features, labels, num_classes=2, id="flat")
         for _ in range(25):
             size = rng.randint(1, 4)
@@ -315,29 +266,18 @@ class TestBatchEvaluate:
                                         top_class=rng.randrange(2))
                 for _ in range(size)
             ]
-            manifest = stub_manifest(members)
             rcfg = RuntimeConfig(
                 thresholds=tuple(rng.uniform(0, 0.5) for _ in range(size)),
-                consensus=rng.choice(["last_member", "most_confident"]),
+                consensus=rng.choice(CONSENSUS_CHOICES),
             )
-            record = batch_evaluate(manifest, rcfg, data)
+            record = batch_evaluate(stub_manifest(members), rcfg, data)
+            want = cascade_replay(members, rcfg.thresholds, rcfg.consensus, X2)
+            assert [record_row(record, i) for i in range(len(data))] == [want] * len(data)
             counts = [0] * size
-            consensus_count = 0
-            for i in range(len(data)):
-                chosen, trace = cascade_predict(manifest, rcfg, data.features[i])
-                assert Prediction(
-                    class_index=record.chosen_class[i],
-                    top_probability=record.chosen_top[i],
-                    uncertainty=record.chosen_uncertainty[i],
-                ) == chosen
-                want_level = -1 if trace.accepted_level is None else trace.accepted_level
-                assert record.level[i] == want_level
-                if trace.accepted_level is None:
-                    consensus_count += 1
-                else:
-                    counts[trace.accepted_level] += 1
+            if want.answering_level is not None:
+                counts[want.answering_level] = len(data)
             assert record.level_counts == tuple(counts)
-            assert record.consensus_count == consensus_count
+            assert record.consensus_count == (len(data) if want.answering_level is None else 0)
 
     def test_high_threshold_resolves_all_at_level_zero(self, blobs3, trained_m0):
         members = (trained_m0, member_with_uncertainty(0.4, num_classes=3, input_dim=4))
@@ -402,7 +342,8 @@ class TestBatchEvaluate:
 
     def test_exports_match_per_sample_replay(self, tmp_path):
         # Member 0 reads its logits from the features, so acceptance varies
-        # by row; all stubs score bit-identically in batch and one row.
+        # by row; every stub scores bit-identically in the batch kernel and
+        # in the replay.
         rng = random.Random(31)
         for _ in range(20):
             size = rng.randint(1, 4)
@@ -416,12 +357,11 @@ class TestBatchEvaluate:
             ]
             labels = [rng.randrange(2) for _ in rows]
             data = Dataset(np.asarray(rows), np.asarray(labels), num_classes=2, id="rows")
-            manifest = stub_manifest(members)
             rcfg = RuntimeConfig(
                 thresholds=tuple(rng.uniform(0, 0.5) for _ in range(size)),
-                consensus=rng.choice(["last_member", "most_confident"]),
+                consensus=rng.choice(CONSENSUS_CHOICES),
             )
-            record = batch_evaluate(manifest, rcfg, data)
+            record = batch_evaluate(stub_manifest(members), rcfg, data)
             record.write_json(tmp_path / "evaluation.json")
             samples = json.loads((tmp_path / "evaluation.json").read_text(encoding="utf-8"))
             samples = samples["samples"]
@@ -431,24 +371,34 @@ class TestBatchEvaluate:
             assert len(samples) == len(csv_rows) == len(rows)
 
             for i, label in enumerate(labels):
-                chosen, trace = cascade_predict(manifest, rcfg, data.features[i])
-                consulted = [s.prediction.uncertainty for s in trace.steps]
+                want = cascade_replay(members, rcfg.thresholds, rcfg.consensus,
+                                      data.features[i])
                 assert samples[i] == {
                     "sample_index": i,
-                    "chosen_class": chosen.class_index,
+                    "chosen_class": want.chosen_class,
                     "true_class": label,
-                    "answering_level": trace.accepted_level,
-                    "top_probability": chosen.top_probability,
-                    "uncertainty": chosen.uncertainty,
-                    "consulted_uncertainties": consulted,
-                    "correct": chosen.class_index == label,
+                    "answering_level": want.answering_level,
+                    "top_probability": want.top_probability,
+                    "uncertainty": want.uncertainty,
+                    "consulted_uncertainties": list(want.uncertainties),
+                    "correct": want.chosen_class == label,
                 }
-                level = "consensus" if trace.accepted_level is None else str(trace.accepted_level)
+                level = "consensus" if want.answering_level is None else str(want.answering_level)
                 assert csv_rows[i] == (
-                    [str(i), str(chosen.class_index), str(label), level]
-                    + [repr(u) for u in consulted]
-                    + [""] * (size - len(consulted))
+                    [str(i), str(want.chosen_class), str(label), level]
+                    + [repr(u) for u in want.uncertainties]
+                    + [""] * (size - want.consulted)
                 )
+
+
+class TestRandomizedCascadeOracle:
+    def test_stubs_deliver_intended_uncertainty(self):
+        # The fixture builder solves for the bias that yields uncertainty u.
+        for u in (0.01, 0.17, 0.2, 0.44, 0.5):
+            for n in (2, 3, 5):
+                member = member_with_uncertainty(u, num_classes=n)
+                assert cascade_replay([member], (0.0,), "last_member", X2).uncertainty == \
+                    pytest.approx(u, abs=1e-9)
 
 
 def synthetic_record(seed, n, num_levels, consensus, answered="mixed"):

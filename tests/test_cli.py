@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import re
 import shutil
@@ -9,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf_ensemble import (
     ClassifierSpec,
     ConfEnsembleError,
+    DatasetParseError,
     DegenerateSubsetError,
     RuntimeConfig,
     TrainingDivergedError,
@@ -27,18 +32,20 @@ from conf_ensemble import (
     save_csv,
 )
 from conf_ensemble.classifiers import objective_and_gradient
-from conf_ensemble.cli import (
+from conf_ensemble.cli import main
+from conf_ensemble.errors import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DEGENERATE,
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_STORAGE,
-    main,
 )
 
 from conftest import (
+    JSON_SCALARS,
     SWEEP_SCRIPT,
+    idx_files,
     load_script,
     set_leaf,
     write_bad_gzip_images,
@@ -146,6 +153,7 @@ class TestBuildCommand:
                      "--out", str(workdir / "degen-out")])
         assert code == EXIT_DEGENERATE
         assert "level 1" in capsys.readouterr().err
+        assert not (workdir / "degen-out").exists()
 
     @pytest.mark.parametrize("warnings_as_errors", [False, True],
                              ids=["default-warnings", "warnings-as-errors"])
@@ -162,7 +170,7 @@ class TestBuildCommand:
         assert caught == []  # numpy raised inside fit rather than warning
         err = capsys.readouterr().err
         assert re.search(r"^error: training diverged at level 0, epoch \d+: ", err, re.M)
-        assert not (workdir / "diverged-out" / "manifest.json").exists()
+        assert not (workdir / "diverged-out").exists()
 
     def test_final_loss_above_initial_exit_code(self, workdir, capsys):
         # At lr 50 the example's member 1 goes from 1.193 at initialisation
@@ -176,7 +184,7 @@ class TestBuildCommand:
         assert capsys.readouterr().err == (
             "error: training diverged at level 1, epoch 30: "
             "final loss 19.08 exceeds initial loss 1.193\n")
-        assert not (workdir / "overshot" / "manifest.json").exists()
+        assert not (workdir / "overshot").exists()
 
     def test_example_members_end_below_their_initial_loss(self, workdir):
         out = workdir / "example"
@@ -333,6 +341,7 @@ def test_csv_beyond_the_parser_limits_is_a_data_error(built_dir, tmp_path, capsy
         argv = ["evaluate", "--ensemble", str(built_dir), "--data", str(bad)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateCommand:
@@ -678,6 +687,77 @@ def test_deeply_nested_json_is_a_typed_error(workdir, built_dir, tmp_path, capsy
     assert "recursion" in err
 
 
+CSV_ROWS = [b"0.1,0.2,0.3,1", b"1,2,3,0", b"-1,1e3,0.5,2", b'"1",2, 3 ,0']
+CSV_PIECES = [b"0", b"1", b"2", b"0.5", b"-1", b"1e3", b"nan", b"x", b",", b'"', b" ",
+              b"\n", b"\r\n", b"\xff", b"\xc3", b"\r"]
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV of up to 20 rows for the 3-feature, 3-class ensemble, after a
+    header or not, with up to two pieces of a small alphabet inserted
+    anywhere: numbers, commas, quotes, line ends and bytes that are not
+    UTF-8."""
+    header = draw(st.sampled_from([b"", b"f0,f1,f2,label\n"]))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    content = header + b"".join(
+        row + end for row in draw(st.lists(st.sampled_from(CSV_ROWS), max_size=20)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(st.sampled_from(CSV_PIECES)) + content[at:]
+    return content
+
+
+@st.composite
+def data_files(draw):
+    """The (name, content) files of one evaluate --data, the file it names
+    first: a CSV, or a JSON block naming a CSV (with a num_classes of any
+    JSON type, or none) or an IDX pair of at most 4 samples."""
+    kind = draw(st.sampled_from(["csv", "csv block", "idx block"]))
+    if kind == "csv":
+        return [("data.csv", draw(csv_files()))]
+    if kind == "csv block":
+        block = {"kind": "csv", "path": "rows.csv"}
+        if draw(st.booleans()):
+            block["num_classes"] = draw(JSON_SCALARS)
+        files = [("rows.csv", draw(csv_files()))]
+    else:
+        (images, image_suffix), (labels, label_suffix) = draw(idx_files())
+        block = {"kind": "idx", "images": "img.idx" + image_suffix,
+                 "labels": "lab.idx" + label_suffix}
+        files = [(block["images"], images), (block["labels"], labels)]
+    return [("data.json", json.dumps(block).encode("utf-8"))] + files
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("evaluate-property")
+
+
+@settings(max_examples=100, deadline=None)
+@given(files=data_files())
+def test_evaluate_of_generated_data_exits_with_a_documented_code(built_dir, fuzz_dir, files):
+    """Whatever --data holds, evaluate succeeds or fails with a config,
+    data or storage error: one ``error:`` line on stderr, and no --out."""
+    directory = fuzz_dir / "example"
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir()
+    for name, content in files:
+        (directory / name).write_bytes(content)
+    out = directory / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["evaluate", "--ensemble", str(built_dir),
+                     "--data", str(directory / files[0][0]), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_STORAGE)
+    if code == EXIT_OK:
+        assert stderr.getvalue() == ""
+        assert (out / "evaluation.csv").is_file()
+    else:
+        assert re.fullmatch(r"error: .*\n", stderr.getvalue())
+        assert not out.exists()
+
+
 def documented_exit_codes() -> dict[str, int]:
     """Error class name -> exit code, read from the README's exit-code table."""
     codes = {}
@@ -689,12 +769,18 @@ def documented_exit_codes() -> dict[str, int]:
     return codes
 
 
-@pytest.mark.parametrize(
-    "error_class", ConfEnsembleError.__subclasses__(), ids=lambda cls: cls.__name__
-)
+def error_classes(cls=ConfEnsembleError):
+    """cls and every subclass of it, recursively."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+@pytest.mark.parametrize("error_class", list(error_classes()), ids=lambda cls: cls.__name__)
 def test_every_error_class_exits_with_its_documented_code(error_class, monkeypatch, tmp_path):
     codes = documented_exit_codes()
     assert error_class.__name__ in codes, "error class missing from the README's exit-code table"
+    assert error_class.exit_code == codes[error_class.__name__]
     if error_class is DegenerateSubsetError:
         error = DegenerateSubsetError(level=1, size=0, minimum=10)
     elif error_class is TrainingDivergedError:
@@ -714,3 +800,16 @@ def test_every_error_class_exits_with_its_documented_code(error_class, monkeypat
     monkeypatch.setattr(sweep, "load_experiment_config", raise_error)
     argv = ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "sweep")]
     assert cli.run_with_exit_codes(sweep.main, argv) == codes[error_class.__name__]
+
+
+def test_a_subclass_exits_with_its_parents_code(monkeypatch, tmp_path, capsys):
+    class TruncatedRowError(DatasetParseError):
+        pass
+
+    def raise_error(*args, **kwargs):
+        raise TruncatedRowError("injected")
+
+    monkeypatch.setattr(cli, "load_experiment_config", raise_error)
+    argv = ["build", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == "error: injected\n"

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from conf_ensemble import (
     ConfigError,
-    DEFAULT_RUNTIME_THRESHOLD_GRID,
-    DEFAULT_TRAINING_THRESHOLD_GRID,
     RuntimeConfig,
     build_ensemble,
     load_dataset,
@@ -19,7 +17,7 @@ from conf_ensemble import (
 )
 from conf_ensemble.config import DatasetSource, parse_runtime_block
 
-from conftest import JSON_VALUES, json_leaves, set_leaf
+from conftest import JSON_VALUES, SWEEP_SCRIPT, json_leaves, load_script, set_leaf
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
 
@@ -211,10 +209,6 @@ class TestExperimentConfig:
         data = load_dataset(cfg.dataset)
         assert len(data) == 10
 
-    def test_default_grid_values(self):
-        assert DEFAULT_TRAINING_THRESHOLD_GRID == (0.2, 0.1, 0.01)
-        assert DEFAULT_RUNTIME_THRESHOLD_GRID == (0.4, 0.2, 0.1, 0.01)
-
     def test_shipped_example_config_parses(self):
         cfg = load_experiment_config(EXAMPLE_CONFIG)
         assert cfg.build.num_members == 3
@@ -226,7 +220,8 @@ class TestExperimentConfig:
         runtime = doc["runtime"]
         assert isinstance(runtime, list)
         # A number in the sweep's grid, so that the sweep has a row to compare.
-        assert runtime[0]["threshold"] in DEFAULT_RUNTIME_THRESHOLD_GRID
+        grid = load_script(SWEEP_SCRIPT).DEFAULT_RUNTIME_THRESHOLD_GRID
+        assert runtime[0]["threshold"] in grid
         assert runtime[0]["consensus"] in ("last_member", "most_confident")
         dataset = doc["dataset"]
         assert dataset["kind"] == "blobs"

@@ -22,6 +22,7 @@ from conf_ensemble import datasets
 from conf_ensemble.datasets import CHUNK_ROWS, materialize
 
 from conftest import (
+    idx_files,
     write_bad_gzip_images,
     write_idx_images,
     write_idx_labels,
@@ -412,6 +413,27 @@ class TestIdx:
         write_idx_labels(tmp_path / "lab.idx", np.zeros(5, dtype=np.uint8))
         with pytest.raises(DatasetParseError):
             load_idx(path, tmp_path / "lab.idx", num_classes=2)
+
+
+@pytest.fixture(scope="module")
+def idx_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx-property")
+
+
+class TestIdxProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(files=idx_files(), num_classes=st.none() | st.integers(1, 12))
+    def test_loads_or_raises_a_data_error(self, idx_dir, files, num_classes):
+        paths = []
+        for name, (content, suffix) in zip(("img.idx", "lab.idx"), files):
+            paths.append(idx_dir / (name + suffix))
+            paths[-1].write_bytes(content)
+        try:
+            data = load_idx(*paths, num_classes=num_classes)
+        except DatasetParseError:
+            return
+        assert len(data) > 0
+        assert np.all((data.features >= 0.0) & (data.features <= 1.0))
 
 
 class TestMaterialize:

@@ -21,7 +21,8 @@ from conf_ensemble import (
     save_csv,
     save_manifest,
 )
-from conf_ensemble.cli import EXIT_STORAGE, main
+from conf_ensemble.cli import main
+from conf_ensemble.errors import EXIT_STORAGE
 from conf_ensemble.persist import FORMAT_VERSION, WEIGHTS_FILE, WEIGHTS_MAGIC
 
 from conftest import (

@@ -19,7 +19,8 @@ from conf_ensemble import (
     save_csv,
     save_manifest,
 )
-from conf_ensemble.cli import EXIT_CONFIG, EXIT_OK, main
+from conf_ensemble.cli import main
+from conf_ensemble.errors import EXIT_CONFIG, EXIT_OK
 
 from conftest import ROOT, SWEEP_SCRIPT, load_script
 from test_cli import BLOBS_BLOCK, experiment_doc
@@ -46,6 +47,12 @@ def run_sweep(workdir, name, *extra):
 @pytest.fixture(scope="module")
 def swept(workdir):
     return run_sweep(workdir, "sweep")
+
+
+def test_default_grid_values():
+    # perfbench's SWEEP_RESULT_ROWS = 32 counts the rows these grids give.
+    assert sweep.DEFAULT_TRAINING_THRESHOLD_GRID == (0.2, 0.1, 0.01)
+    assert sweep.DEFAULT_RUNTIME_THRESHOLD_GRID == (0.4, 0.2, 0.1, 0.01)
 
 
 def test_one_row_per_ensemble_threshold_and_consensus(swept):
