@@ -105,8 +105,6 @@ def main(argv=None):
             parser.error(f"--seed needs a blobs dataset; {args.config} has {source.kind!r}")
         source = replace(source, options={**source.options, "seed": args.seed})
     data = load_dataset(source)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     builds = sweep_builds(cfg.build)
     full_name = list(builds)[-1]
@@ -123,6 +121,8 @@ def main(argv=None):
     member0 = reports[full_name].members[0]
     baseline = {"accuracy": member0.accuracy, "ece": member0.ece}
 
+    out = Path(args.out)  # created once every build has succeeded
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -22,10 +22,10 @@ as an EvaluationRecord, cascade_predict is a one-row call of the kernel.
 The record's to_json_dict() is the evaluation summary; write_json and
 write_csv stream the per-sample artifacts from the columns in chunks.
 
-Thresholds, runtime and training alike, are finite numbers in U's range
-[0, 0.5]; check_thresholds is the one place that rule is written.  That a
-dataset fits the members is ClassifierSpec.check_data's rule, which
-batch_evaluate runs before any forward pass.
+Thresholds, runtime and training alike, are finite numbers in U's range,
+metrics.SCORE_RANGES; check_thresholds is the one place that checks it.
+That a dataset fits the members is ClassifierSpec.check_data's rule,
+which batch_evaluate runs before any forward pass.
 
 Note the boundary asymmetry with training-pool selection: a sample whose
 uncertainty equals the threshold exactly is not accepted here, and is
@@ -44,6 +44,7 @@ import numpy as np
 from .classifiers import TrainedModel, predict_logits_batch, softmax_batch
 from .datasets import CHUNK_ROWS, Dataset
 from .errors import InvalidInputError, require_float
+from .metrics import SCORE_KIND_UNCERTAINTY, SCORE_RANGES
 
 if TYPE_CHECKING:
     from .builder import EnsembleManifest
@@ -54,12 +55,13 @@ CONSENSUS_CHOICES = (CONSENSUS_LAST_MEMBER, CONSENSUS_MOST_CONFIDENT)
 
 
 def check_thresholds(what: str, values) -> tuple[float, ...]:
-    """values as a tuple of floats, each a finite number in U's range
-    [0, 0.5]; ``what`` names one value in the error message."""
+    """values as a tuple of floats, each a finite number in U's range;
+    ``what`` names one value in the error message."""
+    lo, hi = SCORE_RANGES[SCORE_KIND_UNCERTAINTY]
     thresholds = tuple(require_float(what, t) for t in values)
     for t in thresholds:
-        if not 0.0 <= t <= 0.5:
-            raise InvalidInputError(f"{what} {t} outside [0, 0.5]")
+        if not lo <= t <= hi:
+            raise InvalidInputError(f"{what} {t} outside [{lo:g}, {hi:g}]")
     return thresholds
 
 
@@ -167,10 +169,6 @@ class CascadeTrace:
     steps: tuple[CascadeStep, ...]
     accepted_level: int | None  # None means the consensus heuristic decided
     chosen: Prediction
-
-    @property
-    def consensus_used(self) -> bool:
-        return self.accepted_level is None
 
 
 def cascade_predict(

@@ -1,14 +1,15 @@
 """Trainable classifiers: a stack of dense layers with tanh in between.
 
 Each layer is a (fan_in, fan_out) weight matrix plus a fan_out bias, kept
-in order in one flat parameter vector (weights row-major, then bias).  The
-linear softmax model is one layer, the MLP two.  One forward pass serves
-training and inference, so the cascade gates on the very scores the
-training objective shaped.  Training is plain mini-batch SGD on
-cross-entropy plus L2 weight decay, with a step learning-rate schedule
-(multiply by gamma every fixed number of epochs).  Everything is numpy +
-float64 and fully deterministic given the seeds: initialization draws
-from the spec seed, batch order from the train config seed.
+in order in one flat parameter vector (weights row-major, then bias) at
+the offsets _layer_bounds alone states.  The linear softmax model is one
+layer, the MLP two.  One forward pass serves training and inference, so
+the cascade gates on the very scores the training objective shaped.
+Training is plain mini-batch SGD on cross-entropy plus L2 weight decay,
+with a step learning-rate schedule (multiply by gamma every fixed number
+of epochs).  Everything is numpy + float64 and fully deterministic given
+the seeds: initialization draws from the spec seed, batch order from the
+train config seed.
 
 Default hyperparameters: learning rate 1e-3, weight decay 1e-2, gamma 0.3
 every 15 epochs.
@@ -20,7 +21,6 @@ and the CLI's --data loading all run it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -91,7 +91,7 @@ class ClassifierSpec:
         return [(self.input_dim, self.hidden_units), (self.hidden_units, self.num_classes)]
 
     def param_count(self) -> int:
-        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_shapes())
+        return _layer_bounds(self)[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,6 @@ class TrainedModel:
         return self.loss_history[-1] if self.loss_history else None
 
 
-@functools.lru_cache(maxsize=64)
 def _layer_bounds(spec: ClassifierSpec) -> tuple[tuple[int, int, int, int, int], ...]:
     """(fan_in, fan_out, weights start, bias start, bias end) per layer:
     where each layer sits in the flat parameter vector."""
@@ -179,12 +178,12 @@ def init_model(spec: ClassifierSpec) -> TrainedModel:
     """Deterministic fan-based uniform init: each layer's weights and bias
     drawn from U[-a, a] with a = sqrt(6 / (fan_in + fan_out))."""
     rng = np.random.default_rng(spec.seed)
-    chunks = []
-    for fan_in, fan_out in spec.layer_shapes():
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        chunks.append(rng.uniform(-a, a, size=fan_in * fan_out))
-        chunks.append(rng.uniform(-a, a, size=fan_out))
-    return TrainedModel(spec=spec, parameters=np.concatenate(chunks))
+    params = np.empty(spec.param_count())
+    for w, b in _unpack(spec, params):
+        a = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-a, a, size=w.shape)
+        b[...] = rng.uniform(-a, a, size=b.shape)
+    return TrainedModel(spec=spec, parameters=params)
 
 
 def softmax_batch(logits: np.ndarray) -> np.ndarray:

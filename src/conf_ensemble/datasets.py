@@ -202,13 +202,17 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise DatasetParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    inferred = num_classes if num_classes is not None else int(labels.max()) + 1
     return Dataset(
         features=features,
         labels=labels,
-        num_classes=max(inferred, 2),
+        num_classes=_class_count(labels, num_classes),
         id=path.stem,
     )
+
+
+def _class_count(labels: np.ndarray, declared: int | None) -> int:
+    """A loaded dataset's class count: declared, else max(label) + 1; >= 2."""
+    return max(declared if declared is not None else int(labels.max()) + 1, 2)
 
 
 def _parse_table(path: Path, dim: int, header_lines: int,
@@ -318,7 +322,8 @@ def _read_idx(path, expected_magic: int, expected_dims: int) -> tuple[np.ndarray
 
 
 def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Load an IDX ubyte image/label pair; pixels scaled to [0, 1]."""
+    """Load an IDX ubyte image/label pair; pixels scaled to [0, 1].  No
+    images, or images of 0 rows or 0 columns, is a parse error."""
     pixels, (n_images, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     labels, (n_labels,) = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if n_images != n_labels:
@@ -327,16 +332,17 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         )
     if n_images == 0:
         raise DatasetParseError(f"{images_path}: no images")
+    if rows == 0 or cols == 0:
+        raise DatasetParseError(f"{images_path}: images of {rows} x {cols} pixels")
     features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     labs = labels.astype(np.int64)
     if num_classes is not None and labs.max() >= num_classes:
         record = int(np.argmax(labs >= num_classes))
         raise DatasetParseError(f"{labels_path}: record {record}: label {labs[record]} "
                                 f">= num_classes {num_classes}")
-    inferred = num_classes if num_classes is not None else int(labs.max()) + 1
     return Dataset(
         features=features,
         labels=labs,
-        num_classes=max(inferred, 2),
+        num_classes=_class_count(labs, num_classes),
         id=Path(images_path).stem,
     )

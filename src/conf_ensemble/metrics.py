@@ -1,9 +1,10 @@
 """Expected Calibration Error and score histograms, at fixed bin counts.
 
-ECE uses CALIBRATION_BINS equal-width bins over [0, 1] with a
-right-closed last bin.  For bin i holding count_i of n samples, with o_i
-the fraction of correct predictions in the bin and e_i the mean top
-probability, the score is
+SCORE_RANGES is the one statement of each score's range; the cascade's
+threshold check reads it too.  ECE uses CALIBRATION_BINS equal-width
+bins over the top-probability range with a right-closed last bin.  For
+bin i holding count_i of n samples, with o_i the fraction of correct
+predictions in the bin and e_i the mean top probability, the score is
 
     ece = sum_i (count_i / n) * |o_i - e_i|
 
@@ -29,7 +30,7 @@ HISTOGRAM_BINS = 20
 
 SCORE_KIND_UNCERTAINTY = "uncertainty"
 SCORE_KIND_TOP_PROBABILITY = "top_probability"
-_SCORE_RANGES = {
+SCORE_RANGES = {
     SCORE_KIND_UNCERTAINTY: (0.0, 0.5),
     SCORE_KIND_TOP_PROBABILITY: (0.0, 1.0),
 }
@@ -67,10 +68,11 @@ def expected_calibration_error(
         raise InvalidInputError("top_probs and correct must be equal-length vectors")
     if probs.size == 0:
         raise InvalidInputError("need at least one prediction")
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
-        raise InvalidInputError("top_probs must lie in [0, 1]")
+    lo, hi = SCORE_RANGES[SCORE_KIND_TOP_PROBABILITY]
+    if not np.all((probs >= lo) & (probs <= hi)):  # NaN fails too
+        raise InvalidInputError(f"top_probs must lie in [{lo:g}, {hi:g}]")
 
-    idx = bin_indices(probs, 0.0, 1.0, CALIBRATION_BINS)
+    idx = bin_indices(probs, lo, hi, CALIBRATION_BINS)
     bins = []
     ece = 0.0
     for b in range(CALIBRATION_BINS):
@@ -97,22 +99,13 @@ class ScoreHistogram:
     correct_counts: tuple[int, ...]
     incorrect_counts: tuple[int, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(self.correct_counts) + sum(self.incorrect_counts)
-
-    def rows(self) -> list[tuple[float, float, int, int]]:
-        return [
-            (self.bin_edges[i], self.bin_edges[i + 1],
-             self.correct_counts[i], self.incorrect_counts[i])
-            for i in range(len(self.correct_counts))
-        ]
-
     def write_csv(self, path) -> None:
+        edges = self.bin_edges
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["bin_left", "bin_right", "correct", "incorrect"])
-            for left, right, good, bad in self.rows():
+            for left, right, good, bad in zip(edges, edges[1:], self.correct_counts,
+                                              self.incorrect_counts):
                 writer.writerow([repr(left), repr(right), good, bad])
 
 
@@ -123,16 +116,15 @@ def score_histogram(
 ) -> ScoreHistogram:
     """Histogram of scores split by correctness.
 
-    kind fixes the score range: uncertainty lives in [0, 0.5],
-    top_probability in [0, 1].
+    kind fixes the score range, SCORE_RANGES[kind].
     """
-    if kind not in _SCORE_RANGES:
+    if kind not in SCORE_RANGES:
         raise InvalidInputError(f"unknown score kind {kind!r}")
     vals = np.asarray(scores, dtype=np.float64)
     hits = np.asarray(correct, dtype=bool)
     if vals.ndim != 1 or vals.shape != hits.shape:
         raise InvalidInputError("scores and correct must be equal-length vectors")
-    lo, hi = _SCORE_RANGES[kind]
+    lo, hi = SCORE_RANGES[kind]
     bad = np.flatnonzero(~((vals >= lo) & (vals <= hi)))  # NaN is out of range too
     if bad.size:
         raise InvalidInputError(

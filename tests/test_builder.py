@@ -211,8 +211,8 @@ class TestBuildEnsemble:
         for record in report.members:
             assert np.isfinite(record.final_loss)
             assert len(record.index_digest) == 64
-            assert record.uncertainty_histogram.total == len(blobs3)
-            assert record.probability_histogram.total == len(blobs3)
+            for hist in (record.uncertainty_histogram, record.probability_histogram):
+                assert sum(hist.correct_counts + hist.incorrect_counts) == len(blobs3)
 
     def test_report_scores_every_member_on_the_full_dataset(self, blobs3):
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),

@@ -153,7 +153,6 @@ class TestCascadePredict:
         rcfg = RuntimeConfig(thresholds=(0.0, 0.0, 0.0), consensus="most_confident")
         chosen, trace = cascade_predict(manifest, rcfg, X2)
         assert trace.accepted_level is None
-        assert trace.consensus_used
         assert len(trace.steps) == 3
         assert chosen.uncertainty == pytest.approx(0.2)
 

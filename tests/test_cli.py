@@ -322,6 +322,19 @@ def test_data_that_does_not_fit_exits_before_out(built_dir, tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["histograms", "--member", "1"]],
+                         ids=["evaluate", "histograms"])
+def test_data_of_an_unknown_kind_exits_before_out(built_dir, tmp_path, capsys, command):
+    data = tmp_path / "x.txt"
+    data.write_text("f0,f1,f2,label\n1.0,2.0,3.0,0\n")
+    out = tmp_path / "out"
+    assert main([*command, "--ensemble", str(built_dir), "--data", str(data),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --data must be a .csv file or a .json dataset block, got {data}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault, message", [
     ("x" * 200_000 + ",2.0,3.0,0", "line 3: field larger than field limit (131072)"),
     ("1.0,2.0,3.0,99999999999999999999", "line 3: label 99999999999999999999 "),
@@ -441,10 +454,14 @@ class TestEvaluateCommand:
         assert f"{bad}: line 4: non-finite feature nan in column 'f1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["truncated", "corrupt", "not-gzip", "label",
-                                       "size-overflow"])
+                                       "size-overflow", "no-pixels"])
     def test_bad_idx_file_is_a_data_error(self, built_dir, tmp_path, capsys, fault):
         images, labels = tmp_path / "img.idx.gz", tmp_path / "lab.idx"
-        if fault == "label":  # the ensemble has 3 classes
+        if fault == "no-pixels":  # images of 0 x 3 pixels: feature width 0
+            write_idx_images(images, np.zeros((30, 0, 3), dtype=np.uint8), compress=True)
+            write_idx_labels(labels, np.zeros(30, dtype=np.uint8))
+            bad = images
+        elif fault == "label":  # the ensemble has 3 classes
             write_idx_images(images, np.zeros((3, 4, 4), dtype=np.uint8), compress=True)
             write_idx_labels(labels, np.array([0, 3, 1], dtype=np.uint8))
             bad = labels

@@ -161,6 +161,8 @@ class TestExperimentConfig:
             ("build.training.weight_decay", "0.01", "weight_decay must be a finite number"),
             ("runtime", [{"threshold": "0.2"}], "runtime threshold must be a finite number"),
             ("runtime", [{"threshold": ["0.4", 0.1]}], "runtime threshold must be a finite number"),
+            pytest.param("build.training.learning_rate", 10**400, "learning_rate must be a finite number",
+                         id="build.training.learning_rate-overflowing-int"),
         ],
     )
     def test_number_fields_reject_non_numbers(self, tmp_path, path, value, message):
@@ -169,7 +171,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=message):
             load_experiment_config(write(tmp_path, doc))
 
-    @pytest.mark.parametrize("path", ["build", "build.classifier", "build.training"],
+    @pytest.mark.parametrize("path", ["dataset", "build", "build.classifier", "build.training"],
                              ids=lambda path: path.split(".")[-1])
     def test_block_of_the_wrong_type(self, tmp_path, path):
         doc = minimal_doc()

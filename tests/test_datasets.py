@@ -290,13 +290,14 @@ class TestCsv:
              "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 20: "
              "invalid start byte"),
             ("\ufefff0,f1,label\n1.0,2.0,1\n", None, ([[1.0, 2.0]], [1])),
+            ("label\n1\n", None, "no feature columns"),
         ],
         ids=["nan", "inf", "1e400", "Infinity", "negative-label", "label-beyond-classes",
              "header-only", "header-only-crlf", "whitespace-line", "comment-line",
              "hash-in-feature", "hash-in-label", "float-label", "control-character",
              "non-ascii-suffix", "underscore", "unicode-digits",
              "quoted-cells", "quoted-newline", "quoted-header-newline", "ragged",
-             "trailing-comma", "not-utf8", "bom"],
+             "trailing-comma", "not-utf8", "bom", "label-only"],
     )
     def test_edge_cases(self, tmp_path, content, num_classes, expected):
         """Each file loads to the values, or fails with the message, that the
@@ -406,6 +407,15 @@ class TestIdx:
         with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
             load_idx(path, tmp_path / "lab.idx", num_classes=2)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+    def test_images_without_pixels_name_the_file(self, tmp_path, rows, cols):
+        path = tmp_path / "img.idx"
+        write_idx_images(path, np.zeros((30, rows, cols), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lab.idx", np.zeros(30, dtype=np.uint8))
+        message = f"{path}: images of {rows} x {cols} pixels"
+        with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
+            load_idx(path, tmp_path / "lab.idx")
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "img.idx"
         payload = struct.pack(">IIII", 0x00000803, 5, 28, 28) + b"\x00" * 100
@@ -432,7 +442,7 @@ class TestIdxProperty:
             data = load_idx(*paths, num_classes=num_classes)
         except DatasetParseError:
             return
-        assert len(data) > 0
+        assert len(data) > 0 and data.feature_dim > 0
         assert np.all((data.features >= 0.0) & (data.features <= 1.0))
 
 

@@ -6,11 +6,16 @@ included; an import line marked ``# noqa`` is skipped.
 No module in src/ or scripts/ imports an underscore name from another
 module of the package: what one module shares with another is public.
 Binding a public name to a private alias (``write_json as _write_json``)
-is allowed."""
+is allowed.
+
+Every function, class, method and property src/ defines is referred to
+by name from the program: src/, scripts/ or perfbench/.  Code only the
+tests reach is an API kept for the tests, and belongs in them."""
 
 from __future__ import annotations
 
 import ast
+import re
 
 import pytest
 
@@ -84,3 +89,49 @@ def _private_package_imports(tree: ast.Module) -> list[str]:
 def test_no_private_name_is_imported_from_the_package(path):
     private = _private_package_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+# A perfbench hook target, "module:attr" or "module:Class.attr"; the module
+# part may be an f-string's placeholder.
+_HOOK_TARGET = re.compile(r"[\w.]*:([\w.]+)")
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module refers to: names, attributes, imported names, and
+    the attributes hook target strings name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            target = _HOOK_TARGET.fullmatch(node.value)
+            if target:
+                names.update(target.group(1).split("."))
+    return names
+
+
+def unreferenced_definitions(root) -> list[str]:
+    """The functions, classes, methods and properties defined in root's
+    src/ whose names nothing in its src/, scripts/ or perfbench/ refers
+    to; a dunder method is called by Python itself."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "scripts", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    return [
+        f"{path.relative_to(root)}:{node.lineno} {node.name}"
+        for path, tree in trees.items() if path.is_relative_to(root / "src")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    ]
+
+
+def test_every_definition_in_src_is_used_by_the_program():
+    unused = unreferenced_definitions(ROOT)
+    assert not unused, f"defined in src/ but used only by tests, or not at all: {unused}"

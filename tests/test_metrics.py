@@ -116,7 +116,7 @@ class TestScoreHistogram:
             if hist.correct_counts[i] + hist.incorrect_counts[i] > 0
         ]
         assert len(non_empty) == 1
-        assert hist.total == 7
+        assert sum(hist.correct_counts + hist.incorrect_counts) == 7
 
     def test_direct_placement(self):
         # Uncertainty bins are 0.025 wide: 0.01 / 0.025 = 0.4, 0.26 / 0.025 = 10.4
@@ -161,7 +161,7 @@ class TestScoreHistogram:
         scores = rng.uniform(0, 0.5, 300)
         correct = rng.uniform(0, 1, 300) < 0.7
         hist = score_histogram(scores, correct, kind="uncertainty")
-        assert hist.total == 300
+        assert sum(hist.correct_counts + hist.incorrect_counts) == 300
         perm = rng.permutation(300)
         shuffled = score_histogram(scores[perm], correct[perm], kind="uncertainty")
         assert shuffled == hist

@@ -205,14 +205,65 @@ def _weights_shorter_than_header(directory):
     manifest_path.write_text(json.dumps(doc))
 
 
-def _nan_last_weight(directory):
+def _rewrite_weights(directory, edit):
+    """weights.bin replaced by edit(its bytes), under a digest that matches."""
     weights_path = directory / WEIGHTS_FILE
-    raw = weights_path.read_bytes()[:-8] + struct.pack("<d", float("nan"))
+    raw = edit(weights_path.read_bytes())
     weights_path.write_bytes(raw)
     manifest_path = directory / "manifest.json"
     doc = json.loads(manifest_path.read_text())
-    doc["weights_digest"] = hashlib.sha256(raw).hexdigest()  # digest still matches
+    doc["weights_digest"] = hashlib.sha256(raw).hexdigest()
     manifest_path.write_text(json.dumps(doc))
+
+
+def _nan_last_weight(directory):
+    _rewrite_weights(directory, lambda raw: raw[:-8] + struct.pack("<d", float("nan")))
+
+
+# The bytes after the magic: u32 version, u32 member count, then the first
+# member's u64 parameter count.
+_VERSION_AT = len(WEIGHTS_MAGIC)
+_COUNT_AT = _VERSION_AT + 4
+_FIRST_MEMBER_AT = _COUNT_AT + 4
+
+
+def _weights_version_ahead(directory):
+    _rewrite_weights(directory, lambda raw: (
+        raw[:_VERSION_AT] + struct.pack("<I", FORMAT_VERSION + 1) + raw[_COUNT_AT:]))
+    return ManifestVersionError, f"weights format version {FORMAT_VERSION + 1}, expected"
+
+
+def _cut_member_header(directory):
+    # the version and count promise two members; the file ends 4 bytes
+    # into the first one's parameter count
+    _rewrite_weights(directory, lambda raw: raw[:_FIRST_MEMBER_AT + 4])
+    return ManifestDigestError, "truncated weights header"
+
+
+def _trailing_weights_byte(directory):
+    _rewrite_weights(directory, lambda raw: raw + b"\x00")
+    return ManifestDigestError, "1 trailing bytes in weights"
+
+
+def _one_weight_block_for_two_members(directory):
+    def first_block_only(raw):
+        (size,) = struct.unpack_from("<Q", raw, _FIRST_MEMBER_AT)
+        return (raw[:_COUNT_AT] + struct.pack("<I", 1)
+                + raw[_FIRST_MEMBER_AT:_FIRST_MEMBER_AT + 8 + 8 * size])
+
+    _rewrite_weights(directory, first_block_only)
+    return ManifestDigestError, "1 weight blocks for 2 members"
+
+
+def _members_of_different_shapes(directory):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    member = doc["members"][1]
+    # 12 * 8 + 8 + 8 * 3 + 3 = 131 = 4 * 16 + 16 + 16 * 3 + 3 parameters
+    assert (member["input_dim"], member["hidden_units"], member["param_count"]) == (4, 16, 131)
+    member.update(input_dim=12, hidden_units=8)
+    manifest_path.write_text(json.dumps(doc))
+    return ManifestDigestError, "all members must share input_dim and num_classes"
 
 
 def _add_key(directory, pick):
@@ -254,13 +305,19 @@ class TestMalformedManifest:
             _added_member_key,
             _added_runtime_key,
             _added_top_level_key,
+            _weights_version_ahead,
+            _cut_member_header,
+            _trailing_weights_byte,
+            _one_weight_block_for_two_members,
+            _members_of_different_shapes,
         ],
     )
     def test_typed_error_and_storage_exit(self, built, blobs3, tmp_path, corrupt):
         store = tmp_path / "store"
         save_manifest(built, store)
-        corrupt(store)
-        with pytest.raises(ManifestDigestError):
+        # a corruption that names its error returns (error class, message part)
+        error, message = corrupt(store) or (ManifestDigestError, None)
+        with pytest.raises(error, match=message and re.escape(message)):
             load_manifest(store)
         # a loadable ensemble would evaluate this data and exit 0
         data_csv = tmp_path / "data.csv"

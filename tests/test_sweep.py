@@ -19,8 +19,8 @@ from conf_ensemble import (
     save_csv,
     save_manifest,
 )
-from conf_ensemble.cli import main
-from conf_ensemble.errors import EXIT_CONFIG, EXIT_OK
+from conf_ensemble.cli import main, run_with_exit_codes
+from conf_ensemble.errors import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK
 
 from conftest import ROOT, SWEEP_SCRIPT, load_script
 from test_cli import BLOBS_BLOCK, experiment_doc
@@ -117,6 +117,18 @@ def test_library_error_exits_with_its_code_and_no_traceback(tmp_path):
     assert result.returncode == EXIT_CONFIG
     assert result.stderr == "error: bad dataset option: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_failed_build_leaves_no_out(tmp_path, capsys):
+    doc = json.loads(sweep.EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+    doc["build"]["training_thresholds"] = [0.5, 0.5]  # no U lies above 0.5
+    config = tmp_path / "degenerate.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_with_exit_codes(sweep.main, ["--config", str(config),
+                                            "--out", str(out)]) == EXIT_DEGENERATE
+    assert "training subset at level 1 has 0 samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def report_without_times(report):
