@@ -166,6 +166,7 @@ class MemberBuildRecord:
     index_digest: str
     train_seconds: float
     final_loss: float
+    loss_history: tuple[float, ...]  # the fit's loss after each epoch
     accuracy: float  # this and the rest: member's scores over the full dataset
     ece: float
     uncertainty_histogram: ScoreHistogram
@@ -205,6 +206,7 @@ def member_report(
         index_digest=_indices_digest(pool),
         train_seconds=train_seconds,
         final_loss=model.final_loss,
+        loss_history=model.loss_history,
         accuracy=float(correct.mean()),
         ece=expected_calibration_error(top, correct).ece,
         uncertainty_histogram=score_histogram(unc, correct, kind=SCORE_KIND_UNCERTAINTY),

@@ -7,9 +7,14 @@ layer, the MLP two.  One forward pass serves training and inference, so
 the cascade gates on the very scores the training objective shaped.
 Training is plain mini-batch SGD on cross-entropy plus L2 weight decay,
 with a step learning-rate schedule (multiply by gamma every fixed number
-of epochs).  Everything is numpy + float64 and fully deterministic given
-the seeds: initialization draws from the spec seed, batch order from the
-train config seed.
+of epochs).  objective_and_gradient is the one training kernel: an SGD
+step computes the gradient only, and the loss at initialisation and
+after each epoch comes from the forward pass only.  fit unpacks the
+layer views of the parameters and of one gradient buffer once; each step
+overwrites the buffer and updates the parameters in place.  Everything
+is numpy + float64 and fully deterministic given the seeds:
+initialization draws from the spec seed, batch order from the train
+config seed.
 
 Default hyperparameters: learning rate 1e-3, weight decay 1e-2, gamma 0.3
 every 15 epochs.
@@ -219,30 +224,40 @@ def _forward(
 
 
 def objective_and_gradient(
-    spec: ClassifierSpec,
     params: np.ndarray,
+    layers: list[tuple[np.ndarray, np.ndarray]],
     X: np.ndarray,
     y: np.ndarray,
     weight_decay: float,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch plus 0.5 * weight_decay * ||params||^2,
-    with its analytic gradient (all parameters, biases included, are decayed).
+    grad: tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]] | None = None,
+) -> float | None:
+    """The training objective, mean cross-entropy over the batch plus
+    0.5 * weight_decay * ||params||^2 (all parameters, biases included,
+    are decayed), or its analytic gradient; layers are _unpack's views
+    into params.
+
+    With grad None this is a loss pass: the forward pass only, returning
+    the objective.  With grad = (flat, flat's _unpack views) it is an SGD
+    step's gradient: flat is overwritten with it, no loss is computed,
+    and None is returned.  perfbench's tracer wraps this module attribute
+    and takes X, the third argument, being the fit's own feature array as
+    the sign of a loss pass; fit calls it accordingly.
 
     Logits are not checked for finiteness: under fit's np.errstate, the
     overflow that would make one non-finite raises first."""
     n = X.shape[0]
     rows = np.arange(n)
-    layers = _unpack(spec, params)
     inputs, logits = _forward(layers, X)
-
     delta = _softmax_rows(logits)  # the probabilities, then d loss / d logits
-    picked = np.maximum(delta[rows, y], LOSS_PROB_FLOOR)
-    loss = -float(np.mean(np.log(picked)))
+    if grad is None:
+        loss = -float(np.mean(np.log(np.maximum(delta[rows, y], LOSS_PROB_FLOOR))))
+        if weight_decay:
+            loss += 0.5 * weight_decay * float(params @ params)
+        return loss
+
+    flat, g_layers = grad  # every entry of flat is one layer's gw or gb
     delta[rows, y] -= 1.0
     delta /= n
-
-    grad = np.empty_like(params)  # every entry is one layer's gw or gb
-    g_layers = _unpack(spec, grad)
     for k in range(len(layers) - 1, -1, -1):
         h = inputs[k]
         gw, gb = g_layers[k]
@@ -250,11 +265,9 @@ def objective_and_gradient(
         gb[...] = delta.sum(axis=0)
         if k:  # h = tanh(pre-activation); carry delta down through it
             delta = (delta @ layers[k][0].T) * (1.0 - h**2)
-
     if weight_decay:
-        loss += 0.5 * weight_decay * float(params @ params)
-        grad += weight_decay * params
-    return loss, grad
+        flat += weight_decay * params
+    return None
 
 
 def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
@@ -262,11 +275,17 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
 
     Batch order is drawn from cfg.seed, so (model, data, cfg) fully
     determines the returned parameters.  The learning rate is multiplied
-    by lr_decay_gamma every lr_decay_every_epochs epochs.  An overflow,
-    invalid operation or division by zero in an epoch, or a non-finite
-    epoch loss or parameter, raises TrainingDivergedError naming the epoch.
-    So does a final epoch loss above the loss at initialisation (naming
-    the last epoch): such a fit made the model worse than its start.
+    by lr_decay_gamma every lr_decay_every_epochs epochs.  The layer views
+    of the parameters and of one gradient buffer are unpacked once per
+    fit and stay valid, since each step updates the parameters in place.
+    A step computes the gradient only; the loss at initialisation and
+    after each epoch comes from a forward-only pass over the whole data.
+
+    An overflow, invalid operation or division by zero in an epoch, or a
+    non-finite epoch loss or parameter, raises TrainingDivergedError
+    naming the epoch.  So does a final epoch loss above the loss at
+    initialisation (naming the last epoch): such a fit made the model
+    worse than its start.
     """
     if len(data) == 0:
         raise EmptyTrainingSetError("cannot fit on an empty dataset")
@@ -275,6 +294,9 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
 
     X, y = data.features, data.labels
     params = model.parameters.copy()
+    layers = _unpack(spec, params)
+    flat = np.empty_like(params)
+    grad = (flat, _unpack(spec, flat))
     rng = np.random.default_rng(cfg.seed)
     history = []
     n = len(data)
@@ -282,17 +304,17 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
     # Underflow stays ignored: a healthy softmax's exp underflows.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            initial = objective_and_gradient(spec, params, X, y, cfg.weight_decay)[0]
+            initial = objective_and_gradient(params, layers, X, y, cfg.weight_decay)
             for epoch in range(1, cfg.epochs + 1):
                 decays = (epoch - 1) // cfg.lr_decay_every_epochs
                 lr = cfg.learning_rate * cfg.lr_decay_gamma ** decays
                 perm = rng.permutation(n)
                 for start in range(0, n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
-                    _, grad = objective_and_gradient(spec, params, X[idx], y[idx],
-                                                     cfg.weight_decay)
-                    params -= lr * grad
-                loss = objective_and_gradient(spec, params, X, y, cfg.weight_decay)[0]
+                    objective_and_gradient(params, layers, X[idx], y[idx], cfg.weight_decay,
+                                           grad)
+                    params -= lr * flat
+                loss = objective_and_gradient(params, layers, X, y, cfg.weight_decay)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, f"epoch loss is {loss}")
                 if not np.all(np.isfinite(params)):

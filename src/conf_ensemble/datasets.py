@@ -211,8 +211,9 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
 
 
 def _class_count(labels: np.ndarray, declared: int | None) -> int:
-    """A loaded dataset's class count: declared, else max(label) + 1; >= 2."""
-    return max(declared if declared is not None else int(labels.max()) + 1, 2)
+    """A loaded dataset's class count: declared, passed on unchanged (so
+    Dataset rejects one below 2), else max(label) + 1 raised to 2."""
+    return declared if declared is not None else max(int(labels.max()) + 1, 2)
 
 
 def _parse_table(path: Path, dim: int, header_lines: int,

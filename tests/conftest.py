@@ -1,8 +1,9 @@
-"""Shared fixtures: stub members with controlled outputs, the
-overlap-heavy blob dataset the end-to-end tests build on, generated
-JSON values for the field-mutation properties, IDX file writers and
-generated IDX files, a counter of the builder's fits, and a loader for
-the scripts outside the package."""
+"""Shared fixtures: stub members with controlled outputs, the training
+objective's loss pass and SGD-step gradient for a spec, the overlap-heavy
+blob dataset the end-to-end tests build on, generated JSON values for the
+field-mutation properties, IDX file writers and generated IDX files, a
+counter of the builder's fits, and a loader for the scripts outside the
+package."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from conf_ensemble import (
     generate_blobs,
     init_model,
 )
-from conf_ensemble import builder
+from conf_ensemble import builder, classifiers
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SCRIPT = ROOT / "scripts" / "run_threshold_sweep.py"
@@ -39,6 +40,23 @@ def load_script(path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def objective(spec, params, X, y, weight_decay) -> float:
+    """The training objective at params: objective_and_gradient's
+    forward-only loss pass."""
+    layers = classifiers._unpack(spec, params)
+    return classifiers.objective_and_gradient(params, layers, X, y, weight_decay)
+
+
+def gradient(spec, params, X, y, weight_decay) -> np.ndarray:
+    """The gradient an SGD step's objective_and_gradient call writes into
+    its buffer at params."""
+    flat = np.full_like(params, np.nan)  # every entry must be written
+    layers = classifiers._unpack(spec, params)
+    grad = (flat, classifiers._unpack(spec, flat))
+    assert classifiers.objective_and_gradient(params, layers, X, y, weight_decay, grad) is None
+    return flat
 
 
 # One blob recipe used across builder/cascade/acceptance tests; seeds are

@@ -2,7 +2,9 @@
 
 Each is written from its definition, one sample at a time, with no input
 validation and no use of the library's private helpers, so an oracle
-cannot share a bug with the batch kernel it checks.
+cannot share a bug with the batch kernel it checks.  The exception is
+reference_fit: a batch SGD loop that unpacks the parameters on every call
+and computes loss and gradient together, which fit must match bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +56,78 @@ def predict_logits(model, features) -> np.ndarray:
         if k < len(shapes) - 1:
             h = np.tanh(h)
     return h
+
+
+# Plain mini-batch SGD: every call unpacks the parameter vector afresh and
+# computes the batch loss and the gradient together, keeping only one.
+
+def _layer_views(spec, params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, bias) views into params, in spec.layer_shapes() order."""
+    views, offset = [], 0
+    for fan_in, fan_out in spec.layer_shapes():
+        bias = offset + fan_in * fan_out
+        views.append((params[offset:bias].reshape(fan_in, fan_out),
+                      params[bias : bias + fan_out]))
+        offset = bias + fan_out
+    return views
+
+
+def _objective_and_gradient(spec, params, X, y, weight_decay):
+    """Mean cross-entropy plus 0.5 * weight_decay * ||params||^2, and its
+    gradient by backpropagation through the tanh layers."""
+    n = X.shape[0]
+    rows = np.arange(n)
+    layers = _layer_views(spec, params)
+    inputs = [X]
+    for w, b in layers[:-1]:
+        inputs.append(np.tanh(inputs[-1] @ w + b))
+    w, b = layers[-1]
+    logits = inputs[-1] @ w + b
+
+    delta = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta /= delta.sum(axis=1, keepdims=True)
+    picked = np.maximum(delta[rows, y], 1e-12)
+    loss = -float(np.mean(np.log(picked)))
+    delta[rows, y] -= 1.0
+    delta /= n
+
+    grad = np.empty_like(params)
+    g_layers = _layer_views(spec, grad)
+    for k in range(len(layers) - 1, -1, -1):
+        h = inputs[k]
+        gw, gb = g_layers[k]
+        gw[...] = h.T @ delta
+        gb[...] = delta.sum(axis=0)
+        if k:
+            delta = (delta @ layers[k][0].T) * (1.0 - h**2)
+
+    if weight_decay:
+        loss += 0.5 * weight_decay * float(params @ params)
+        grad += weight_decay * params
+    return loss, grad
+
+
+def reference_fit(model, data, cfg) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The parameters and per-epoch loss history of mini-batch SGD from
+    model on data: batch order from cfg.seed, the learning rate times
+    lr_decay_gamma every lr_decay_every_epochs epochs, the loss over the
+    whole data after each epoch.  No divergence checks."""
+    X, y = data.features, data.labels
+    params = model.parameters.copy()
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    n = len(data)
+    for epoch in range(1, cfg.epochs + 1):
+        decays = (epoch - 1) // cfg.lr_decay_every_epochs
+        lr = cfg.learning_rate * cfg.lr_decay_gamma ** decays
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            _, grad = _objective_and_gradient(model.spec, params, X[idx], y[idx],
+                                              cfg.weight_decay)
+            params -= lr * grad
+        history.append(_objective_and_gradient(model.spec, params, X, y, cfg.weight_decay)[0])
+    return params, tuple(history)
 
 
 class Replay(NamedTuple):

@@ -25,12 +25,18 @@ from conf_ensemble import (
     save_manifest,
 )
 from conf_ensemble.builder import _filter_pool, member_prediction_arrays
-from conf_ensemble.classifiers import objective_and_gradient
 from conf_ensemble.errors import ManifestDigestError
 from conf_ensemble.persist import WEIGHTS_FILE
 from conf_ensemble.classifiers import ClassifierSpec, init_model
 
-from conftest import MLP_ARCH, TRAIN, member_with_uncertainty, stub_manifest
+from conftest import (
+    MLP_ARCH,
+    TRAIN,
+    gradient,
+    member_with_uncertainty,
+    objective,
+    stub_manifest,
+)
 from oracles import (
     artifact_digests,
     cascade_replay,
@@ -102,14 +108,14 @@ def test_criterion_2_gradient_check():
             X = rng.standard_normal((5, m))
             y = rng.integers(0, n, size=5)
             wd = float(rng.choice([0.0, 1e-2]))
-            _, analytic = objective_and_gradient(spec, params, X, y, wd)
+            analytic = gradient(spec, params, X, y, wd)
             numeric = np.zeros_like(params)
             for i in range(params.size):
                 bumped = params.copy()
                 bumped[i] += h
-                hi = objective_and_gradient(spec, bumped, X, y, wd)[0]
+                hi = objective(spec, bumped, X, y, wd)
                 bumped[i] -= 2 * h
-                lo = objective_and_gradient(spec, bumped, X, y, wd)[0]
+                lo = objective(spec, bumped, X, y, wd)
                 numeric[i] = (hi - lo) / (2 * h)
             rel = np.linalg.norm(analytic - numeric) / (
                 np.linalg.norm(analytic) + np.linalg.norm(numeric) + 1e-12

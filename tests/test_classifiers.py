@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from conf_ensemble import (
     predict_logits_batch,
 )
 from conf_ensemble import classifiers
-from conf_ensemble.classifiers import objective_and_gradient
-
-from oracles import cross_entropy_loss, predict_logits, softmax
+from conftest import gradient, objective
+from oracles import cross_entropy_loss, predict_logits, reference_fit, softmax
 
 LINEAR_43 = ClassifierSpec(kind="linear", input_dim=4, num_classes=3, seed=7)
 MLP_453 = ClassifierSpec(kind="mlp", input_dim=4, num_classes=3, hidden_units=5, seed=7)
@@ -33,9 +33,9 @@ def central_difference_gradient(spec, params, X, y, weight_decay, h=1e-5):
     for i in range(params.size):
         bumped = params.copy()
         bumped[i] += h
-        hi = objective_and_gradient(spec, bumped, X, y, weight_decay)[0]
+        hi = objective(spec, bumped, X, y, weight_decay)
         bumped[i] -= 2 * h
-        lo = objective_and_gradient(spec, bumped, X, y, weight_decay)[0]
+        lo = objective(spec, bumped, X, y, weight_decay)
         grad[i] = (hi - lo) / (2 * h)
     return grad
 
@@ -164,7 +164,7 @@ class TestGradients:
             X = rng.standard_normal((6, m))
             y = rng.integers(0, n, size=6)
             wd = float(rng.choice([0.0, 1e-2]))
-            _, analytic = objective_and_gradient(spec, params, X, y, wd)
+            analytic = gradient(spec, params, X, y, wd)
             numeric = central_difference_gradient(spec, params, X, y, wd)
             rel = np.linalg.norm(analytic - numeric) / (
                 np.linalg.norm(analytic) + np.linalg.norm(numeric) + 1e-12
@@ -190,7 +190,7 @@ class TestTrainingMatchesInference:
             for x, label in zip(X, y)
         ]
         expected = float(np.mean(per_sample)) + 0.5 * wd * float(params @ params)
-        loss = objective_and_gradient(spec, params, X, y, wd)[0]
+        loss = objective(spec, params, X, y, wd)
         assert loss == pytest.approx(expected, rel=0, abs=1e-12)
 
 
@@ -258,8 +258,8 @@ class TestFit:
         cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=50.0, weight_decay=0.0,
                           seed=5)
         spec = ClassifierSpec(kind="mlp", input_dim=2, num_classes=3, hidden_units=8, seed=3)
-        initial = objective_and_gradient(spec, init_model(spec).parameters, data.features,
-                                         data.labels, cfg.weight_decay)[0]
+        initial = objective(spec, init_model(spec).parameters, data.features, data.labels,
+                            cfg.weight_decay)
         with pytest.raises(TrainingDivergedError,
                            match=r"^training diverged at epoch 5: final loss 1\.105 "
                                  r"exceeds initial loss 0\.813$"):
@@ -267,17 +267,25 @@ class TestFit:
         assert initial == pytest.approx(0.813, abs=5e-4)
 
     def test_objective_calls_seen_by_the_tracer(self, monkeypatch):
-        # perfbench counts each objective_and_gradient call as an SGD step,
-        # or, when it receives the fit's own feature array, as a loss pass.
+        # perfbench/tracer.py takes X as the third positional argument (or
+        # the keyword X) and counts a call that receives the fit's own
+        # feature array as a loss pass, any other as an SGD step.
         data = two_blob_dataset()
         cfg = TrainConfig(epochs=4, batch_size=64, learning_rate=0.01, seed=5)
         spec = ClassifierSpec(kind="mlp", input_dim=2, num_classes=2, hidden_units=3, seed=3)
         full, steps = [], []
         real = classifiers.objective_and_gradient
 
-        def counting(spec, params, X, y, weight_decay):
-            (full if X is data.features else steps).append(len(X))
-            return real(spec, params, X, y, weight_decay)
+        def counting(*args, **kwargs):
+            X = args[2] if len(args) > 2 else kwargs["X"]
+            result = real(*args, **kwargs)
+            if X is data.features:
+                assert isinstance(result, float)  # a loss pass returns the loss
+                full.append(len(X))
+            else:
+                assert result is None  # a step writes its gradient, returns nothing
+                steps.append(len(X))
+            return result
 
         monkeypatch.setattr(classifiers, "objective_and_gradient", counting)
         model = fit(init_model(spec), data, cfg)
@@ -326,6 +334,23 @@ class TestFit:
                 gb[k] += delta / 8
         expected = np.concatenate([(w - lr * gw).ravel(), b - lr * gb])
         assert trained.parameters == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [LINEAR_43, MLP_453], ids=["linear", "mlp"])
+    @pytest.mark.parametrize("wd", [0.0, 1e-2])
+    @pytest.mark.parametrize("batch_size", [40, 50], ids=["divides-n", "ragged"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_matches_reference_fit_byte_for_byte(self, spec, wd, batch_size, seed):
+        # The reference unpacks the parameters on every call and computes
+        # loss and gradient together; fit's lean loop must not move a bit.
+        data = generate_blobs(num_classes=3, per_class=40, dim=4, spread=1.0, overlap=0.55,
+                              seed=seed)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.05,
+                          lr_decay_every_epochs=2, weight_decay=wd, seed=seed)
+        start = init_model(replace(spec, seed=seed))
+        params, history = reference_fit(start, data, cfg)
+        model = fit(start, data, cfg)
+        assert model.parameters.tobytes() == params.tobytes()
+        assert model.loss_history == history
 
     def test_lr_schedule_changes_training(self):
         data = two_blob_dataset()

@@ -31,7 +31,6 @@ from conf_ensemble import (
     load_manifest,
     save_csv,
 )
-from conf_ensemble.classifiers import objective_and_gradient
 from conf_ensemble.cli import main
 from conf_ensemble.errors import (
     EXIT_CONFIG,
@@ -47,6 +46,7 @@ from conftest import (
     SWEEP_SCRIPT,
     idx_files,
     load_script,
+    objective,
     set_leaf,
     write_bad_gzip_images,
     write_idx_images,
@@ -199,9 +199,8 @@ class TestBuildCommand:
             spec = ClassifierSpec(cfg.build.classifier_kind, data.feature_dim,
                                   data.num_classes, cfg.build.hidden_units,
                                   cfg.build.classifier_seed + level)
-            initial = objective_and_gradient(spec, init_model(spec).parameters,
-                                             data.features[pool], data.labels[pool],
-                                             cfg.build.train_config.weight_decay)[0]
+            initial = objective(spec, init_model(spec).parameters, data.features[pool],
+                                data.labels[pool], cfg.build.train_config.weight_decay)
             losses.append((round(initial, 3), round(member["final_loss"], 3)))
         assert losses == [(1.398, 0.137), (1.331, 0.287), (1.307, 0.243)]
 
@@ -354,6 +353,25 @@ def test_csv_beyond_the_parser_limits_is_a_data_error(built_dir, tmp_path, capsy
         argv = ["evaluate", "--ensemble", str(built_dir), "--data", str(bad)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["csv", "idx"])
+def test_declared_class_count_below_two_is_a_config_error(tmp_path, capsys, kind):
+    """A csv or idx dataset block declaring "num_classes": 1 exits 2, as a
+    blobs block does, even when every label is 0."""
+    if kind == "csv":
+        (tmp_path / "zeros.csv").write_text("f0,label\n" + "1.0,0\n" * 20)
+        block = {"kind": "csv", "path": "zeros.csv", "num_classes": 1}
+    else:
+        write_idx_images(tmp_path / "img.idx", np.zeros((20, 2, 2), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lab.idx", np.zeros(20, dtype=np.uint8))
+        block = {"kind": "idx", "images": "img.idx", "labels": "lab.idx", "num_classes": 1}
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(experiment_doc(dataset=block)))
+    assert main(["build", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: bad dataset option: num_classes must be >= 2, got 1\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -534,8 +552,10 @@ class TestArtifactSchemas:
                                "subset_sizes"}
         for member in report["members"]:
             assert set(member) == {"accuracy", "ece", "final_loss", "index_digest", "level",
-                                   "probability_histogram", "subset_size", "train_seconds",
-                                   "uncertainty_histogram"}
+                                   "loss_history", "probability_histogram", "subset_size",
+                                   "train_seconds", "uncertainty_histogram"}
+            assert len(member["loss_history"]) == experiment_doc()["build"]["training"]["epochs"]
+            assert member["loss_history"][-1] == member["final_loss"]
             assert set(member["uncertainty_histogram"]) == self.HISTOGRAM
             assert set(member["probability_histogram"]) == self.HISTOGRAM
 

@@ -196,6 +196,15 @@ class TestCsv:
         with pytest.raises(DatasetParseError, match="line 3"):
             load_csv(path, num_classes=3)
 
+    def test_declared_class_count_below_two_is_rejected(self, tmp_path):
+        # A declared count passes through unchanged; only an inferred one
+        # (every label 0) is raised to 2.
+        path = tmp_path / "zeros.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,0\n")
+        with pytest.raises(InvalidInputError, match=r"^num_classes must be >= 2, got 1$"):
+            load_csv(path, num_classes=1)
+        assert load_csv(path).num_classes == 2
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -397,6 +406,13 @@ class TestIdx:
         with pytest.raises(DatasetParseError, match=f"^{re.escape(message)}$"):
             load_idx(tmp_path / "img.idx", tmp_path / "lab.idx", num_classes=2)
 
+    def test_declared_class_count_below_two_is_rejected(self, tmp_path):
+        write_idx_images(tmp_path / "img.idx", np.zeros((3, 2, 2), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lab.idx", np.zeros(3, dtype=np.uint8))
+        with pytest.raises(InvalidInputError, match=r"^num_classes must be >= 2, got 1$"):
+            load_idx(tmp_path / "img.idx", tmp_path / "lab.idx", num_classes=1)
+        assert load_idx(tmp_path / "img.idx", tmp_path / "lab.idx").num_classes == 2
+
     def test_header_size_beyond_int64_names_the_file(self, tmp_path):
         # 2**16 * 2**24 * 2**24 = 2**64 bytes, which an int64 product wraps
         # to 0; one label per image, so the count check passes.
@@ -441,6 +457,9 @@ class TestIdxProperty:
         try:
             data = load_idx(*paths, num_classes=num_classes)
         except DatasetParseError:
+            return
+        except InvalidInputError as exc:  # a declared count of 1, on files that parse
+            assert num_classes == 1 and str(exc) == "num_classes must be >= 2, got 1"
             return
         assert len(data) > 0 and data.feature_dim > 0
         assert np.all((data.features >= 0.0) & (data.features <= 1.0))
