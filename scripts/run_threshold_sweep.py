@@ -2,9 +2,10 @@
 """Threshold-grid experiment driven by an experiment config.
 
 Builds the config's own ensemble (the full chain) plus one two-member
-nested ensemble per training threshold in the grid, all from the config's
-dataset, classifier and trainer.  The builds share one member cache, so
-a member common to several of them (member 0 always) is trained once.
+ensemble per training threshold in the grid, all from the config's
+dataset, classifier, trainer and selection rule (at two members the
+rules pick the same pool).  The builds share one member cache, so a
+member common to several of them (member 0 always) is trained once.
 Then sweeps the runtime-threshold grid with both consensus heuristics.
 The single-model baseline is member 0 of the full chain, as its build
 report scores it.  Emits a summary CSV/JSON and prints a table.
@@ -27,7 +28,6 @@ from pathlib import Path
 from conf_ensemble import (
     CONSENSUS_LAST_MEMBER,
     CONSENSUS_MOST_CONFIDENT,
-    SELECTION_NESTED,
     RuntimeConfig,
     batch_evaluate,
     build_ensemble,
@@ -40,7 +40,7 @@ from conf_ensemble.cli import run_with_exit_codes
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
 
-# The grids the sweep walks: one two-member nested build per training
+# The grids the sweep walks: one two-member build per training
 # threshold, and every ensemble evaluated at each runtime threshold.
 DEFAULT_TRAINING_THRESHOLD_GRID = (0.2, 0.1, 0.01)
 DEFAULT_RUNTIME_THRESHOLD_GRID = (0.4, 0.2, 0.1, 0.01)
@@ -56,15 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def sweep_builds(full):
-    """The ensembles to compare, by name: one two-member nested chain per
+    """The ensembles to compare, by name: one two-member chain per
     training threshold in the grid, then the full chain ``full``."""
     builds = {
-        f"2member-tt{threshold:g}": replace(
-            full,
-            num_members=2,
-            training_thresholds=(threshold,),
-            selection_rule=SELECTION_NESTED,
-        )
+        f"2member-tt{threshold:g}": replace(full, num_members=2,
+                                            training_thresholds=(threshold,))
         for threshold in DEFAULT_TRAINING_THRESHOLD_GRID
     }
     builds[f"{full.num_members}member-{full.selection_rule}"] = full

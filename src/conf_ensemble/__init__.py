@@ -13,7 +13,6 @@ from .builder import (
     BuildReport,
     EnsembleManifest,
     build_ensemble,
-    member_prediction_arrays,
 )
 from .cascade import (
     CONSENSUS_LAST_MEMBER,
@@ -24,6 +23,7 @@ from .cascade import (
     RuntimeConfig,
     batch_evaluate,
     cascade_predict,
+    member_prediction_arrays,
 )
 from .classifiers import (
     ClassifierSpec,

@@ -102,6 +102,9 @@ class EnsembleManifest:
             check_schedule(len(self.members), self.selection_rule, self.training_thresholds),
         )
         self.default_runtime.validate_for(len(self.members))
+        for name in ("dataset_id", "dataset_digest"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidInputError(f"{name} must be a string, got {getattr(self, name)!r}")
         shapes = {(m.spec.input_dim, m.spec.num_classes) for m in self.members}
         if len(shapes) > 1:
             raise InvalidInputError("all members must share input_dim and num_classes")

@@ -18,8 +18,10 @@ the one with the lowest uncertainty, ties to the earliest member).
 member_prediction_arrays is the one scoring kernel (softmax -> top class
 -> min(p, 1 - p)) and _run_cascade the one decision function; each member
 runs only on the rows still unresolved.  batch_evaluate keeps the columns
-as an EvaluationRecord, cascade_predict is a one-row call of the kernel.
-The record's to_json_dict() is the evaluation summary; write_json and
+and their RuntimeConfig as an EvaluationRecord; cascade_predict is a
+one-row call, its CascadeTrace the consulted members' predictions in
+member order.  The record's to_json_dict() (the runtime's fields,
+accuracy and utilization) is the evaluation summary; write_json and
 write_csv stream the per-sample artifacts from the columns in chunks.
 
 Thresholds, runtime and training alike, are finite numbers in U's range,
@@ -67,7 +69,8 @@ def check_thresholds(what: str, values) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Per-level acceptance thresholds plus the fallback heuristic."""
+    """Per-level acceptance thresholds plus the fallback heuristic; the
+    one place a runtime field, its default and its config key are written."""
 
     thresholds: tuple[float, ...]
     consensus: str = CONSENSUS_MOST_CONFIDENT
@@ -84,10 +87,11 @@ class RuntimeConfig:
 
     @classmethod
     def for_members(cls, thresholds: Sequence[float], num_members: int,
-                    consensus: str = CONSENSUS_MOST_CONFIDENT) -> "RuntimeConfig":
-        """The runtime of a num_members chain: one threshold for all, or one each."""
+                    **options) -> "RuntimeConfig":
+        """The runtime of a num_members chain: one threshold for all, or one
+        each; options are the other fields, by name."""
         thresholds = tuple(thresholds)
-        rcfg = cls(thresholds * num_members if len(thresholds) == 1 else thresholds, consensus)
+        rcfg = cls(thresholds * num_members if len(thresholds) == 1 else thresholds, **options)
         rcfg.validate_for(num_members)
         return rcfg
 
@@ -156,19 +160,11 @@ class Prediction:
 
 
 @dataclass(frozen=True)
-class CascadeStep:
-    member_index: int
-    prediction: Prediction
-    accepted: bool
-
-
-@dataclass(frozen=True)
 class CascadeTrace:
-    """Record of every member consulted for one query, in order."""
+    """Every member consulted for one query: predictions[k] is member k's."""
 
-    steps: tuple[CascadeStep, ...]
+    predictions: tuple[Prediction, ...]
     accepted_level: int | None  # None means the consensus heuristic decided
-    chosen: Prediction
 
 
 def cascade_predict(
@@ -181,15 +177,13 @@ def cascade_predict(
     if x.ndim != 1:
         raise InvalidInputError(f"features must be a 1-d vector, got shape {x.shape}")
     classes, top, unc, level, chosen = _run_cascade(manifest.members, rcfg, x[None, :])
-    predictions = [
+    predictions = tuple(
         Prediction(class_index=c, top_probability=p, uncertainty=u)
         for c, p, u in zip(classes[0].tolist(), top[0].tolist(), unc[0].tolist())
         if c >= 0
-    ]
-    accepted = int(level[0])
-    steps = tuple(CascadeStep(k, p, k == accepted) for k, p in enumerate(predictions))
-    pick = predictions[int(chosen[0])]
-    return pick, CascadeTrace(steps, None if accepted < 0 else accepted, pick)
+    )
+    accepted_level = None if level[0] < 0 else int(level[0])
+    return predictions[int(chosen[0])], CascadeTrace(predictions, accepted_level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +191,13 @@ class EvaluationRecord:
     """Columnar cascade results over a dataset, one row per sample.
 
     ``classes``, ``top`` and ``unc`` are (n, L): each level's predicted
-    class, top probability and uncertainty, with class -1 (and zeros)
-    where the level was not consulted.  ``level`` is the (n,) answering
-    level, -1 where consensus decided; ``chosen`` is the (n,) level whose
-    prediction the cascade returned.  Everything else is derived.
+    class, top probability and uncertainty, with class -1 (and zeros) where
+    the level was not consulted.  ``level`` is the (n,) answering level, -1
+    where consensus decided; ``chosen`` is the (n,) level whose prediction
+    the cascade returned, ``runtime`` what it ran with; the rest is derived.
     """
 
-    consensus: str
-    thresholds: tuple[float, ...]
+    runtime: RuntimeConfig
     labels: np.ndarray
     classes: np.ndarray
     top: np.ndarray
@@ -238,12 +231,12 @@ class EvaluationRecord:
     @property
     def consulted(self) -> np.ndarray:
         """Members consulted per sample."""
-        return np.where(self.level < 0, len(self.thresholds), self.level + 1)
+        return np.where(self.level < 0, len(self.runtime.thresholds), self.level + 1)
 
     @property
     def level_counts(self) -> tuple[int, ...]:
         """Samples resolved at each level."""
-        counts = np.bincount(self.level[self.level >= 0], minlength=len(self.thresholds))
+        counts = np.bincount(self.level[self.level >= 0], minlength=len(self.runtime.thresholds))
         return tuple(counts.tolist())
 
     @property
@@ -286,12 +279,8 @@ class EvaluationRecord:
 
     def to_json_dict(self) -> dict:
         """The summary of evaluation.json; write_json adds the samples."""
-        return {
-            "consensus": self.consensus,
-            "thresholds": list(self.thresholds),
-            "accuracy": self.accuracy,
-            "utilization": self.utilization_summary(),
-        }
+        return dict(vars(self.runtime), accuracy=self.accuracy,
+                    utilization=self.utilization_summary())
 
     def write_json(self, path) -> None:
         """evaluation.json: the to_json_dict() summary plus a "samples" list,
@@ -300,7 +289,7 @@ class EvaluationRecord:
         with one template per answering level; %r is the float.__repr__
         json uses, and every value is finite (softmax_batch rejects
         non-finite logits)."""
-        num_levels = len(self.thresholds)
+        num_levels = len(self.runtime.thresholds)
         templates = {}
         for level in range(-1, num_levels):
             consulted = num_levels if level < 0 else level + 1
@@ -339,7 +328,7 @@ class EvaluationRecord:
         answering level ("consensus" where consensus decided) and the repr
         of the uncertainty at each consulted level, blank where a level was
         not consulted; \\r\\n row ends, as the csv module writes them."""
-        num_levels = len(self.thresholds)
+        num_levels = len(self.runtime.thresholds)
         templates = {}
         for level in range(-1, num_levels):
             consulted = num_levels if level < 0 else level + 1
@@ -371,5 +360,5 @@ def batch_evaluate(
     empty record.
     """
     manifest.members[0].spec.check_data(data)
-    return EvaluationRecord(rcfg.consensus, rcfg.thresholds, data.labels,
+    return EvaluationRecord(rcfg, data.labels,
                             *_run_cascade(manifest.members, rcfg, data.features))

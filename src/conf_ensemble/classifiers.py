@@ -144,6 +144,9 @@ class TrainedModel:
     loss_history: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not isinstance(self.training_fingerprint, str):
+            raise InvalidInputError(
+                f"training_fingerprint must be a string, got {self.training_fingerprint!r}")
         params = np.asarray(self.parameters, dtype=np.float64)
         if params.shape != (self.spec.param_count(),):
             raise InvalidInputError(

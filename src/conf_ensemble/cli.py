@@ -110,7 +110,7 @@ def cmd_evaluate(args) -> int:
     given = args.runtime_thresholds
     thresholds = default.thresholds if given is None else _parse_thresholds(given)
     rcfg = RuntimeConfig.for_members(thresholds, manifest.num_members,
-                                     args.consensus or default.consensus)
+                                     consensus=args.consensus or default.consensus)
     record = batch_evaluate(manifest, rcfg, data)
     out = _resolve_out(args.out)
     calibration = expected_calibration_error(record.chosen_top, record.correct)

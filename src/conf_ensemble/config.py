@@ -7,7 +7,7 @@ Layout (paths resolved relative to the config file):
       "build":    {"num_members", "selection_rule", "training_thresholds",
                    "classifier": {"kind", "hidden_units"?, "seed"?},
                    "training": {...TrainConfig fields}},
-      "runtime"?: [{"threshold": x | [x per member], "consensus"?}]
+      "runtime"?: [{"threshold": x | [x per member], ...RuntimeConfig fields}]
     }
 
 The output directory is not part of the config: it is the CLI's --out.
@@ -26,7 +26,8 @@ The build block becomes a BuildConfig, which names no dataset: members
 take their input dimension and class count from the data they are built
 on, and a pool below max(2 * num_classes, 10) samples stops the build.
 The runtime list holds at most one block, the stored manifest's default;
-its "threshold" is one number for every member or a list of one each.
+its "threshold" is one number for every member or a list of one each, and
+its other keys are RuntimeConfig's other fields, defaulting as declared.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .builder import SELECTION_NESTED, BuildConfig
-from .cascade import CONSENSUS_MOST_CONFIDENT, RuntimeConfig
+from .cascade import RuntimeConfig
 from .classifiers import TrainConfig
 from .datasets import Dataset, generate_blobs, load_csv, load_idx
 from .errors import (
@@ -57,7 +58,6 @@ _TOP_KEYS = ("dataset", "build", "runtime")
 _BUILD_KEYS = ("num_members", "selection_rule", "training_thresholds", "classifier",
                "training")
 _CLASSIFIER_KEYS = ("kind", "hidden_units", "seed")
-_RUNTIME_KEYS = ("threshold", "consensus")
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,11 @@ def parse_dataset_block(block: dict, base: Path | None = None) -> DatasetSource:
 
 
 def parse_runtime_block(block: dict, num_members: int) -> RuntimeConfig:
-    known_keys(block, _RUNTIME_KEYS, "runtime", ConfigError)
+    options = {f.name for f in fields(RuntimeConfig)} - {"thresholds"}
+    known_keys(block, options | {"threshold"}, "runtime", ConfigError)
     threshold = _require(block, "threshold", "runtime")
-    return RuntimeConfig.for_members(
-        threshold if isinstance(threshold, list) else (threshold,),
-        num_members,
-        block.get("consensus", CONSENSUS_MOST_CONFIDENT),
-    )
+    return RuntimeConfig.for_members(threshold if isinstance(threshold, list) else (threshold,),
+                                     num_members, **{k: block[k] for k in options & block.keys()})
 
 
 def parse_experiment_config(doc: dict, base: Path | None = None) -> ExperimentConfig:

@@ -66,7 +66,13 @@ class Dataset:
 
     def __init__(self, features, labels, num_classes: int, id: str):
         feats = np.ascontiguousarray(features, dtype=np.float64)
-        labs = np.asarray(labels, dtype=np.int64)
+        labs = np.asarray(labels)
+        if labs.size and labs.dtype.kind not in "iu":  # bool is kind "b"
+            raise InvalidInputError(f"labels must be integers, got dtype {labs.dtype}")
+        labs = np.asarray(labs, dtype=np.int64)
+        num_classes = require_int("num_classes", num_classes)
+        if not isinstance(id, str):
+            raise InvalidInputError(f"dataset id must be a string, got {id!r}")
         if feats.ndim != 2:
             raise InvalidInputError(f"features must be 2-d, got shape {feats.shape}")
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
@@ -81,7 +87,7 @@ class Dataset:
         labs.setflags(write=False)
         self.features = feats
         self.labels = labs
-        self.num_classes = int(num_classes)
+        self.num_classes = num_classes
         self.id = id
 
     def __len__(self) -> int:

@@ -10,8 +10,8 @@ predictions in the bin and e_i the mean top probability, the score is
 
 so empty bins contribute nothing and ece always lies in [0, 1].
 score_histogram uses HISTOGRAM_BINS bins of the same kind: both views
-place a sample with bin_indices.  A report is written to JSON as its
-dataclass fields (persist.write_json).
+check their inputs and place a sample with _binned.  A report is
+written to JSON as its dataclass fields (persist.write_json).
 """
 
 from __future__ import annotations
@@ -43,6 +43,23 @@ def bin_indices(values: np.ndarray, lo: float, hi: float, num_bins: int) -> np.n
     return np.clip(idx, 0, num_bins - 1)
 
 
+def _binned(name: str, scores, correct, kind: str, num_bins: int):
+    """(scores, correct, bin index per score) once scores and correct are
+    equal-length vectors and every score lies in SCORE_RANGES[kind]; the
+    one input check of both reports."""
+    vals = np.asarray(scores, dtype=np.float64)
+    hits = np.asarray(correct, dtype=bool)
+    if vals.ndim != 1 or vals.shape != hits.shape:
+        raise InvalidInputError(f"{name} and correct must be equal-length vectors")
+    lo, hi = SCORE_RANGES[kind]
+    bad = np.flatnonzero(~((vals >= lo) & (vals <= hi)))  # NaN is out of range too
+    if bad.size:
+        raise InvalidInputError(
+            f"{name} value {vals[bad[0]]} at index {int(bad[0])} is outside [{lo:g}, {hi:g}]"
+        )
+    return vals, hits, bin_indices(vals, lo, hi, num_bins)
+
+
 @dataclass(frozen=True)
 class CalibrationBin:
     count: int
@@ -62,17 +79,10 @@ def expected_calibration_error(
     top_probs: Sequence[float], correct: Sequence[bool]
 ) -> CalibrationReport:
     """Bin-weighted gap between mean confidence and accuracy."""
-    probs = np.asarray(top_probs, dtype=np.float64)
-    hits = np.asarray(correct, dtype=bool)
-    if probs.ndim != 1 or probs.shape != hits.shape:
-        raise InvalidInputError("top_probs and correct must be equal-length vectors")
+    probs, hits, idx = _binned("top_probs", top_probs, correct, SCORE_KIND_TOP_PROBABILITY,
+                               CALIBRATION_BINS)
     if probs.size == 0:
         raise InvalidInputError("need at least one prediction")
-    lo, hi = SCORE_RANGES[SCORE_KIND_TOP_PROBABILITY]
-    if not np.all((probs >= lo) & (probs <= hi)):  # NaN fails too
-        raise InvalidInputError(f"top_probs must lie in [{lo:g}, {hi:g}]")
-
-    idx = bin_indices(probs, lo, hi, CALIBRATION_BINS)
     bins = []
     ece = 0.0
     for b in range(CALIBRATION_BINS):
@@ -120,21 +130,10 @@ def score_histogram(
     """
     if kind not in SCORE_RANGES:
         raise InvalidInputError(f"unknown score kind {kind!r}")
-    vals = np.asarray(scores, dtype=np.float64)
-    hits = np.asarray(correct, dtype=bool)
-    if vals.ndim != 1 or vals.shape != hits.shape:
-        raise InvalidInputError("scores and correct must be equal-length vectors")
-    lo, hi = SCORE_RANGES[kind]
-    bad = np.flatnonzero(~((vals >= lo) & (vals <= hi)))  # NaN is out of range too
-    if bad.size:
-        raise InvalidInputError(
-            f"scores value {vals[bad[0]]} at index {int(bad[0])} is outside [{lo}, {hi}]"
-        )
-
-    idx = bin_indices(vals, lo, hi, HISTOGRAM_BINS)
+    _, hits, idx = _binned("scores", scores, correct, kind, HISTOGRAM_BINS)
     good_counts = np.bincount(idx[hits], minlength=HISTOGRAM_BINS)
     bad_counts = np.bincount(idx[~hits], minlength=HISTOGRAM_BINS)
-    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
+    edges = np.linspace(*SCORE_RANGES[kind], HISTOGRAM_BINS + 1)
     return ScoreHistogram(
         score_kind=kind,
         bin_edges=tuple(float(e) for e in edges),

@@ -12,11 +12,11 @@ An ensemble directory holds:
                   followed by that many float64 values.
 
 FORMAT_VERSION is the only version written or read.  Loading re-validates
-everything (magic, version, counts against the spec shapes, the recorded
-digest), so silent corruption cannot pass.  Loading builds each record
-back from the JSON keys its dataclass fields name (_from_fields), so the
-written and the read schema of a member spec, the default runtime and
-the manifest are one list each: the dataclass's fields, plus the keys
+everything (magic, version, field types, counts against the spec shapes,
+the recorded digest), so silent corruption cannot pass, and builds each
+record back from the JSON keys its dataclass fields name (_from_fields),
+so the written and the read schema of a member spec, the default runtime
+and the manifest are one list each: the dataclass's fields, plus the keys
 the store writes beside them; any other key is a storage error naming it.
 
 read_json reads every JSON file (a config, a --data block, a manifest),
@@ -38,7 +38,7 @@ import numpy as np
 from .builder import EnsembleManifest
 from .cascade import RuntimeConfig
 from .classifiers import ClassifierSpec, TrainedModel
-from .errors import InvalidInputError, ManifestDigestError, ManifestVersionError
+from .errors import InvalidInputError, ManifestDigestError, ManifestVersionError, require_int
 
 FORMAT_VERSION = 1
 MANIFEST_FILE = "manifest.json"
@@ -151,7 +151,7 @@ def load_manifest(directory) -> EnsembleManifest:
         raise ManifestDigestError(f"{manifest_path}: top level must be a JSON object")
 
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ManifestVersionError(
             f"{manifest_path}: format_version {version}, expected {FORMAT_VERSION}"
         )
@@ -186,13 +186,14 @@ def _reconstruct(doc, directory: Path, manifest_path: Path) -> EnsembleManifest:
 
     members = []
     for level, (entry, params) in enumerate(zip(entries, vectors)):
-        if entry["level"] != level:
+        if require_int("level", entry["level"]) != level:
             raise ManifestDigestError(
                 f"{manifest_path}: member levels not contiguous at position {level}"
             )
         spec = _from_fields(ClassifierSpec, entry, f"members[{level}]",
                             ("level", "param_count", "training_fingerprint"))
-        if params.size != spec.param_count() or entry["param_count"] != spec.param_count():
+        count = require_int("param_count", entry["param_count"])
+        if params.size != spec.param_count() or count != spec.param_count():
             raise ManifestDigestError(
                 f"{weights_path}: member {level} has {params.size} parameters, "
                 f"spec requires {spec.param_count()}"

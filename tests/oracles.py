@@ -240,8 +240,8 @@ def evaluation_json_text(record) -> str:
     """evaluation.json: the summary and one dict per sample, through
     json.dumps(indent=2, sort_keys=True), newline-terminated."""
     doc = {
-        "consensus": record.consensus,
-        "thresholds": list(record.thresholds),
+        "consensus": record.runtime.consensus,
+        "thresholds": list(record.runtime.thresholds),
         "accuracy": record.accuracy,
         "utilization": record.utilization_summary(),
         "samples": [dict(zip(SAMPLE_FIELDS, row)) for row in sample_rows(record)],
@@ -253,7 +253,7 @@ def evaluation_csv_text(record) -> str:
     """evaluation.csv through csv.writer: index, chosen class, true class,
     answering level, and the repr of each consulted level's uncertainty,
     blank for levels not consulted."""
-    num_levels = len(record.thresholds)
+    num_levels = len(record.runtime.thresholds)
     fh = io.StringIO(newline="")
     writer = csv.writer(fh)
     writer.writerow(

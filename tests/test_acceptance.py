@@ -24,7 +24,8 @@ from conf_ensemble import (
     load_manifest,
     save_manifest,
 )
-from conf_ensemble.builder import _filter_pool, member_prediction_arrays
+from conf_ensemble.builder import _filter_pool
+from conf_ensemble.cascade import member_prediction_arrays
 from conf_ensemble.errors import ManifestDigestError
 from conf_ensemble.persist import WEIGHTS_FILE
 from conf_ensemble.classifiers import ClassifierSpec, init_model

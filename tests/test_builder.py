@@ -18,7 +18,8 @@ from conf_ensemble import (
     generate_blobs,
     init_model,
 )
-from conf_ensemble.builder import _filter_pool, member_prediction_arrays
+from conf_ensemble.builder import _filter_pool
+from conf_ensemble.cascade import member_prediction_arrays
 from conf_ensemble.datasets import Dataset, materialize
 
 from conftest import MLP_ARCH, MLP_SPEC, TRAIN, identity_member, logits_for_uncertainty

@@ -15,8 +15,7 @@ from conf_ensemble import (
     batch_evaluate,
     cascade_predict,
 )
-from conf_ensemble.builder import member_prediction_arrays
-from conf_ensemble.cascade import CONSENSUS_CHOICES, EvaluationRecord
+from conf_ensemble.cascade import CONSENSUS_CHOICES, EvaluationRecord, member_prediction_arrays
 from conf_ensemble.datasets import CHUNK_ROWS
 
 from conftest import (
@@ -132,7 +131,7 @@ class TestCascadePredict:
         rcfg = RuntimeConfig(thresholds=(0.5,))
         chosen, trace = cascade_predict(manifest, rcfg, X2)
         assert trace.accepted_level == 0
-        assert len(trace.steps) == 1
+        assert len(trace.predictions) == 1
         assert chosen.uncertainty == pytest.approx(0.3)
 
     def test_accept_at_level_one(self):
@@ -142,9 +141,8 @@ class TestCascadePredict:
         rcfg = RuntimeConfig(thresholds=(0.1, 0.1))
         chosen, trace = cascade_predict(manifest, rcfg, X2)
         assert trace.accepted_level == 1
-        assert len(trace.steps) == 2
-        assert not trace.steps[0].accepted
-        assert trace.steps[1].accepted
+        assert len(trace.predictions) == 2
+        assert chosen == trace.predictions[1]
         assert chosen.class_index == 1
 
     def test_zero_thresholds_force_consensus(self):
@@ -153,7 +151,7 @@ class TestCascadePredict:
         rcfg = RuntimeConfig(thresholds=(0.0, 0.0, 0.0), consensus="most_confident")
         chosen, trace = cascade_predict(manifest, rcfg, X2)
         assert trace.accepted_level is None
-        assert len(trace.steps) == 3
+        assert len(trace.predictions) == 3
         assert chosen.uncertainty == pytest.approx(0.2)
 
     def test_exact_threshold_is_not_accepted(self):
@@ -161,7 +159,7 @@ class TestCascadePredict:
         manifest = stub_manifest([member_with_uncertainty(0.5)])
         rcfg = RuntimeConfig(thresholds=(0.5,), consensus="last_member")
         _, trace = cascade_predict(manifest, rcfg, X2)
-        assert trace.steps[0].prediction.uncertainty == 0.5
+        assert trace.predictions[0].uncertainty == 0.5
         assert trace.accepted_level is None
 
     def test_dimension_mismatch(self):
@@ -179,12 +177,10 @@ class TestCascadePredict:
             manifest = stub_manifest(members)
             rcfg = RuntimeConfig(thresholds=thresholds)
             _, trace = cascade_predict(manifest, rcfg, X2)
-            indices = [s.member_index for s in trace.steps]
-            assert indices == list(range(len(indices)))  # increasing, no gaps
-            accepted = [s for s in trace.steps if s.accepted]
-            assert len(accepted) <= 1
-            if accepted:
-                assert trace.steps[-1].accepted  # acceptance terminates the trace
+            if trace.accepted_level is None:  # consensus consults every member
+                assert len(trace.predictions) == size
+            else:  # acceptance terminates the trace
+                assert trace.accepted_level == len(trace.predictions) - 1
 
     def test_matches_the_replay(self):
         rng = random.Random(2024)
@@ -205,10 +201,10 @@ class TestCascadePredict:
             chosen, trace = cascade_predict(stub_manifest(members), rcfg, X2)
             want = cascade_replay(members, rcfg.thresholds, rcfg.consensus, X2)
             assert trace.accepted_level == want.answering_level, f"trial {trial}"
-            assert trace.steps[want.chosen_level].prediction == chosen, f"trial {trial}"
+            assert trace.predictions[want.chosen_level] == chosen, f"trial {trial}"
             assert (chosen.class_index, chosen.top_probability, chosen.uncertainty) == \
                 want[2:5], f"trial {trial}"
-            assert tuple(s.prediction.uncertainty for s in trace.steps) == want.uncertainties
+            assert tuple(p.uncertainty for p in trace.predictions) == want.uncertainties
 
 
 class TestBatchEvaluate:
@@ -423,8 +419,8 @@ def synthetic_record(seed, n, num_levels, consensus, answered="mixed"):
     else:
         fallback = unc.argmin(axis=1)
     return EvaluationRecord(
-        consensus=consensus,
-        thresholds=tuple(rng.uniform(0, 0.5, size=num_levels).tolist()),
+        runtime=RuntimeConfig(thresholds=tuple(rng.uniform(0, 0.5, size=num_levels).tolist()),
+                              consensus=consensus),
         labels=rng.integers(0, 5, size=n),
         classes=classes,
         top=top,
@@ -465,4 +461,4 @@ class TestExportBytes:
         record = synthetic_record(3, 10, 2, "most_confident")
         doc = json.loads(evaluation_json_text(record))
         del doc["samples"]
-        assert record.to_json_dict() == doc
+        assert json.loads(json.dumps(record.to_json_dict())) == doc

@@ -430,7 +430,7 @@ class TestEvaluateCommand:
                      "--runtime-thresholds", "0.1", "--consensus", consensus,
                      "--out", str(out)]) == EXIT_OK
         record = batch_evaluate(load_manifest(built_dir),
-                                RuntimeConfig.for_members((0.1,), 3, consensus),
+                                RuntimeConfig.for_members((0.1,), 3, consensus=consensus),
                                 load_csv(data_csv, num_classes=3))
         assert set(record.level.tolist()) == {-1, 0, 1, 2}  # every kind of row
         assert (out / "evaluation.json").read_bytes() == \

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,6 +97,13 @@ class TestExperimentConfig:
         doc = minimal_doc()
         doc["runtime"] = [{"threshold": [0.4, 0.1, 0.2]}]
         with pytest.raises(ConfigError):
+            load_experiment_config(write(tmp_path, doc))
+
+    @pytest.mark.parametrize("consensus", ["majority", None, ["last_member"]])
+    def test_runtime_consensus_checked_by_runtime_config(self, tmp_path, consensus):
+        doc = minimal_doc()
+        doc["runtime"] = [{"threshold": 0.2, "consensus": consensus}]
+        with pytest.raises(ConfigError, match=re.escape(f"unknown consensus {consensus!r}")):
             load_experiment_config(write(tmp_path, doc))
 
     def test_threshold_count_checked(self, tmp_path):

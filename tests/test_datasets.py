@@ -507,6 +507,28 @@ class TestDatasetValidation:
         with pytest.raises(InvalidInputError):
             Dataset(np.array([[1.0, 1.0]]), np.array([2]), num_classes=2, id="x")
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 1.0], [0.0, 1.0, 1.0], [True, False, True]])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(InvalidInputError, match="^labels must be integers, got dtype "):
+            Dataset(np.zeros((3, 2)), labels, num_classes=2, id="x")
+
+    @pytest.mark.parametrize("num_classes", [2.9, 2.0, "3", True])
+    def test_rejects_a_class_count_that_is_not_an_integer(self, num_classes):
+        with pytest.raises(InvalidInputError, match="^num_classes must be an integer, got "):
+            Dataset(np.zeros((3, 2)), [0, 1, 1], num_classes=num_classes, id="x")
+
+    @pytest.mark.parametrize("id", [5, None, ["x"]])
+    def test_rejects_an_id_that_is_not_a_string(self, id):
+        # the id becomes a manifest's dataset_id, which must be a string
+        with pytest.raises(InvalidInputError, match="^dataset id must be a string, got "):
+            Dataset(np.zeros((3, 2)), [0, 1, 1], num_classes=2, id=id)
+
+    def test_integer_labels_of_any_width_load_as_int64(self):
+        data = Dataset(np.zeros((3, 2)), np.array([0, 1, 1], dtype=np.uint8),
+                       num_classes=np.int32(2), id="x")
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 1]
+        assert type(data.num_classes) is int
+
     def test_features_are_read_only(self):
         data = generate_blobs(num_classes=2, per_class=3, dim=2, spread=1.0,
                               overlap=0.0, seed=0)

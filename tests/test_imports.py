@@ -8,6 +8,11 @@ module of the package: what one module shares with another is public.
 Binding a public name to a private alias (``write_json as _write_json``)
 is allowed.
 
+Every ``from conf_ensemble.<module> import name`` in src/, scripts/ and
+tests/, and every relative import inside the package (__init__.py
+included), names the module that defines name, not one that only
+imports it in turn.
+
 Every function, class, method and property src/ defines is referred to
 by name from the program: src/, scripts/ or perfbench/.  Code only the
 tests reach is an API kept for the tests, and belongs in them."""
@@ -89,6 +94,49 @@ def _private_package_imports(tree: ast.Module) -> list[str]:
 def test_no_private_name_is_imported_from_the_package(path):
     private = _private_package_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+PACKAGE = ROOT / "src" / "conf_ensemble"
+
+
+def _defined_names(module: str) -> set[str]:
+    """The names a package module binds at top level by def, class or
+    assignment; an import does not define the name it binds."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _misattributed_imports(path) -> list[str]:
+    """Names path imports from a package module that does not define them."""
+    in_package = path.is_relative_to(PACKAGE)
+    wrong = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        if node.level and in_package:
+            module = node.module
+        elif not node.level and node.module.startswith("conf_ensemble."):
+            module = node.module.removeprefix("conf_ensemble.")
+        else:
+            continue
+        defined = _defined_names(module)
+        wrong += [f"{alias.name} from {module} (line {node.lineno})"
+                  for alias in node.names if alias.name not in defined]
+    return wrong
+
+
+@pytest.mark.parametrize("path", sorted([PACKAGE / "__init__.py", *SOURCES]),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_names_the_defining_module(path):
+    wrong = _misattributed_imports(path)
+    assert not wrong, f"{path.name} imports names their module does not define: {wrong}"
 
 
 # A perfbench hook target, "module:attr" or "module:Class.attr"; the module

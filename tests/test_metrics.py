@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conf_ensemble import InvalidInputError, expected_calibration_error, score_histogram
-from conf_ensemble.builder import member_prediction_arrays
+from conf_ensemble.cascade import member_prediction_arrays
 from conf_ensemble.metrics import CalibrationBin, bin_indices
 
 
@@ -91,7 +91,8 @@ class TestExpectedCalibrationError:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_probability_is_rejected(self, bad):
-        with pytest.raises(InvalidInputError, match=r"top_probs must lie in \[0, 1\]"):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^top_probs value {bad} at index 0 is outside \[0, 1\]$"):
             expected_calibration_error([bad, 0.5], [True, False])
 
     @given(

@@ -351,6 +351,57 @@ class TestEveryManifestField:
             pass
 
 
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+class TestMistypedManifestField:
+    """A string field of a stored manifest holding another value, or an
+    integer field a boolean or a float, is a storage error: the CLI exits
+    with EXIT_STORAGE."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("format_version",), True),
+        (("format_version",), 1.0),
+        (("members", 0, "level"), False),
+        (("members", 1, "param_count"), 131.0),
+        (("dataset_digest",), 12),
+        (("dataset_id",), ["x"]),
+        (("members", 0, "training_fingerprint"), {"a": 1}),
+    ], ids=lambda v: json.dumps(v))
+    def test_evaluate_exits_with_storage_code(self, built, blobs3, tmp_path, path, value):
+        store = save_manifest(built, tmp_path / "store")
+        doc = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+        old = _leaf(doc, path)  # an integer edited to an equal value of another type
+        assert old == value if type(old) is int else isinstance(old, str)
+        set_leaf(doc, path, value)
+        (store / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        data_csv = tmp_path / "data.csv"
+        save_csv(blobs3, data_csv)
+        assert main(["evaluate", "--ensemble", str(store), "--data", str(data_csv),
+                     "--out", str(tmp_path / "eval")]) == EXIT_STORAGE
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_load_fails(self, stored, data):
+        store, original = stored
+        doc = json.loads(original)
+        typed = [path for path in json_leaves(doc) if type(_leaf(doc, path)) in (str, int)]
+        path = data.draw(st.sampled_from(typed))
+        old = _leaf(doc, path)
+        if type(old) is str:
+            value = data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+        else:
+            value = data.draw(st.booleans() | st.just(float(old))
+                              | st.floats(allow_nan=False, allow_infinity=False))
+        set_leaf(doc, path, value)
+        (store / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises((ManifestDigestError, ManifestVersionError)):
+            load_manifest(store)
+
+
 class TestManifestKeys:
     """A member entry or default_runtime with a key dropped, and a member
     entry, default_runtime or the top level with a key added, fail to
