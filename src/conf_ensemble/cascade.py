@@ -22,7 +22,8 @@ and their RuntimeConfig as an EvaluationRecord; cascade_predict is a
 one-row call, its CascadeTrace the consulted members' predictions in
 member order.  The record's to_json_dict() (the runtime's fields,
 accuracy and utilization) is the evaluation summary; write_json and
-write_csv stream the per-sample artifacts from the columns in chunks.
+write_csv format each value once per record and stream the per-sample
+artifacts one CHUNK_ROWS chunk of rows at a time.
 
 Thresholds, runtime and training alike, are finite numbers in U's range,
 metrics.SCORE_RANGES; check_thresholds is the one place that checks it.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -221,10 +222,6 @@ class EvaluationRecord:
         return self._chosen_column(self.top)
 
     @property
-    def chosen_uncertainty(self) -> np.ndarray:
-        return self._chosen_column(self.unc)
-
-    @property
     def correct(self) -> np.ndarray:
         return self.chosen_class == self.labels
 
@@ -266,16 +263,25 @@ class EvaluationRecord:
             "consensus_fraction": self.consensus_fraction,
         }
 
-    def _chunks(self):
-        """The per-sample columns, CHUNK_ROWS rows at a time, each chunk
-        an iterator of (sample index, answering level, chosen class, true
-        class, top probability, uncertainty, uncertainty at every level,
-        correct) tuples of Python values."""
-        columns = (self.level, self.chosen_class, self.labels, self.chosen_top,
-                   self.chosen_uncertainty, self.unc, self.correct)
+    @cached_property
+    def _unc_text(self) -> np.ndarray:
+        """(n, L) object array: the repr of each consulted uncertainty, ""
+        where the level was not consulted; both writers print these."""
+        consulted = np.arange(self.unc.shape[1]) < self.consulted[:, None]
+        text = np.full(self.unc.shape, "", dtype=object)
+        text[consulted] = list(map(repr, self.unc[consulted].tolist()))
+        return text
+
+    def _write_rows(self, fh, templates: list[str], columns, separator: str) -> None:
+        """One row per sample, streamed CHUNK_ROWS rows at a time: the
+        template of the sample's answering level (templates[-1] for
+        consensus) filled with the sample's value in each column."""
+        by_level = np.array(templates, dtype=object)
         for start in range(0, self.num_samples, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            yield zip(range(start, self.num_samples), *(c[rows].tolist() for c in columns))
+            chunk = map(str.__mod__, by_level[self.level[rows]].tolist(),
+                        zip(*(column[rows].tolist() for column in columns)))
+            fh.write((separator if start else "") + separator.join(chunk))
 
     def to_json_dict(self) -> dict:
         """The summary of evaluation.json; write_json adds the samples."""
@@ -285,43 +291,37 @@ class EvaluationRecord:
     def write_json(self, path) -> None:
         """evaluation.json: the to_json_dict() summary plus a "samples" list,
         one object per sample, byte for byte what json.dump(indent=2,
-        sort_keys=True) writes, newline-terminated.  Samples are formatted
-        with one template per answering level; %r is the float.__repr__
-        json uses, and every value is finite (softmax_batch rejects
+        sort_keys=True) writes, newline-terminated.  A float is its repr,
+        as json writes it, and every value is finite (softmax_batch rejects
         non-finite logits)."""
         num_levels = len(self.runtime.thresholds)
-        templates = {}
-        for level in range(-1, num_levels):
+        templates = []  # one per answering level, consensus last
+        for level in [*range(num_levels), -1]:
             consulted = num_levels if level < 0 else level + 1
-            templates[level] = (
+            # "%.0s" takes the empty text of a level not consulted, unprinted.
+            templates.append(
                 "\n    {"
                 f'\n      "answering_level": {"null" if level < 0 else level},'
                 '\n      "chosen_class": %d,'
                 '\n      "consulted_uncertainties": ['
-                + ",".join(["\n        %r"] * consulted)
+                + ",".join(["\n        %s"] * consulted) + "%.0s" * (num_levels - consulted)
                 + "\n      ],"
                 '\n      "correct": %s,'
                 '\n      "sample_index": %d,'
                 '\n      "top_probability": %r,'
                 '\n      "true_class": %d,'
-                '\n      "uncertainty": %r'
-                "\n    }",
-                consulted,
+                '\n      "uncertainty": %s'
+                "\n    }"
             )
+        correct = np.array(["false", "true"], dtype=object)[self.correct.astype(np.intp)]
+        columns = (self.chosen_class, *self._unc_text.T, correct, np.arange(self.num_samples),
+                   self.chosen_top, self.labels, self._chosen_column(self._unc_text))
         summary = json.dumps(dict(self.to_json_dict(), samples=[]), indent=2, sort_keys=True)
         head, tail = summary.split('"samples": []')
-        separator = ""
-        with open(Path(path), "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(head + '"samples": [')
-            for chunk in self._chunks():
-                rows = []
-                for i, level, cls, label, top, u, us, ok in chunk:
-                    template, consulted = templates[level]
-                    args = (cls, *us[:consulted], ("false", "true")[ok], i, top, label, u)
-                    rows.append(template % args)
-                fh.write(separator + ",".join(rows))
-                separator = ","
-            fh.write(("\n  ]" if separator else "]") + tail + "\n")
+            self._write_rows(fh, templates, columns, ",")
+            fh.write(("\n  ]" if self.num_samples else "]") + tail + "\n")
 
     def write_csv(self, path) -> None:
         """evaluation.csv: per sample its index, chosen class, true class,
@@ -329,21 +329,13 @@ class EvaluationRecord:
         of the uncertainty at each consulted level, blank where a level was
         not consulted; \\r\\n row ends, as the csv module writes them."""
         num_levels = len(self.runtime.thresholds)
-        templates = {}
-        for level in range(-1, num_levels):
-            consulted = num_levels if level < 0 else level + 1
-            cells = ["%d", "%d", "%d", "consensus" if level < 0 else str(level)]
-            cells += ["%r"] * consulted + [""] * (num_levels - consulted)
-            templates[level] = ",".join(cells) + "\r\n", consulted
-        with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        templates = [",".join(["%d", "%d", "%d", level] + ["%s"] * num_levels) + "\r\n"
+                     for level in [*map(str, range(num_levels)), "consensus"]]
+        columns = (np.arange(self.num_samples), self.chosen_class, self.labels, *self._unc_text.T)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(["sample_index", "chosen_class", "true_class", "answering_level"]
                               + [f"u_level_{k}" for k in range(num_levels)]) + "\r\n")
-            for chunk in self._chunks():
-                rows = []
-                for i, level, cls, label, _, _, us, _ in chunk:
-                    template, consulted = templates[level]
-                    rows.append(template % (i, cls, label, *us[:consulted]))
-                fh.write("".join(rows))
+            self._write_rows(fh, templates, columns, "")
 
 
 def batch_evaluate(

@@ -177,7 +177,7 @@ def record_row(record, i) -> Replay:
     level = int(record.level[i])
     return Replay(None if level < 0 else level, int(record.chosen[i]),
                   int(record.chosen_class[i]), float(record.chosen_top[i]),
-                  float(record.chosen_uncertainty[i]),
+                  float(record.unc[i, record.chosen[i]]),
                   tuple(record.unc[i][record.classes[i] >= 0].tolist()))
 
 
@@ -230,7 +230,7 @@ def sample_rows(record):
         record.labels.tolist(),
         [None if k < 0 else k for k in record.level.tolist()],
         record.chosen_top.tolist(),
-        record.chosen_uncertainty.tolist(),
+        [us[k] for us, k in zip(unc_rows, record.chosen.tolist())],
         [us[:c] for us, c in zip(unc_rows, record.consulted.tolist())],
         record.correct.tolist(),
     )

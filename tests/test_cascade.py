@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conf_ensemble import (
     Dataset,
@@ -289,7 +291,7 @@ class TestBatchEvaluate:
         for i in range(len(blobs3)):
             assert record.consulted[i] == 2
             us = [float(u) for u in record.unc[i, : record.consulted[i]]]
-            assert record.chosen_uncertainty[i] == min(us)
+            assert record.unc[i, record.chosen[i]] == min(us)
 
     def test_raising_one_threshold_never_loses_early_resolution(self, blobs3, trained_m0):
         members = (trained_m0, member_with_uncertainty(0.25, num_classes=3, input_dim=4))
@@ -396,13 +398,14 @@ class TestRandomizedCascadeOracle:
                     pytest.approx(u, abs=1e-9)
 
 
-def synthetic_record(seed, n, num_levels, consensus, answered="mixed"):
+def synthetic_record(seed, n, num_levels, consensus, answered="mixed", specials=()):
     """An EvaluationRecord with the cascade's invariants, from random
     columns: per-level uncertainties over many orders of magnitude (so
     float reprs include '0.0', '1e-05' and seventeen-digit forms), every
     level up to the answering one consulted, and consensus rows choosing by
     the record's rule.  ``answered`` is "mixed", "all_consensus" or
-    "no_consensus"."""
+    "no_consensus"; about a third of the uncertainties are drawn from
+    ``specials`` when it is given."""
     rng = np.random.default_rng(seed)
     levels = {"mixed": range(-1, num_levels), "all_consensus": [-1],
               "no_consensus": range(num_levels)}[answered]
@@ -412,6 +415,9 @@ def synthetic_record(seed, n, num_levels, consensus, answered="mixed"):
     top = 1.0 - 10.0 ** -rng.uniform(0.31, 17.0, size=(n, num_levels))
     top = np.where(rng.random((n, num_levels)) < 0.1, rng.uniform(0.2, 0.5, (n, num_levels)), top)
     unc = np.minimum(top, 1.0 - top)
+    if specials:
+        hit = rng.random((n, num_levels)) < 1 / 3
+        unc[hit] = rng.choice(specials, size=int(hit.sum()))
     classes = rng.integers(0, 5, size=(n, num_levels))
     classes[skipped], top[skipped], unc[skipped] = -1, 0.0, 0.0
     if consensus == "last_member":
@@ -430,9 +436,16 @@ def synthetic_record(seed, n, num_levels, consensus, answered="mixed"):
     )
 
 
+@pytest.fixture(scope="module")
+def export_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("export-property")
+
+
 class TestExportBytes:
-    """write_json and write_csv format chunks of rows from templates; the
-    oracles write one dict and one csv.writer row per sample."""
+    """write_json and write_csv format each uncertainty once per record and
+    stream one CHUNK_ROWS chunk of rows at a time, each row a template of
+    its answering level; the oracles write one dict and one csv.writer row
+    per sample."""
 
     def assert_matches_oracle(self, record, tmp_path):
         record.write_json(tmp_path / "evaluation.json")
@@ -456,6 +469,33 @@ class TestExportBytes:
         record = synthetic_record(num_levels, CHUNK_ROWS + 1, num_levels, consensus, answered)
         assert record.consensus_count == (record.num_samples if answered == "all_consensus" else 0)
         self.assert_matches_oracle(record, tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3 * CHUNK_ROWS + 1),
+           num_levels=st.integers(1, 4), consensus=st.sampled_from(CONSENSUS_CHOICES),
+           specials=st.lists(st.sampled_from([0.0, 0.5, 5e-324, 1e-05]), max_size=4))
+    def test_any_record_matches_the_oracle(self, export_dir, seed, n, num_levels, consensus,
+                                           specials):
+        record = synthetic_record(seed, n, num_levels, consensus, specials=tuple(specials))
+        self.assert_matches_oracle(record, export_dir)
+
+    @pytest.mark.parametrize("order", [("json", "csv"), ("csv", "json")])
+    def test_writers_in_either_order_twice(self, tmp_path, order):
+        record = synthetic_record(7, 2 * CHUNK_ROWS + 5, 3, "most_confident")
+        arrays = {name: getattr(record, name).copy() for name in
+                  ("labels", "classes", "top", "unc", "level", "chosen")}
+        writers = {"json": record.write_json, "csv": record.write_csv}
+        written = []
+        for _ in range(2):
+            for kind in order:
+                writers[kind](tmp_path / f"evaluation.{kind}")
+                written.append((kind, (tmp_path / f"evaluation.{kind}").read_bytes()))
+        assert written[:2] == written[2:]
+        assert dict(written) == {"json": evaluation_json_text(record).encode("utf-8"),
+                                 "csv": evaluation_csv_text(record).encode("utf-8")}
+        for name, before in arrays.items():
+            after = getattr(record, name)
+            assert after.dtype == before.dtype and after.tobytes() == before.tobytes(), name
 
     def test_summary_has_no_samples(self):
         record = synthetic_record(3, 10, 2, "most_confident")
