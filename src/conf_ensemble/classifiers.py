@@ -208,16 +208,8 @@ def softmax_batch(logits: np.ndarray) -> np.ndarray:
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     """softmax_batch without its checks, for a finite 2-d float64 matrix;
-    logits itself is left unchanged.  numpy reduces short rows far slower
-    than it compares whole columns, so up to 4 classes the row max is taken
-    column by column; a max is exact, so the bits are the same."""
-    if logits.shape[1] <= 4:
-        top = logits[:, :1].copy()
-        for k in range(1, logits.shape[1]):
-            np.maximum(top, logits[:, k:k + 1], out=top)
-    else:
-        top = logits.max(axis=1, keepdims=True)
-    exps = np.exp(logits - top)
+    logits itself is left unchanged."""
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
     exps /= exps.sum(axis=1, keepdims=True)
     return exps
 
