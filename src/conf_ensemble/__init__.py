@@ -26,6 +26,7 @@ from .cascade import (
     member_prediction_arrays,
 )
 from .classifiers import (
+    ClassifierRecipe,
     ClassifierSpec,
     TrainConfig,
     TrainedModel,

@@ -14,7 +14,9 @@ member is scored once over the full dataset; the scores feed both its
 report entry (accuracy, ECE, histograms) and the next pool.  Member 0's
 entry is the single-model reference.  Builds are deterministic: member s
 derives its init and shuffling seeds from the configured seeds plus s.
-A BuildConfig names no dataset: each member's input dimension and class
+A BuildConfig nests as a config's build block does (the schedule, a
+ClassifierRecipe and a TrainConfig), so each of its fields is a config
+key, and it names no dataset: each member's input dimension and class
 count are the dataset's.
 
 check_schedule states the build-schedule rules (member count, selection
@@ -32,10 +34,10 @@ import numpy as np
 
 from .cascade import RuntimeConfig, check_thresholds, member_prediction_arrays
 from .classifiers import (
+    ClassifierRecipe,
     ClassifierSpec,
     TrainConfig,
     TrainedModel,
-    check_architecture,
     fit,
     init_model,
     training_fingerprint,
@@ -46,7 +48,6 @@ from .errors import (
     InvalidInputError,
     TrainingDivergedError,
     require_int,
-    require_seed,
 )
 from .metrics import (
     SCORE_KIND_TOP_PROBABILITY,
@@ -116,15 +117,15 @@ class EnsembleManifest:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """The build schedule and one classifier recipe; member k is a
-    classifier_kind model seeded classifier_seed + k."""
+    """The build schedule, one classifier recipe and one trainer, nested
+    as a config's build block nests them: member k is a classifier.kind
+    model seeded classifier.seed + k, trained under training with its
+    seed + k."""
 
     num_members: int
     training_thresholds: tuple[float, ...]
-    classifier_kind: str
-    train_config: TrainConfig
-    hidden_units: int | None = None
-    classifier_seed: int = 0
+    classifier: ClassifierRecipe
+    training: TrainConfig = TrainConfig()
     selection_rule: str = SELECTION_NESTED
 
     def __post_init__(self):
@@ -132,12 +133,6 @@ class BuildConfig:
         object.__setattr__(self, "num_members", num_members)
         thresholds = check_schedule(num_members, self.selection_rule, self.training_thresholds)
         object.__setattr__(self, "training_thresholds", thresholds)
-        if self.hidden_units is not None:
-            hidden = require_int("hidden_units", self.hidden_units)
-            object.__setattr__(self, "hidden_units", hidden)
-        seed = require_seed("classifier_seed", self.classifier_seed)
-        object.__setattr__(self, "classifier_seed", seed)
-        check_architecture(self.classifier_kind, self.hidden_units)
 
 
 def _filter_pool(pool: np.ndarray, unc: np.ndarray, threshold: float) -> np.ndarray:
@@ -250,9 +245,9 @@ def build_ensemble(
             pool = _filter_pool(source, scores[2], cfg.training_thresholds[level - 1])
             if len(pool) < min_size:
                 raise DegenerateSubsetError(level=level, size=len(pool), minimum=min_size)
-        spec = ClassifierSpec(cfg.classifier_kind, data.feature_dim, data.num_classes,
-                              cfg.hidden_units, cfg.classifier_seed + level)
-        member_train = replace(cfg.train_config, seed=cfg.train_config.seed + level)
+        spec = ClassifierSpec(cfg.classifier.kind, data.feature_dim, data.num_classes,
+                              cfg.classifier.hidden_units, cfg.classifier.seed + level)
+        member_train = replace(cfg.training, seed=cfg.training.seed + level)
         started = time.perf_counter()
         pool_data = materialize(pool, data)
         # The spec seeds the init; an init taken from elsewhere (say, the

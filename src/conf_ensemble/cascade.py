@@ -38,7 +38,7 @@ forwarded there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -58,9 +58,12 @@ CONSENSUS_CHOICES = (CONSENSUS_LAST_MEMBER, CONSENSUS_MOST_CONFIDENT)
 
 
 def check_thresholds(what: str, values) -> tuple[float, ...]:
-    """values as a tuple of floats, each a finite number in U's range;
-    ``what`` names one value in the error message."""
+    """values, a list, tuple or 1-d array, as a tuple of floats, each a
+    finite number in U's range; ``what`` names one value in the error
+    message."""
     lo, hi = SCORE_RANGES[SCORE_KIND_UNCERTAINTY]
+    if not isinstance(values, (list, tuple)) and np.ndim(values) != 1:
+        raise InvalidInputError(f"{what}s must be a list of numbers, got {values!r}")
     thresholds = tuple(require_float(what, t) for t in values)
     for t in thresholds:
         if not lo <= t <= hi:
@@ -91,8 +94,9 @@ class RuntimeConfig:
                     **options) -> "RuntimeConfig":
         """The runtime of a num_members chain: one threshold for all, or one
         each; options are the other fields, by name."""
-        thresholds = tuple(thresholds)
-        rcfg = cls(thresholds * num_members if len(thresholds) == 1 else thresholds, **options)
+        rcfg = cls(thresholds, **options)
+        if len(rcfg.thresholds) == 1:
+            rcfg = replace(rcfg, thresholds=rcfg.thresholds * num_members)
         rcfg.validate_for(num_members)
         return rcfg
 

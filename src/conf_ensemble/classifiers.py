@@ -19,9 +19,12 @@ config seed.
 Default hyperparameters: learning rate 1e-3, weight decay 1e-2, gamma 0.3
 every 15 epochs.
 
-ClassifierSpec.check_data is the one statement of "this dataset fits this
-model" (feature width and class count); fit, the cascade's batch_evaluate
-and the CLI's --data loading all run it.
+ClassifierRecipe is the one statement of the architecture rule (a known
+kind, and hidden_units >= 1 for an mlp): a build's classifier is one, and
+every ClassifierSpec checks its own kind, hidden_units and seed through
+one.  ClassifierSpec.check_data is the one statement of "this dataset
+fits this model" (feature width and class count); fit, the cascade's
+batch_evaluate and the CLI's --data loading all run it.
 """
 
 from __future__ import annotations
@@ -48,18 +51,31 @@ KIND_LINEAR = "linear"
 KIND_MLP = "mlp"
 
 
-def check_architecture(kind: str, hidden_units: int | None) -> None:
-    """The part of a ClassifierSpec that does not depend on the dataset:
-    a known kind, and hidden_units >= 1 for an mlp."""
-    if kind not in (KIND_LINEAR, KIND_MLP):
-        raise InvalidInputError(f"unknown classifier kind {kind!r}")
-    if kind == KIND_MLP and (hidden_units is None or hidden_units < 1):
-        raise InvalidInputError("mlp requires hidden_units >= 1")
+@dataclass(frozen=True)
+class ClassifierRecipe:
+    """A classifier less the shape its data gives it, as a config's
+    build.classifier block states it: a known kind, hidden_units (used by
+    an mlp only, and >= 1 there) and a seed."""
+
+    kind: str
+    hidden_units: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.hidden_units is not None:
+            hidden = require_int("hidden_units", self.hidden_units)
+            object.__setattr__(self, "hidden_units", hidden)
+        object.__setattr__(self, "seed", require_seed("seed", self.seed))
+        if self.kind not in (KIND_LINEAR, KIND_MLP):
+            raise InvalidInputError(f"unknown classifier kind {self.kind!r}")
+        if self.kind == KIND_MLP and (self.hidden_units is None or self.hidden_units < 1):
+            raise InvalidInputError("mlp requires hidden_units >= 1")
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Architecture description; hidden_units applies to the MLP only."""
+    """Architecture description: a ClassifierRecipe's fields, which it
+    checks, plus the input width and class count of the data."""
 
     kind: str
     input_dim: int
@@ -68,11 +84,11 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        optional = () if self.hidden_units is None else ("hidden_units",)
-        for name in ("input_dim", "num_classes") + optional:
+        for name in ("input_dim", "num_classes"):
             object.__setattr__(self, name, require_int(name, getattr(self, name)))
-        object.__setattr__(self, "seed", require_seed("seed", self.seed))
-        check_architecture(self.kind, self.hidden_units)
+        recipe = ClassifierRecipe(self.kind, self.hidden_units, self.seed)
+        for name, value in vars(recipe).items():
+            object.__setattr__(self, name, value)
         if self.input_dim < 1:
             raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.num_classes < 2:

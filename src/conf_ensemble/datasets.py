@@ -122,10 +122,10 @@ def materialize(indices: np.ndarray, parent: Dataset) -> Dataset:
 def generate_blobs(
     num_classes: int,
     per_class: int,
-    dim: int,
-    spread: float,
-    overlap: float,
-    seed: int,
+    dim: int = 2,
+    spread: float = 1.0,
+    overlap: float = 0.0,
+    seed: int = 0,
 ) -> Dataset:
     """Gaussian clusters with a tunable ambiguous fraction.
 
@@ -191,6 +191,7 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     number loads, one the np.loadtxt pass refuses is a parse error.
     """
     path = Path(path)
+    num_classes = None if num_classes is None else require_int("num_classes", num_classes)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -328,28 +329,30 @@ def _read_idx(path, expected_magic: int, expected_dims: int) -> tuple[np.ndarray
     return body, dims
 
 
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Load an IDX ubyte image/label pair; pixels scaled to [0, 1].  No
-    images, or images of 0 rows or 0 columns, is a parse error."""
-    pixels, (n_images, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
-    labels, (n_labels,) = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
+def load_idx(images, labels, num_classes: int | None = None) -> Dataset:
+    """Load an IDX ubyte image/label pair (the paths images and labels);
+    pixels scaled to [0, 1].  No images, or images of 0 rows or 0 columns,
+    is a parse error."""
+    num_classes = None if num_classes is None else require_int("num_classes", num_classes)
+    pixels, (n_images, rows, cols) = _read_idx(images, IDX_IMAGE_MAGIC, 3)
+    raw_labels, (n_labels,) = _read_idx(labels, IDX_LABEL_MAGIC, 1)
     if n_images != n_labels:
         raise DatasetParseError(
-            f"{labels_path}: {n_labels} labels for {n_images} images"
+            f"{labels}: {n_labels} labels for {n_images} images"
         )
     if n_images == 0:
-        raise DatasetParseError(f"{images_path}: no images")
+        raise DatasetParseError(f"{images}: no images")
     if rows == 0 or cols == 0:
-        raise DatasetParseError(f"{images_path}: images of {rows} x {cols} pixels")
+        raise DatasetParseError(f"{images}: images of {rows} x {cols} pixels")
     features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
-    labs = labels.astype(np.int64)
+    labs = raw_labels.astype(np.int64)
     if num_classes is not None and labs.max() >= num_classes:
         record = int(np.argmax(labs >= num_classes))
-        raise DatasetParseError(f"{labels_path}: record {record}: label {labs[record]} "
+        raise DatasetParseError(f"{labels}: record {record}: label {labs[record]} "
                                 f">= num_classes {num_classes}")
     return Dataset(
         features=features,
         labels=labs,
         num_classes=_class_count(labs, num_classes),
-        id=Path(images_path).stem,
+        id=Path(images).stem,
     )

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 from conf_ensemble import (
+    ClassifierRecipe,
     ClassifierSpec,
     EnsembleManifest,
     RuntimeConfig,
@@ -63,8 +64,8 @@ def gradient(spec, params, X, y, weight_decay) -> np.ndarray:
 # frozen so subset sizes recorded as regression values stay stable.
 BLOBS = dict(num_classes=3, per_class=1000, dim=4, spread=1.0, overlap=0.55, seed=42)
 MLP_SPEC = ClassifierSpec(kind="mlp", input_dim=4, num_classes=3, hidden_units=16, seed=1)
-# The same classifier as BuildConfig fields; a build takes the shape from its data.
-MLP_ARCH = dict(classifier_kind="mlp", hidden_units=16, classifier_seed=1)
+# The same classifier as a BuildConfig's recipe; a build takes the shape from its data.
+MLP_ARCH = dict(classifier=ClassifierRecipe(kind="mlp", hidden_units=16, seed=1))
 TRAIN = TrainConfig(epochs=30, batch_size=64, learning_rate=0.05, weight_decay=1e-4, seed=9)
 
 
@@ -168,6 +169,16 @@ def json_leaves(node, path=()):
         yield path
 
 
+def json_nodes(node, path=()):
+    """Paths to every value below the root of a JSON document: each
+    scalar, list and object."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        yield path + (key,)
+        yield from json_nodes(value, path + (key,))
+
+
 def set_leaf(doc, path, value) -> None:
     """Replace the value at ``path`` (keys and list indices) in ``doc``."""
     *blocks, name = path
@@ -176,8 +187,9 @@ def set_leaf(doc, path, value) -> None:
     doc[name] = value
 
 
-# Scalars a JSON document can hold, plus short lists.  Integers stay small
-# because a leaf may be a sample or feature count the dataset allocates.
+# Scalars a JSON document can hold, plus short lists and small objects.
+# Integers stay small because a leaf may be a sample or feature count the
+# dataset allocates.
 # Finite floats stay below 1e6: a spread near the float limit overflows
 # numpy's arithmetic, which warns (an error under this suite's
 # filterwarnings) before Dataset rejects the non-finite features.
@@ -191,7 +203,14 @@ JSON_SCALARS = st.one_of(
     st.sampled_from(["blobs", "csv", "mlp", "linear", "nested", "rebased",
                      "last_member", "0.2", "2"]),
 )
-JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+# Whole blocks draw their keys from names config blocks take, so that a
+# drawn block is sometimes close to valid.  No file option is drawn: a
+# config naming a file that is not there is a storage error by design.
+JSON_BLOCKS = st.dictionaries(
+    st.sampled_from(["kind", "num_classes", "per_class", "seed", "threshold", "epochs",
+                     "num_members", "training_thresholds", "hidden_units", "consensus"]),
+    JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3), max_size=4)
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3) | JSON_BLOCKS
 
 
 def write_idx_images(path, images: np.ndarray, magic=0x00000803, compress=False):

@@ -150,7 +150,7 @@ def test_criterion_3_selection_rules(blobs3, trained_m0):
 
         # nesting on an actual nested build
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          **MLP_ARCH, train_config=TRAIN,
+                          **MLP_ARCH, training=TRAIN,
                           selection_rule="nested")
         _, report = build_ensemble(blobs3, cfg)
         pools = [set(m.subset_indices) for m in report.members]
@@ -170,7 +170,7 @@ def test_criterion_4_degenerate_boundaries(blobs3, trained_m0):
     with criterion(4, "degenerate boundaries"):
         # training threshold 0.5 -> degenerate-subset build error
         cfg = BuildConfig(num_members=2, training_thresholds=(0.5,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         with pytest.raises(DegenerateSubsetError):
             build_ensemble(blobs3, cfg)
 
@@ -275,18 +275,18 @@ def test_criterion_7_end_to_end_trends(blobs3):
         # (a) builds succeed across the training-threshold grid
         for t in TRAINING_GRID:
             cfg = BuildConfig(num_members=2, training_thresholds=(t,),
-                              **MLP_ARCH, train_config=TRAIN)
+                              **MLP_ARCH, training=TRAIN)
             manifest, _ = build_ensemble(blobs3, cfg)
             assert manifest.num_members == 2
         rebased_cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                                  **MLP_ARCH, train_config=TRAIN,
+                                  **MLP_ARCH, training=TRAIN,
                                   selection_rule="rebased")
         rebased_manifest, rebased_report = build_ensemble(blobs3, rebased_cfg)
         assert rebased_manifest.num_members == 3
 
         # (b) nested pools strictly shrink
         nested_cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                                 **MLP_ARCH, train_config=TRAIN,
+                                 **MLP_ARCH, training=TRAIN,
                                  selection_rule="nested")
         _, nested_report = build_ensemble(blobs3, nested_cfg)
         sizes = nested_report.subset_sizes()
@@ -327,7 +327,7 @@ def test_criterion_7_end_to_end_trends(blobs3):
 def test_criterion_8_persistence(blobs3, tmp_path):
     with criterion(8, "persistence"):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.05,),
-                          **MLP_ARCH, train_config=TRAIN,
+                          **MLP_ARCH, training=TRAIN,
                           selection_rule="rebased")
         manifest, _ = build_ensemble(blobs3, cfg)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conf_ensemble import (
     BuildConfig,
+    ClassifierRecipe,
     DegenerateSubsetError,
     EmptyTrainingSetError,
     InvalidInputError,
@@ -91,7 +93,7 @@ class TestSelection:
         pools = {}
         for rule in ("nested", "rebased"):
             cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                              **MLP_ARCH, train_config=TRAIN,
+                              **MLP_ARCH, training=TRAIN,
                               selection_rule=rule)
             _, report = build_ensemble(blobs3, cfg)
             pools[rule] = report.members[1].subset_indices.tolist()
@@ -118,7 +120,7 @@ class TestSelection:
         # (previous pool for nested, full pool for rebased) that member
         # k-1, scored one sample at a time, is uncertain about.
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          **MLP_ARCH, train_config=TRAIN,
+                          **MLP_ARCH, training=TRAIN,
                           selection_rule=rule)
         manifest, report = build_ensemble(blobs3, cfg)
         full = blobs3.all_indices()
@@ -133,7 +135,7 @@ class TestSelection:
 class TestBuildEnsemble:
     def test_single_member_equals_plain_fit(self, blobs3):
         cfg = BuildConfig(num_members=1, training_thresholds=(),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         manifest, report = build_ensemble(blobs3, cfg)
         assert manifest.num_members == 1
         reference = fit(init_model(MLP_SPEC), materialize(blobs3.all_indices(), blobs3), TRAIN)
@@ -142,7 +144,7 @@ class TestBuildEnsemble:
 
     def test_degenerate_threshold_aborts(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.5,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         with pytest.raises(DegenerateSubsetError) as err:
             build_ensemble(blobs3, cfg)
         assert err.value.level == 1
@@ -151,13 +153,13 @@ class TestBuildEnsemble:
     def test_empty_dataset_fails_in_fit(self, blobs3):
         empty = Dataset(blobs3.features[:0], blobs3.labels[:0], num_classes=3, id="empty")
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         with pytest.raises(EmptyTrainingSetError, match="cannot fit on an empty dataset"):
             build_ensemble(empty, cfg)
 
     def test_rebased_three_member_regression(self, blobs3):
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          **MLP_ARCH, train_config=TRAIN,
+                          **MLP_ARCH, training=TRAIN,
                           selection_rule="rebased")
         manifest, report = build_ensemble(blobs3, cfg)
         assert manifest.num_members == 3
@@ -165,7 +167,7 @@ class TestBuildEnsemble:
 
     def test_nested_pools_are_nested(self, blobs3):
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          **MLP_ARCH, train_config=TRAIN,
+                          **MLP_ARCH, training=TRAIN,
                           selection_rule="nested")
         _, report = build_ensemble(blobs3, cfg)
         assert report.subset_sizes() == NESTED_SIZES
@@ -176,7 +178,7 @@ class TestBuildEnsemble:
         # Level-2 pool filters the full dataset, so it can include samples
         # the level-1 pool dropped.
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          **MLP_ARCH, train_config=TRAIN,
+                          **MLP_ARCH, training=TRAIN,
                           selection_rule="rebased")
         _, report = build_ensemble(blobs3, cfg)
         full = set(range(len(blobs3)))
@@ -187,27 +189,27 @@ class TestBuildEnsemble:
 
     def test_build_is_deterministic(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         first, _ = build_ensemble(blobs3, cfg)
         second, _ = build_ensemble(blobs3, cfg)
         assert manifests_equal(first, second)
 
     def test_members_use_distinct_seeds(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.01,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         manifest, _ = build_ensemble(blobs3, cfg)
         assert manifest.members[0].spec.seed != manifest.members[1].spec.seed
 
     def test_manifest_carries_default_runtime(self, blobs3):
         runtime = RuntimeConfig(thresholds=(0.4, 0.1), consensus="last_member")
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         manifest, _ = build_ensemble(blobs3, cfg, default_runtime=runtime)
         assert manifest.default_runtime == runtime
 
     def test_report_records_losses_and_digests(self, blobs3):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         _, report = build_ensemble(blobs3, cfg)
         for record in report.members:
             assert np.isfinite(record.final_loss)
@@ -217,7 +219,7 @@ class TestBuildEnsemble:
 
     def test_report_scores_every_member_on_the_full_dataset(self, blobs3):
         cfg = BuildConfig(num_members=3, training_thresholds=(0.01, 0.01),
-                          **MLP_ARCH, train_config=TRAIN, selection_rule="rebased")
+                          **MLP_ARCH, training=TRAIN, selection_rule="rebased")
         manifest, report = build_ensemble(blobs3, cfg)
         for member, record in zip(manifest.members, report.members):
             predicted = [int(np.argmax(predict_logits(member, x))) for x in blobs3.features]
@@ -232,10 +234,10 @@ class TestMemberCache:
     so its init) are all unchanged."""
 
     DATA = dict(num_classes=3, per_class=100, dim=2, spread=1.0, overlap=0.5, seed=4)
-    BASE = BuildConfig(num_members=2, training_thresholds=(0.1,), classifier_kind="mlp",
-                       hidden_units=4, classifier_seed=1,
-                       train_config=TrainConfig(epochs=10, batch_size=32,
-                                                learning_rate=0.05, seed=2))
+    BASE = BuildConfig(num_members=2, training_thresholds=(0.1,),
+                       classifier=ClassifierRecipe("mlp", hidden_units=4, seed=1),
+                       training=TrainConfig(epochs=10, batch_size=32,
+                                            learning_rate=0.05, seed=2))
 
     def test_equal_fingerprints_hit(self, fitted):
         trained = {}
@@ -252,8 +254,8 @@ class TestMemberCache:
         assert len(fitted) == 3
 
     @pytest.mark.parametrize("change, refit", [
-        (dict(classifier_seed=2), 2),
-        (dict(train_config=replace(BASE.train_config, seed=3)), 2),
+        (dict(classifier=replace(BASE.classifier, seed=2)), 2),
+        (dict(training=replace(BASE.training, seed=3)), 2),
         (dict(training_thresholds=(0.2,)), 1),
     ], ids=["classifier_seed", "training_seed", "training_threshold"])
     def test_a_changed_input_misses(self, fitted, change, refit):
@@ -266,7 +268,7 @@ class TestMemberCache:
         assert len(trained) == 2 + refit
         if refit == 1:  # member 0 is reused; the changed pool is not
             assert report.members[1].subset_size != base.members[1].subset_size
-            assert fitted[0][0].spec.seed == self.BASE.classifier_seed + 1
+            assert fitted[0][0].spec.seed == self.BASE.classifier.seed + 1
 
     def test_a_changed_dataset_misses(self, fitted):
         trained = {}
@@ -281,17 +283,17 @@ class TestBuildConfigValidation:
     def test_threshold_count_must_match(self):
         with pytest.raises(InvalidInputError):
             BuildConfig(num_members=3, training_thresholds=(0.1,),
-                        **MLP_ARCH, train_config=TRAIN)
+                        **MLP_ARCH, training=TRAIN)
 
     def test_threshold_range(self):
         with pytest.raises(InvalidInputError):
             BuildConfig(num_members=2, training_thresholds=(0.7,),
-                        **MLP_ARCH, train_config=TRAIN)
+                        **MLP_ARCH, training=TRAIN)
 
     def test_unknown_rule(self):
         with pytest.raises(InvalidInputError):
             BuildConfig(num_members=2, training_thresholds=(0.1,),
-                        **MLP_ARCH, train_config=TRAIN,
+                        **MLP_ARCH, training=TRAIN,
                         selection_rule="bagging")
 
     @pytest.mark.parametrize(
@@ -307,34 +309,39 @@ class TestBuildConfigValidation:
     )
     def test_rejects_non_numbers(self, fields):
         kwargs = dict(num_members=2, training_thresholds=(0.1,),
-                      **MLP_ARCH, train_config=TRAIN)
+                      **MLP_ARCH, training=TRAIN)
         kwargs.update(fields)
         with pytest.raises(InvalidInputError):
             BuildConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [0.1, None, "0.1", {"a": 1}], ids=repr)
+    def test_thresholds_must_be_a_list(self, value):
+        message = re.escape(f"training thresholds must be a list of numbers, got {value!r}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            BuildConfig(num_members=2, training_thresholds=value, **MLP_ARCH, training=TRAIN)
+
     @pytest.mark.parametrize(
         "fields",
         [
-            dict(classifier_kind="forest"),
+            dict(kind="forest"),
             dict(hidden_units=None),
             dict(hidden_units=0),
             dict(hidden_units=16.5),
-            dict(classifier_seed=-1),
-            dict(classifier_seed=1.5),
+            dict(seed=-1),
+            dict(seed=1.5),
         ],
     )
     def test_rejects_bad_classifier(self, fields):
-        kwargs = dict(num_members=2, training_thresholds=(0.1,),
-                      **MLP_ARCH, train_config=TRAIN)
-        kwargs.update(fields)
+        """A BuildConfig's classifier is a ClassifierRecipe, which holds the
+        architecture rule."""
         with pytest.raises(InvalidInputError):
-            BuildConfig(**kwargs)
+            ClassifierRecipe(**{**vars(MLP_ARCH["classifier"]), **fields})
 
     def test_default_min_subset_size(self):
         """A pool needs max(2 * num_classes, 10) samples, num_classes being
         the dataset's."""
         cfg = BuildConfig(num_members=2, training_thresholds=(0.5,),
-                          classifier_kind="linear", train_config=TrainConfig(epochs=1))
+                          classifier=ClassifierRecipe("linear"), training=TrainConfig(epochs=1))
         for num_classes, floor in ((3, 10), (20, 40)):
             data = generate_blobs(num_classes=num_classes, per_class=3, dim=2,
                                   spread=1.0, overlap=0.0, seed=0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestRuntimeConfig:
     def test_thresholds_must_be_finite_numbers(self, value):
         with pytest.raises(InvalidInputError, match="runtime threshold must be a finite number"):
             RuntimeConfig(thresholds=(0.2, value))
+
+    @pytest.mark.parametrize("value", [0.2, None, "0.2", {"a": 1}, np.array(0.2),
+                                       np.array([[0.2]])], ids=repr)
+    def test_thresholds_must_be_a_list(self, value):
+        """Not read one character or key at a time, and no bare TypeError."""
+        message = re.escape(f"runtime thresholds must be a list of numbers, got {value!r}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            RuntimeConfig(thresholds=value)
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            RuntimeConfig.for_members(value, 3)
+
+    def test_thresholds_may_be_a_1d_array(self):
+        rcfg = RuntimeConfig.for_members(np.array([0.3]), 2)
+        assert rcfg.thresholds == (0.3, 0.3)
+        assert all(type(t) is float for t in rcfg.thresholds)
 
     def test_unknown_consensus(self):
         with pytest.raises(InvalidInputError):

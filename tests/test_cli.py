@@ -196,11 +196,11 @@ class TestBuildCommand:
             np.loadtxt(out / "subsets" / f"level_{k}.idx", dtype=np.int64) for k in (1, 2)]
         losses = []
         for level, (pool, member) in enumerate(zip(pools, report["members"])):
-            spec = ClassifierSpec(cfg.build.classifier_kind, data.feature_dim,
-                                  data.num_classes, cfg.build.hidden_units,
-                                  cfg.build.classifier_seed + level)
+            recipe = cfg.build.classifier
+            spec = ClassifierSpec(recipe.kind, data.feature_dim, data.num_classes,
+                                  recipe.hidden_units, recipe.seed + level)
             initial = objective(spec, init_model(spec).parameters, data.features[pool],
-                                data.labels[pool], cfg.build.train_config.weight_decay)
+                                data.labels[pool], cfg.build.training.weight_decay)
             losses.append((round(initial, 3), round(member["final_loss"], 3)))
         assert losses == [(1.398, 0.137), (1.331, 0.287), (1.307, 0.243)]
 
@@ -254,25 +254,35 @@ class TestBuildCommand:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"build.classifier.seed": -1}, "seed must be >= 0"),
-            ({"build.training.seed": -1}, "seed must be >= 0"),
+            ({"build.classifier.seed": -1}, "build.classifier: seed must be >= 0, got -1"),
+            ({"build.training.seed": -1}, "build.training: seed must be >= 0, got -1"),
             ({"output_dir": "out"}, "unknown key config.output_dir"),
             ({"build.min_subset_size": 0}, "unknown key build.min_subset_size"),
             ({"dataset.overlapp": 0.9}, "unknown key dataset.overlapp"),
             ({"metrics": {"calibration_bins": 15}}, "unknown key config.metrics"),
+            # A value its owner rejects names the block it sits in.
+            ({"build.num_members": 2.5}, "build: num_members must be an integer, got 2.5"),
+            ({"build.training.epochs": 2.5},
+             "build.training: epochs must be an integer, got 2.5"),
+            ({"build.classifier.kind": "forest"},
+             "build.classifier: unknown classifier kind 'forest'"),
+            ({"build.selection_rule": "bagging"}, "build: unknown selection rule 'bagging'"),
+            ({"dataset.per_class": 0}, "dataset: per_class must be >= 1, got 0"),
+            ({"runtime.0.threshold": 0.7}, "runtime: runtime threshold 0.7 outside [0, 0.5]"),
         ],
         ids=["classifier-seed", "training-seed", "output-dir", "min-subset-size",
-             "unknown-key", "metrics-block"],
+             "unknown-key", "metrics-block", "num-members", "epochs", "classifier-kind",
+             "selection-rule", "per-class", "runtime-threshold"],
     )
     def test_config_rule_exits_before_building(self, tmp_path, capsys, edit, message):
         doc = experiment_doc()
         for path, value in edit.items():
-            set_leaf(doc, path.split("."), value)
+            set_leaf(doc, [int(k) if k.isdigit() else k for k in path.split(".")], value)
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(doc))
         assert main(["build", "--config", str(config),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_invalid_threshold_count(self, workdir):
@@ -371,7 +381,7 @@ def test_declared_class_count_below_two_is_a_config_error(tmp_path, capsys, kind
     config.write_text(json.dumps(experiment_doc(dataset=block)))
     assert main(["build", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "error: bad dataset option: num_classes must be >= 2, got 1\n")
+        "error: dataset: num_classes must be >= 2, got 1\n")
     assert not (tmp_path / "out").exists()
 
 

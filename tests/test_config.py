@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from dataclasses import replace
@@ -10,15 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conf_ensemble import (
+    BuildConfig,
+    ClassifierRecipe,
     ConfigError,
     RuntimeConfig,
+    TrainConfig,
     build_ensemble,
+    generate_blobs,
+    load_csv,
     load_dataset,
     load_experiment_config,
+    load_idx,
 )
 from conf_ensemble.config import DatasetSource, parse_runtime_block
 
-from conftest import JSON_VALUES, SWEEP_SCRIPT, json_leaves, load_script, set_leaf
+from conftest import JSON_VALUES, SWEEP_SCRIPT, json_nodes, load_script, set_leaf
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example_blobs.json"
 
@@ -54,6 +61,32 @@ UNKNOWN_KEYS = [
 ]
 
 
+# The keys each block takes, written out rather than read off the owners,
+# so that a field added to or dropped from a block's record or loader
+# fails here until this table (and the README's) changes with it.  A
+# dataset block's keys depend on its kind.
+BLOCK_KEYS = {
+    "dataset:blobs": {"kind", "num_classes", "per_class", "dim", "spread", "overlap", "seed"},
+    "dataset:csv": {"kind", "path", "num_classes"},
+    "dataset:idx": {"kind", "images", "labels", "num_classes"},
+    "build": {"num_members", "selection_rule", "training_thresholds", "classifier", "training"},
+    "build.classifier": {"kind", "hidden_units", "seed"},
+    "build.training": {"epochs", "batch_size", "learning_rate", "lr_decay_gamma",
+                       "lr_decay_every_epochs", "weight_decay", "seed"},
+    "runtime": {"threshold", "consensus"},
+}
+# Each key any block's owner takes, and a few no block takes.
+CANDIDATE_KEYS = set().union(
+    *BLOCK_KEYS.values(),
+    *(inspect.signature(owner).parameters for owner in (
+        generate_blobs, load_csv, load_idx, BuildConfig, ClassifierRecipe, TrainConfig,
+        RuntimeConfig)),
+    {"thresholds", "min_subset_size", "output_dir", "metrics"},
+)
+FILE_BLOCKS = {"csv": {"kind": "csv", "path": "d.csv"},
+               "idx": {"kind": "idx", "images": "i", "labels": "l"}}
+
+
 def write(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -65,12 +98,16 @@ class TestExperimentConfig:
         cfg = load_experiment_config(write(tmp_path, minimal_doc()))
         assert cfg.build.num_members == 2
         assert cfg.build.selection_rule == "nested"
-        assert cfg.build.hidden_units is None
-        assert cfg.build.classifier_seed == 1
-        assert cfg.build.train_config.learning_rate == 0.05
-        assert cfg.build.train_config.lr_decay_gamma == 0.3
-        assert cfg.build.train_config.lr_decay_every_epochs == 15
-        assert cfg.build.train_config.weight_decay == 0.01
+        assert cfg.build.classifier == ClassifierRecipe(kind="linear", hidden_units=None, seed=1)
+        assert cfg.build.training == TrainConfig(epochs=2, learning_rate=0.05)
+        assert cfg.build.training.lr_decay_gamma == 0.3
+        assert cfg.build.training.lr_decay_every_epochs == 15
+        assert cfg.build.training.weight_decay == 0.01
+
+    def test_training_block_defaults_to_train_config(self, tmp_path):
+        doc = minimal_doc()
+        del doc["build"]["training"]
+        assert load_experiment_config(write(tmp_path, doc)).build.training == TrainConfig()
 
     def test_resolves_classifier_dims_from_dataset(self, tmp_path):
         cfg = load_experiment_config(write(tmp_path, minimal_doc()))
@@ -149,7 +186,33 @@ class TestExperimentConfig:
     def test_integer_fields_reject_non_integers(self, tmp_path, path, value):
         doc = minimal_doc()
         set_leaf(doc, path.split("."), value)
-        with pytest.raises(ConfigError, match=f"{path} must be an integer"):
+        block, name = path.rsplit(".", 1)
+        message = re.escape(f"{block}: {name} must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_experiment_config(write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("build.training_thresholds", "0.01",
+             "build: training thresholds must be a list of numbers, got '0.01'"),
+            ("build.training_thresholds", {"a": 1},
+             "build: training thresholds must be a list of numbers, got {'a': 1}"),
+            ("build.training_thresholds", 0.01,
+             "build: training thresholds must be a list of numbers, got 0.01"),
+            ("build.training_thresholds", None,
+             "build: training thresholds must be a list of numbers, got None"),
+            ("runtime", [{"threshold": {"a": 1}}],
+             "runtime: runtime threshold must be a finite number, got {'a': 1}"),
+        ],
+        ids=["string", "object", "number", "null", "runtime-object"],
+    )
+    def test_thresholds_are_read_whole(self, tmp_path, path, value, message):
+        """A threshold list that is not a list is rejected whole, naming its
+        block, not read one character or key at a time."""
+        doc = minimal_doc()
+        set_leaf(doc, path.split("."), value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_experiment_config(write(tmp_path, doc))
 
     @pytest.mark.parametrize("path", ["build.classifier.seed", "build.training.seed"])
@@ -258,6 +321,32 @@ class TestExperimentConfig:
             load_experiment_config(write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("block", BLOCK_KEYS)
+def test_each_block_takes_exactly_its_keys(tmp_path, block):
+    """The keys a block takes are the ones a config may hold there: the
+    shipped config's block (a csv or idx one for those kinds) loads, and
+    of every other candidate key, those and only those the block takes
+    are not an unknown key."""
+    where, _, kind = block.partition(":")
+    doc = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+    doc["dataset"] = FILE_BLOCKS.get(kind, doc["dataset"])
+    node = doc["runtime"][0] if where == "runtime" else doc
+    for key in () if where == "runtime" else where.split("."):
+        node = node[key]
+    load_experiment_config(write(tmp_path, doc))
+    taken = set(node)
+    for key in CANDIDATE_KEYS - taken:
+        node[key] = 1
+        try:
+            load_experiment_config(write(tmp_path, doc))
+            taken.add(key)
+        except ConfigError as exc:
+            if str(exc) != f"unknown key {where}.{key}":
+                taken.add(key)
+        del node[key]
+    assert taken == BLOCK_KEYS[block]
+
+
 class TestDatasetSource:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -294,7 +383,8 @@ class TestDatasetSource:
     def test_declared_num_classes_must_be_an_integer(self, tmp_path):
         source = DatasetSource(kind="csv", options={"path": str(tmp_path / "d.csv"),
                                                     "num_classes": 2.5})
-        with pytest.raises(ConfigError, match="dataset.num_classes must be an integer"):
+        message = r"^dataset: num_classes must be an integer, got 2\.5$"
+        with pytest.raises(ConfigError, match=message):
             load_dataset(source)
 
     def test_blobs_deterministic(self):
@@ -309,7 +399,7 @@ class TestRuntimeBlock:
             parse_runtime_block({"consensus": "last_member"}, 2)
 
 
-EXAMPLE_LEAVES = list(json_leaves(json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))))
+EXAMPLE_NODES = list(json_nodes(json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))))
 
 
 @pytest.fixture(scope="module")
@@ -317,17 +407,30 @@ def leaf_config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("leaf") / "config.json"
 
 
+def holding_block(node) -> str:
+    """The dotted path of the nearest object that holds the node at
+    ``node``, list indices left out (runtime[0] is the runtime block);
+    for a node the document itself holds, the node's own name."""
+    holder = node[:-2] if isinstance(node[-1], int) else node[:-1]
+    return ".".join(key for key in holder if isinstance(key, str)) or node[0]
+
+
 class TestEveryLeaf:
-    """Whatever value one field of the shipped config holds, loading it and
-    its dataset either succeeds or raises ConfigError."""
+    """Whatever value one node of the shipped config holds (a scalar, a
+    list or a whole block), loading it and its dataset either succeeds or
+    raises a ConfigError naming the block that holds the node."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(EXAMPLE_LEAVES), JSON_VALUES)
-    def test_load_succeeds_or_raises_config_error(self, leaf_config_path, leaf, value):
+    @given(st.sampled_from(EXAMPLE_NODES), JSON_VALUES)
+    def test_load_succeeds_or_raises_config_error(self, leaf_config_path, node, value):
         doc = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
-        set_leaf(doc, leaf, value)
+        set_leaf(doc, node, value)
         leaf_config_path.write_text(json.dumps(doc), encoding="utf-8")
         try:
             load_dataset(load_experiment_config(leaf_config_path).dataset)
-        except ConfigError:
-            pass
+        except ConfigError as exc:
+            message = str(exc)
+            assert re.search(rf"(?<![\w.]){re.escape(holding_block(node))}(?!\w)", message), \
+                message
+            assert "invalid configuration:" not in message
+            assert "bad dataset option:" not in message

@@ -40,7 +40,7 @@ from oracles import artifact_digests, manifests_equal
 @pytest.fixture(scope="module")
 def built(blobs3):
     cfg = BuildConfig(num_members=2, training_thresholds=(0.05,),
-                      **MLP_ARCH, train_config=TRAIN,
+                      **MLP_ARCH, training=TRAIN,
                       selection_rule="rebased")
     manifest, _ = build_ensemble(
         blobs3, cfg,
@@ -182,6 +182,24 @@ def _string_training_threshold(directory):
     manifest_path.write_text(json.dumps(doc))
 
 
+def _set_thresholds(directory, training, runtime):
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["training_thresholds"] = training
+    doc["default_runtime"]["thresholds"] = runtime
+    manifest_path.write_text(json.dumps(doc))
+
+
+def _scalar_training_thresholds(directory):
+    _set_thresholds(directory, "0.05", [0.2, 0.2])
+    return ManifestDigestError, "training thresholds must be a list of numbers, got '0.05'"
+
+
+def _scalar_runtime_thresholds(directory):
+    _set_thresholds(directory, [0.05], 0.2)
+    return ManifestDigestError, "runtime thresholds must be a list of numbers, got 0.2"
+
+
 def _runtime_threshold_out_of_range(directory):
     manifest_path = directory / "manifest.json"
     doc = json.loads(manifest_path.read_text())
@@ -299,6 +317,8 @@ class TestMalformedManifest:
             _negative_seed,
             _unknown_selection_rule,
             _string_training_threshold,
+            _scalar_training_thresholds,
+            _scalar_runtime_thresholds,
             _runtime_threshold_out_of_range,
             _weights_file_elsewhere,
             _nan_last_weight,
@@ -470,7 +490,7 @@ class TestDamagedWeights:
 class TestBuildDeterminism:
     def test_two_builds_same_digests(self, blobs3, tmp_path):
         cfg = BuildConfig(num_members=2, training_thresholds=(0.1,),
-                          **MLP_ARCH, train_config=TRAIN)
+                          **MLP_ARCH, training=TRAIN)
         for name in ("run1", "run2"):
             manifest, _ = build_ensemble(blobs3, cfg)
             save_manifest(manifest, tmp_path / name)

@@ -1,13 +1,16 @@
-"""The README's library example runs as written, and its command-line
-sections document exactly the subcommands and options the parsers take."""
+"""The README's library example runs as written, its command-line
+sections document exactly the subcommands and options the parsers take,
+and its experiment-config table exactly the keys each block takes."""
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 
 import pytest
 
+import conf_ensemble
 from conf_ensemble import cli
 
 from conftest import ROOT, SWEEP_SCRIPT, load_script
@@ -54,6 +57,30 @@ def sweep_parser() -> argparse.ArgumentParser:
 def test_documented_flags_match_the_parser(heading, parser):
     documented = set(re.findall(r"--[a-z][a-z-]*", readme_section(heading)))
     assert documented == long_options(parser())
+
+
+def config_table() -> dict[str, tuple[str, set[str]]]:
+    """The README's experiment-config table: each block's owner and the
+    keys it documents (the backticked names outside parentheses)."""
+    section = readme_section("CLI").split("\n### Experiment config\n")[1]
+    rows = re.findall(r"^\| (`.+?) \| `(\w+)` \| (.+) \|$", section, re.M)
+    return {block: (owner, set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys))))
+            for block, owner, keys in rows}
+
+
+def test_documented_config_keys_match_their_owners():
+    """Each block documents exactly the parameters of the record or
+    loader it becomes; the runtime block's threshold stands for
+    RuntimeConfig's thresholds."""
+    table = config_table()
+    assert [owner for owner, _ in table.values()] == [
+        "generate_blobs", "load_csv", "load_idx", "BuildConfig", "ClassifierRecipe",
+        "TrainConfig", "RuntimeConfig"]
+    for block, (owner, keys) in table.items():
+        taken = set(inspect.signature(getattr(conf_ensemble, owner)).parameters)
+        if owner == "RuntimeConfig":
+            taken = taken - {"thresholds"} | {"threshold"}
+        assert keys == taken, block
 
 
 def test_documented_subcommands_match_the_parser():

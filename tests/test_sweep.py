@@ -115,7 +115,7 @@ def test_library_error_exits_with_its_code_and_no_traceback(tmp_path):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == EXIT_CONFIG
-    assert result.stderr == "error: bad dataset option: seed must be >= 0, got -1\n"
+    assert result.stderr == "error: dataset: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
