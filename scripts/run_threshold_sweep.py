@@ -7,6 +7,11 @@ dataset, classifier, trainer and selection rule (at two members the
 rules pick the same pool).  The builds share one member cache, so a
 member common to several of them (member 0 always) is trained once.
 Then sweeps the runtime-threshold grid with both consensus heuristics.
+Builds and evaluations share one ScoreMemo, so each cascade level is
+scored once per member-and-threshold prefix: a member's all-rows scores
+serve its build report and level 0 of every evaluation that starts with
+it, and the two consensus heuristics, and the chains that share a
+prefix, share every pass.
 The single-model baseline is member 0 of the full chain, as its build
 report scores it.  Emits a summary CSV/JSON and prints a table.
 A library error exits with the code its error class carries, as in the
@@ -29,6 +34,7 @@ from conf_ensemble import (
     CONSENSUS_LAST_MEMBER,
     CONSENSUS_MOST_CONFIDENT,
     RuntimeConfig,
+    ScoreMemo,
     batch_evaluate,
     build_ensemble,
     expected_calibration_error,
@@ -67,14 +73,14 @@ def sweep_builds(full):
     return builds
 
 
-def evaluate_grid(name, manifest, data):
+def evaluate_grid(name, manifest, data, scored):
     rows = []
     for threshold in DEFAULT_RUNTIME_THRESHOLD_GRID:
         for consensus in (CONSENSUS_LAST_MEMBER, CONSENSUS_MOST_CONFIDENT):
             rcfg = RuntimeConfig.for_members(
                 (threshold,), manifest.num_members, consensus=consensus
             )
-            record = batch_evaluate(manifest, rcfg, data)
+            record = batch_evaluate(manifest, rcfg, data, scored)
             report = expected_calibration_error(record.chosen_top, record.correct)
             rows.append(
                 {
@@ -109,10 +115,11 @@ def main(argv=None):
     subset_sizes: dict[str, list[int]] = {}
     reports = {}
     trained = {}
+    scored = ScoreMemo()
     for name, build in builds.items():
-        manifest, reports[name] = build_ensemble(data, build, trained=trained)
+        manifest, reports[name] = build_ensemble(data, build, trained=trained, scored=scored)
         subset_sizes[name] = list(reports[name].subset_sizes())
-        rows += evaluate_grid(name, manifest, data)
+        rows += evaluate_grid(name, manifest, data, scored)
 
     member0 = reports[full_name].members[0]
     baseline = {"accuracy": member0.accuracy, "ece": member0.ece}

@@ -21,6 +21,7 @@ from .cascade import (
     EvaluationRecord,
     Prediction,
     RuntimeConfig,
+    ScoreMemo,
     batch_evaluate,
     cascade_predict,
     member_prediction_arrays,

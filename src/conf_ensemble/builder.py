@@ -11,8 +11,10 @@ the level's training threshold).  Two ways to pick that pool:
 
 The two rules coincide at level 1.  Pools are int64 index arrays.  Each
 member is scored once over the full dataset; the scores feed both its
-report entry (accuracy, ECE, histograms) and the next pool.  Member 0's
-entry is the single-model reference.  Builds are deterministic: member s
+report entry (accuracy, ECE, histograms) and the next pool.  Builds that
+share a member cache and a cascade.ScoreMemo (the threshold sweep's)
+train each distinct member once and score it once.  Member 0's entry is
+the single-model reference.  Builds are deterministic: member s
 derives its init and shuffling seeds from the configured seeds plus s.
 A BuildConfig nests as a config's build block does (the schedule, a
 ClassifierRecipe and a TrainConfig), so each of its fields is a config
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cascade import RuntimeConfig, check_thresholds, member_prediction_arrays
+from .cascade import RuntimeConfig, ScoreMemo, check_thresholds
 from .classifiers import (
     ClassifierRecipe,
     ClassifierSpec,
@@ -129,6 +131,10 @@ class BuildConfig:
     selection_rule: str = SELECTION_NESTED
 
     def __post_init__(self):
+        for name, kind in (("classifier", ClassifierRecipe), ("training", TrainConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidInputError(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         num_members = require_int("num_members", self.num_members)
         object.__setattr__(self, "num_members", num_members)
         thresholds = check_schedule(num_members, self.selection_rule, self.training_thresholds)
@@ -217,6 +223,7 @@ def build_ensemble(
     cfg: BuildConfig,
     default_runtime: RuntimeConfig | None = None,
     trained: dict[str, TrainedModel] | None = None,
+    scored: ScoreMemo | None = None,
 ) -> tuple[EnsembleManifest, BuildReport]:
     """Train the full member chain.
 
@@ -227,6 +234,12 @@ def build_ensemble(
     build uses its own.  A member's train_seconds covers its lookup and
     any fit.
 
+    ``scored`` is a ScoreMemo bound to data's features: a member's
+    all-rows scores are its entry ((member,), ()), level 0 of every
+    cascade that starts with it, so builds and evaluations that share the
+    memo score each member over the dataset once; without one, a build
+    uses its own.
+
     Raises DegenerateSubsetError as soon as a selected pool falls below
     max(2 * num_classes, 10) samples, naming the level; nothing is
     silently truncated.  An empty dataset fails in member 0's fit, and a
@@ -234,6 +247,7 @@ def build_ensemble(
     """
     min_size = max(2 * data.num_classes, 10)
     trained = {} if trained is None else trained
+    scored = ScoreMemo() if scored is None else scored
 
     full_pool = data.all_indices()
     pool = full_pool
@@ -261,7 +275,7 @@ def build_ensemble(
                 raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
             trained[key] = model
         elapsed = time.perf_counter() - started
-        scores = member_prediction_arrays(model, data.features)
+        scores = scored.level_scores((model,), (), data.features, None)
         members.append(model)
         records.append(member_report(level, pool, model, scores, data.labels, elapsed))
 

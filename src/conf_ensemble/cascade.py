@@ -17,13 +17,17 @@ the one with the lowest uncertainty, ties to the earliest member).
 
 member_prediction_arrays is the one scoring kernel (softmax -> top class
 -> min(p, 1 - p)) and _run_cascade the one decision function; each member
-runs only on the rows still unresolved.  batch_evaluate keeps the columns
-and their RuntimeConfig as an EvaluationRecord; cascade_predict is a
-one-row call, its CascadeTrace the consulted members' predictions in
-member order.  The record's to_json_dict() (the runtime's fields,
-accuracy and utilization) is the evaluation summary; write_json and
-write_csv format each value once per record and stream the per-sample
-artifacts one CHUNK_ROWS chunk of rows at a time.
+runs only on the rows still unresolved.  A ScoreMemo, owned by a caller
+that evaluates many chains on one dataset, holds each level's scores by
+its member-and-threshold prefix, so that prefix is scored once; the
+threshold sweep shares one between its builds and its evaluations.
+batch_evaluate keeps the columns and their RuntimeConfig as an
+EvaluationRecord; cascade_predict is a one-row call, its CascadeTrace the
+consulted members' predictions in member order.  The record's
+to_json_dict() (the runtime's fields, accuracy and utilization) is the
+evaluation summary; write_json and write_csv format each value once per
+record and stream the per-sample artifacts one CHUNK_ROWS chunk of rows
+at a time.
 
 Thresholds, runtime and training alike, are finite numbers in U's range,
 metrics.SCORE_RANGES; check_thresholds is the one place that checks it.
@@ -117,10 +121,68 @@ def member_prediction_arrays(
     return cls, top, np.minimum(top, 1.0 - top)
 
 
+class ScoreMemo:
+    """A caller-owned memo of cascade level scores over one dataset.
+
+    Level k's (class, top probability, uncertainty) depend only on the
+    members members[:k+1], the thresholds thresholds[:k] and the features,
+    so an entry is keyed by that prefix, each member by identity, and holds
+    the scores of exactly the rows early exit passes to level k.  Callers
+    that share one (the threshold sweep's builds and evaluations) score
+    each prefix once; a build's all-rows scoring of member m is the entry
+    ((m,), ()), level 0 of every chain that starts with m.  Only passes
+    over the same rows are shared: a forward pass's last bits depend on
+    how many rows it is given, so scores taken from an all-rows pass would
+    move the results of the later levels.
+
+    The memo is bound to the feature matrix it first scores, and holds
+    every member it keys, so that no id in a key can be reused; its
+    arrays are read-only.
+    """
+
+    def __init__(self):
+        self._features: np.ndarray | None = None
+        # prefix key -> (the prefix's members, the level's scores)
+        self._entries: dict[tuple, tuple[tuple, tuple[np.ndarray, ...]]] = {}
+
+    def level_scores(
+        self,
+        members: Sequence[TrainedModel],
+        thresholds: Sequence[float],
+        features: np.ndarray,
+        active: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """member_prediction_arrays of members[-1] over features[active]:
+        level len(thresholds) of a cascade over members.  At level 0 every
+        row is active and features itself is scored; active is not read."""
+        if self._features is None:
+            self._features = features
+        elif features is not self._features:
+            raise InvalidInputError("a ScoreMemo scores the dataset it was first used with")
+        key = (tuple(map(id, members)), tuple(thresholds))
+        entry = self._entries.get(key)
+        if entry is None:
+            scores = member_prediction_arrays(members[-1],
+                                              features[active] if thresholds else features)
+            for array in scores:
+                array.setflags(write=False)
+            entry = self._entries[key] = (tuple(members), scores)
+        return entry[1]
+
+
 def _run_cascade(
-    members: Sequence[TrainedModel], rcfg: RuntimeConfig, features: np.ndarray
+    members: Sequence[TrainedModel],
+    rcfg: RuntimeConfig,
+    features: np.ndarray,
+    scored: ScoreMemo | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The decision rule over an (n, input_dim) feature matrix.
+
+    Member k scores only the rows still active at level k; level 0 scores
+    features itself.  Each level's scores are looked up in ``scored`` by
+    their member-and-threshold prefix and computed only when missing; a
+    caller without a ScoreMemo gets one for this call only, which computes
+    every level.
 
     Returns the (n, L) per-level class, top probability and uncertainty
     (class -1 where a level was not consulted), the (n,) answering level
@@ -133,12 +195,14 @@ def _run_cascade(
     top = np.zeros((n, num_levels))
     unc = np.zeros((n, num_levels))
     level = np.full(n, -1, dtype=np.int64)
+    scored = ScoreMemo() if scored is None else scored
 
     active = np.arange(n)
-    for k, member in enumerate(members):
+    for k in range(num_levels):
         if active.size == 0:
             break
-        k_cls, k_top, k_unc = member_prediction_arrays(member, features[active])
+        k_cls, k_top, k_unc = scored.level_scores(members[:k + 1], rcfg.thresholds[:k],
+                                                  features, active)
         classes[active, k] = k_cls
         top[active, k] = k_top
         unc[active, k] = k_unc
@@ -346,15 +410,18 @@ def batch_evaluate(
     manifest: "EnsembleManifest",
     rcfg: RuntimeConfig,
     data: Dataset,
+    scored: ScoreMemo | None = None,
 ) -> EvaluationRecord:
     """Run the cascade over a whole dataset.
 
     Same kernel as cascade_predict, applied to every row at once; each
-    member runs only on the samples still unresolved at its level.  A
-    dataset that does not fit the members (ClassifierSpec.check_data)
+    member runs only on the samples still unresolved at its level.  With
+    a ScoreMemo ``scored`` (bound to data's features), a level already
+    scored under the same member-and-threshold prefix is not scored again.
+    A dataset that does not fit the members (ClassifierSpec.check_data)
     fails here, an empty one included; an empty one that fits gives an
     empty record.
     """
     manifest.members[0].spec.check_data(data)
     return EvaluationRecord(rcfg, data.labels,
-                            *_run_cascade(manifest.members, rcfg, data.features))
+                            *_run_cascade(manifest.members, rcfg, data.features, scored))

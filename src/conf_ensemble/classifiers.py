@@ -10,8 +10,10 @@ with a step learning-rate schedule (multiply by gamma every fixed number
 of epochs).  objective_and_gradient is the one training kernel: an SGD
 step computes the gradient only, and the loss at initialisation and
 after each epoch comes from the forward pass only.  fit unpacks the
-layer views of the parameters and of one gradient buffer once; each step
-overwrites the buffer and updates the parameters in place.  Everything
+layer views of the parameters and of one gradient buffer once, gathers
+each epoch's shuffled rows once and steps on contiguous slices of them;
+each step writes its softmax, delta and gradient into buffers it owns
+and updates the parameters in place.  Everything
 is numpy + float64 and fully deterministic given the seeds:
 initialization draws from the spec seed, batch order from the train
 config seed.
@@ -222,10 +224,11 @@ def softmax_batch(logits: np.ndarray) -> np.ndarray:
     return _softmax_rows(arr)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """softmax_batch without its checks, for a finite 2-d float64 matrix;
-    logits itself is left unchanged."""
-    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+def _softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax_batch without its checks, for a finite 2-d float64 matrix,
+    written to out (which may be logits itself), else to a new array."""
+    exps = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(exps, out=exps)
     exps /= exps.sum(axis=1, keepdims=True)
     return exps
 
@@ -234,12 +237,16 @@ def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The input of each layer (X, then the tanh of each hidden layer's
-    output) and the logits."""
+    output) and the logits; each is a new array, computed in place."""
     inputs = [X]
     for w, b in layers[:-1]:
-        inputs.append(np.tanh(inputs[-1] @ w + b))
+        hidden = inputs[-1] @ w
+        hidden += b
+        inputs.append(np.tanh(hidden, out=hidden))
     w, b = layers[-1]
-    return inputs, inputs[-1] @ w + b
+    logits = inputs[-1] @ w
+    logits += b
+    return inputs, logits
 
 
 def objective_and_gradient(
@@ -256,34 +263,40 @@ def objective_and_gradient(
     into params.
 
     With grad None this is a loss pass: the forward pass only, returning
-    the objective.  With grad = (flat, flat's _unpack views) it is an SGD
-    step's gradient: flat is overwritten with it, no loss is computed,
-    and None is returned.  perfbench's tracer wraps this module attribute
-    and takes X, the third argument, being the fit's own feature array as
-    the sign of a loss pass; fit calls it accordingly.
+    the objective; y is the (n,) label vector.  With grad = (flat, flat's
+    _unpack views) it is an SGD step's gradient: y is the (n, num_classes)
+    one-hot label rows, flat is overwritten with the gradient, no loss is
+    computed, and None is returned.  perfbench's tracer wraps this module
+    attribute and takes X, the third argument, being the fit's own feature
+    array as the sign of a loss pass; fit calls it accordingly (a step's X
+    is a slice of the epoch's gathered rows, never that array).
 
     Logits are not checked for finiteness: under fit's np.errstate, the
     overflow that would make one non-finite raises first."""
     n = X.shape[0]
-    rows = np.arange(n)
     inputs, logits = _forward(layers, X)
-    delta = _softmax_rows(logits)  # the probabilities, then d loss / d logits
+    # The probabilities, then d loss / d logits, in the logits' buffer.
+    delta = _softmax_rows(logits, out=logits)
     if grad is None:
-        loss = -float(np.mean(np.log(np.maximum(delta[rows, y], LOSS_PROB_FLOOR))))
+        true_probs = delta[np.arange(n), y]
+        loss = -float(np.mean(np.log(np.maximum(true_probs, LOSS_PROB_FLOOR))))
         if weight_decay:
             loss += 0.5 * weight_decay * float(params @ params)
         return loss
 
     flat, g_layers = grad  # every entry of flat is one layer's gw or gb
-    delta[rows, y] -= 1.0
+    delta -= y  # the one-hot labels: p - 1 at the label, p - 0 elsewhere
     delta /= n
     for k in range(len(layers) - 1, -1, -1):
         h = inputs[k]
         gw, gb = g_layers[k]
-        gw[...] = h.T @ delta
-        gb[...] = delta.sum(axis=0)
-        if k:  # h = tanh(pre-activation); carry delta down through it
-            delta = (delta @ layers[k][0].T) * (1.0 - h**2)
+        np.matmul(h.T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
+        if k:  # h = tanh(pre-activation), _forward's own buffer; carry delta through it
+            delta = delta @ layers[k][0].T
+            np.square(h, out=h)
+            np.subtract(1.0, h, out=h)
+            delta *= h
     if weight_decay:
         flat += weight_decay * params
     return None
@@ -293,7 +306,9 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
     """Train for a fixed epoch budget of mini-batch SGD steps.
 
     Batch order is drawn from cfg.seed, so (model, data, cfg) fully
-    determines the returned parameters.  The learning rate is multiplied
+    determines the returned parameters.  Each epoch gathers the features
+    and one-hot labels in that order once, and each step takes a
+    contiguous slice of them.  The learning rate is multiplied
     by lr_decay_gamma every lr_decay_every_epochs epochs.  The layer views
     of the parameters and of one gradient buffer are unpacked once per
     fit and stay valid, since each step updates the parameters in place.
@@ -317,6 +332,7 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
     flat = np.empty_like(params)
     grad = (flat, _unpack(spec, flat))
     rng = np.random.default_rng(cfg.seed)
+    onehot = (y[:, None] == np.arange(spec.num_classes)).astype(np.float64)
     history = []
     n = len(data)
     epoch = 0  # while the loss at initialisation is computed
@@ -328,10 +344,11 @@ def fit(model: TrainedModel, data: Dataset, cfg: TrainConfig) -> TrainedModel:
                 decays = (epoch - 1) // cfg.lr_decay_every_epochs
                 lr = cfg.learning_rate * cfg.lr_decay_gamma ** decays
                 perm = rng.permutation(n)
+                X_epoch, y_epoch = X[perm], onehot[perm]
                 for start in range(0, n, cfg.batch_size):
-                    idx = perm[start : start + cfg.batch_size]
-                    objective_and_gradient(params, layers, X[idx], y[idx], cfg.weight_decay,
-                                           grad)
+                    batch = slice(start, start + cfg.batch_size)
+                    objective_and_gradient(params, layers, X_epoch[batch], y_epoch[batch],
+                                           cfg.weight_decay, grad)
                     params -= lr * flat
                 loss = objective_and_gradient(params, layers, X, y, cfg.weight_decay)
                 if not np.isfinite(loss):

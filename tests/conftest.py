@@ -52,11 +52,13 @@ def objective(spec, params, X, y, weight_decay) -> float:
 
 def gradient(spec, params, X, y, weight_decay) -> np.ndarray:
     """The gradient an SGD step's objective_and_gradient call writes into
-    its buffer at params."""
+    its buffer at params; a step takes the labels y as one-hot rows."""
     flat = np.full_like(params, np.nan)  # every entry must be written
     layers = classifiers._unpack(spec, params)
     grad = (flat, classifiers._unpack(spec, flat))
-    assert classifiers.objective_and_gradient(params, layers, X, y, weight_decay, grad) is None
+    onehot = np.eye(spec.num_classes)[y]
+    assert classifiers.objective_and_gradient(params, layers, X, onehot, weight_decay,
+                                              grad) is None
     return flat
 
 

@@ -337,6 +337,24 @@ class TestBuildConfigValidation:
         with pytest.raises(InvalidInputError):
             ClassifierRecipe(**{**vars(MLP_ARCH["classifier"]), **fields})
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("classifier", {"kind": "linear"}, "ClassifierRecipe"),
+            ("classifier", "mlp", "ClassifierRecipe"),
+            ("training", {"epochs": 1}, "TrainConfig"),
+            ("training", None, "TrainConfig"),
+        ],
+    )
+    def test_nested_blocks_must_be_their_records(self, field, value, kind):
+        # A library caller's dict here used to construct and then fail in
+        # build_ensemble with a bare AttributeError.
+        kwargs = dict(num_members=1, training_thresholds=(), **MLP_ARCH, training=TRAIN)
+        kwargs[field] = value
+        message = re.escape(f"{field} must be a {kind}, got {value!r}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            BuildConfig(**kwargs)
+
     def test_default_min_subset_size(self):
         """A pool needs max(2 * num_classes, 10) samples, num_classes being
         the dataset's."""

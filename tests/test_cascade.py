@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import random
 import re
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +18,16 @@ from conf_ensemble import (
     EnsembleManifest,
     InvalidInputError,
     RuntimeConfig,
+    ScoreMemo,
     batch_evaluate,
     cascade_predict,
+    init_model,
 )
 from conf_ensemble.cascade import CONSENSUS_CHOICES, EvaluationRecord, member_prediction_arrays
 from conf_ensemble.datasets import CHUNK_ROWS
 
 from conftest import (
+    MLP_SPEC,
     identity_member,
     logits_for_uncertainty,
     member_with_uncertainty,
@@ -402,6 +408,54 @@ class TestBatchEvaluate:
                     + [repr(u) for u in want.uncertainties]
                     + [""] * (size - want.consulted)
                 )
+
+
+class TestScoreMemo:
+    @pytest.fixture(scope="class")
+    def members(self, trained_m0):
+        """A trained member and two untrained ones, all 4 -> 3 MLPs."""
+        return (trained_m0, *(init_model(replace(MLP_SPEC, seed=s)) for s in (2, 3)))
+
+    def test_shared_memo_matches_memo_free_evaluation(self, blobs3, members):
+        a, b, c = members
+        chains = [(a, b), (a, b, c), (a, c), (b, a, c), (a, b, c)]  # shared prefixes
+        grids = [(0.4,), (0.01,), (0.2, 0.01, 0.3), (0.01, 0.4, 0.1)]  # shared, per level
+        scored = ScoreMemo()
+        for i, chain in enumerate(chains):
+            manifest = stub_manifest(chain)
+            for thresholds in grids:
+                for consensus in CONSENSUS_CHOICES:
+                    rcfg = RuntimeConfig.for_members(thresholds[:len(chain)], len(chain),
+                                                     consensus=consensus)
+                    shared = batch_evaluate(manifest, rcfg, blobs3, scored)
+                    fresh = batch_evaluate(manifest, rcfg, blobs3)
+                    for name in ("classes", "top", "unc", "level", "chosen"):
+                        assert np.array_equal(getattr(shared, name), getattr(fresh, name)), \
+                            (i, thresholds, consensus, name)
+
+    def test_bound_to_the_dataset_it_first_scored(self, blobs3, members):
+        scored = ScoreMemo()
+        manifest = stub_manifest(members)
+        rcfg = RuntimeConfig.for_members((0.2,), len(members))
+        batch_evaluate(manifest, rcfg, blobs3, scored)
+        # Equal content is not enough: a memo serves the one feature matrix.
+        copy = Dataset(blobs3.features.copy(), blobs3.labels, num_classes=3, id="copy")
+        with pytest.raises(InvalidInputError,
+                           match="^a ScoreMemo scores the dataset it was first used with$"):
+            batch_evaluate(manifest, rcfg, copy, scored)
+
+    def test_entries_are_read_only_and_hold_their_members(self, blobs3):
+        scored = ScoreMemo()
+        member = init_model(replace(MLP_SPEC, seed=4))
+        scores = scored.level_scores((member,), (), blobs3.features, None)
+        assert not any(array.flags.writeable for array in scores)
+        for got, want in zip(scores, member_prediction_arrays(member, blobs3.features)):
+            assert np.array_equal(got, want)
+        assert scored.level_scores((member,), (), blobs3.features, None) is scores
+        alive = weakref.ref(member)
+        del member
+        gc.collect()
+        assert alive() is not None  # so no other member can take its id
 
 
 class TestRandomizedCascadeOracle:

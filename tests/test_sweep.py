@@ -3,6 +3,7 @@ against the CLI commands that build and evaluate that config."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from conf_ensemble import (
     save_csv,
     save_manifest,
 )
+from conf_ensemble import cascade
 from conf_ensemble.cli import main, run_with_exit_codes
 from conf_ensemble.errors import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK
 
@@ -164,3 +166,45 @@ def test_each_invocation_trains_each_distinct_member_once(workdir, fitted):
     # cache lives for one main() call only.
     assert run_sweep(workdir, "counted-2") == first
     assert len(fitted) == 10
+
+
+def test_rows_match_memo_free_evaluations(workdir, swept):
+    # The sweep shares one ScoreMemo; every row, accuracy and ECE included,
+    # must be what a memo-free batch_evaluate of its ensemble gives.
+    cfg = load_experiment_config(workdir / "experiment.json")
+    data = load_dataset(cfg.dataset)
+    trained = {}
+    expected = []
+    for name, build in sweep.sweep_builds(cfg.build).items():
+        manifest, _ = build_ensemble(data, build, trained=trained)
+        expected += sweep.evaluate_grid(name, manifest, data, None)
+    assert swept["results"] == expected
+
+
+def test_memo_runs_only_memo_free_passes(tmp_path, monkeypatch):
+    """The example sweep at its seed, with and without the memo: each
+    forward pass the memo run makes (a member over a set of rows) is one
+    the memo-free run makes too, and the outputs are byte-identical.  A
+    pass's last bits depend on how many rows it is given, so a memo that
+    served a level from an all-rows pass would fail here."""
+    passes = []
+    real = cascade.member_prediction_arrays
+
+    def spy(member, features):
+        passes.append((hashlib.sha256(member.parameters.tobytes()).hexdigest(),
+                       hashlib.sha256(features.tobytes()).hexdigest(), len(features)))
+        return real(member, features)
+
+    monkeypatch.setattr(cascade, "member_prediction_arrays", spy)
+    sweep.main(["--out", str(tmp_path / "memo")])
+    memo, passes[:] = list(passes), []
+    monkeypatch.setattr(sweep, "ScoreMemo", lambda: None)
+    sweep.main(["--out", str(tmp_path / "memo-free")])
+    free = list(passes)
+
+    assert (len(memo), sum(rows for *_, rows in memo)) == (21, 23_682)
+    assert (len(free), sum(rows for *_, rows in free)) == (81, 144_732)
+    assert set(memo) <= set(free)
+    for name in ("sweep.json", "sweep.csv"):
+        assert (tmp_path / "memo" / name).read_bytes() == \
+            (tmp_path / "memo-free" / name).read_bytes()
