@@ -10,8 +10,8 @@ Then sweeps the runtime-threshold grid with both consensus heuristics.
 Builds and evaluations share one ScoreMemo, so each cascade level is
 scored once per member-and-threshold prefix: a member's all-rows scores
 serve its build report and level 0 of every evaluation that starts with
-it, and the two consensus heuristics, and the chains that share a
-prefix, share every pass.
+it, and the two consensus heuristics and the chains with a common
+prefix share their passes.
 The single-model baseline is member 0 of the full chain, as its build
 report scores it.  Emits a summary CSV/JSON and prints a table.
 A library error exits with the code its error class carries, as in the

@@ -17,10 +17,11 @@ the one with the lowest uncertainty, ties to the earliest member).
 
 member_prediction_arrays is the one scoring kernel (softmax -> top class
 -> min(p, 1 - p)) and _run_cascade the one decision function; each member
-runs only on the rows still unresolved.  A ScoreMemo, owned by a caller
-that evaluates many chains on one dataset, holds each level's scores by
-its member-and-threshold prefix, so that prefix is scored once; the
-threshold sweep shares one between its builds and its evaluations.
+runs only on the rows still unresolved.  Each level's scores come from a
+ScoreMemo keyed by the level's member-and-threshold prefix: a caller
+that evaluates many chains on one dataset (the threshold sweep, across
+its builds and evaluations) shares one, so each prefix is scored once,
+and any other call gets a memo of its own.
 batch_evaluate keeps the columns and their RuntimeConfig as an
 EvaluationRecord; cascade_predict is a one-row call, its CascadeTrace the
 consulted members' predictions in member order.  The record's

@@ -237,7 +237,8 @@ def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]], X: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The input of each layer (X, then the tanh of each hidden layer's
-    output) and the logits; each is a new array, computed in place."""
+    output) and the logits; each but X is a new array, which each of
+    its operations writes in place."""
     inputs = [X]
     for w, b in layers[:-1]:
         hidden = inputs[-1] @ w
@@ -291,7 +292,7 @@ def objective_and_gradient(
         h = inputs[k]
         gw, gb = g_layers[k]
         np.matmul(h.T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        delta.sum(axis=0, out=gb)
         if k:  # h = tanh(pre-activation), _forward's own buffer; carry delta through it
             delta = delta @ layers[k][0].T
             np.square(h, out=h)
