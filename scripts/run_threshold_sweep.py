@@ -7,11 +7,12 @@ dataset, classifier, trainer and selection rule (at two members the
 rules pick the same pool).  The builds share one member cache, so a
 member common to several of them (member 0 always) is trained once.
 Then sweeps the runtime-threshold grid with both consensus heuristics.
-Builds and evaluations share one ScoreMemo, so each cascade level is
-scored once per member-and-threshold prefix: a member's all-rows scores
-serve its build report and level 0 of every evaluation that starts with
-it, and the two consensus heuristics and the chains with a common
-prefix share their passes.
+Builds and evaluations share one ScoreMemo, keyed by what was scored
+(one member over one set of rows of the dataset's features), so each
+member scores each set of rows once: a member's all-rows scores serve
+its build report and level 0 of every evaluation that starts with it,
+and levels that pass the same rows to the same member, under either
+consensus heuristic or in chains with a common prefix, share their pass.
 The single-model baseline is member 0 of the full chain, as its build
 report scores it.  Emits a summary CSV/JSON and prints a table.
 A library error exits with the code its error class carries, as in the

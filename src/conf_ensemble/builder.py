@@ -12,10 +12,11 @@ the level's training threshold).  Two ways to pick that pool:
 The two rules coincide at level 1.  Pools are int64 index arrays.  Each
 member is scored once over the full dataset; the scores feed both its
 report entry (accuracy, ECE, histograms) and the next pool.  Builds that
-share a member cache and a cascade.ScoreMemo (the threshold sweep's)
-train each distinct member once and score it once.  Member 0's entry is
-the single-model reference.  Builds are deterministic: member s
-derives its init and shuffling seeds from the configured seeds plus s.
+share a member cache and a cascade.ScoreMemo (the threshold sweep's,
+keyed by member and feature matrix) train each distinct member once and
+score it once.  Member 0's entry is the single-model reference.  Builds
+are deterministic: member s derives its init and shuffling seeds from
+the configured seeds plus s.
 A BuildConfig nests as a config's build block does (the schedule, a
 ClassifierRecipe and a TrainConfig), so each of its fields is a config
 key, and it names no dataset: each member's input dimension and class
@@ -234,9 +235,9 @@ def build_ensemble(
     build uses its own.  A member's train_seconds covers its lookup and
     any fit.
 
-    ``scored`` is a ScoreMemo bound to data's features: a member's
-    all-rows scores are its entry ((member,), ()), level 0 of every
-    cascade that starts with it, so builds and evaluations that share the
+    ``scored`` is a ScoreMemo: a member's scores over all of
+    data.features are its entry, level 0 of every cascade over that
+    matrix that starts with it, so builds and evaluations that share the
     memo score each member over the dataset once; without one, a build
     uses its own.
 
@@ -275,7 +276,7 @@ def build_ensemble(
                 raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
             trained[key] = model
         elapsed = time.perf_counter() - started
-        scores = scored.level_scores((model,), (), data.features, None)
+        scores = scored.scores(model, data.features)
         members.append(model)
         records.append(member_report(level, pool, model, scores, data.labels, elapsed))
 

@@ -18,10 +18,10 @@ the one with the lowest uncertainty, ties to the earliest member).
 member_prediction_arrays is the one scoring kernel (softmax -> top class
 -> min(p, 1 - p)) and _run_cascade the one decision function; each member
 runs only on the rows still unresolved.  Each level's scores come from a
-ScoreMemo keyed by the level's member-and-threshold prefix: a caller
-that evaluates many chains on one dataset (the threshold sweep, across
-its builds and evaluations) shares one, so each prefix is scored once,
-and any other call gets a memo of its own.
+ScoreMemo keyed by what was scored, one member over one set of rows of
+one feature matrix: a caller that evaluates many chains (the threshold
+sweep, across its builds and evaluations) shares one, so each member
+scores each set of rows once, and any other call gets a memo of its own.
 batch_evaluate keeps the columns and their RuntimeConfig as an
 EvaluationRecord; cascade_predict is a one-row call, its CascadeTrace the
 consulted members' predictions in member order.  The record's
@@ -123,52 +123,44 @@ def member_prediction_arrays(
 
 
 class ScoreMemo:
-    """A caller-owned memo of cascade level scores over one dataset.
+    """A caller-owned memo of member scores: what was scored is the key.
 
-    Level k's (class, top probability, uncertainty) depend only on the
-    members members[:k+1], the thresholds thresholds[:k] and the features,
-    so an entry is keyed by that prefix, each member by identity, and holds
-    the scores of exactly the rows early exit passes to level k.  Callers
-    that share one (the threshold sweep's builds and evaluations) score
-    each prefix once; a build's all-rows scoring of member m is the entry
-    ((m,), ()), level 0 of every chain that starts with m.  Only passes
-    over the same rows are shared: a forward pass's last bits depend on
-    how many rows it is given, so scores taken from an all-rows pass would
-    move the results of the later levels.
+    member_prediction_arrays of one member over one set of rows of one
+    feature matrix always gives the same bits, so an entry is keyed by the
+    member's identity, the matrix's identity and the rows' bytes (None
+    for the whole matrix).  Callers that share one (the threshold sweep's
+    builds and evaluations) score each member over each set of rows once;
+    a build's all-rows scoring of member m is level 0 of every cascade
+    over the same matrix that starts with m.  Only passes over the same
+    rows are shared: a forward pass's last bits depend on how many rows it
+    is given, so scores cut out of an all-rows pass would move the results
+    of the later levels.
 
-    The memo is bound to the feature matrix it first scores, and holds
-    every member it keys, so that no id in a key can be reused; its
-    arrays are read-only.
+    Each entry holds the member and the matrix it keys, so that no id in a
+    key can be reused; its arrays are read-only.
     """
 
     def __init__(self):
-        self._features: np.ndarray | None = None
-        # prefix key -> (the prefix's members, the level's scores)
-        self._entries: dict[tuple, tuple[tuple, tuple[np.ndarray, ...]]] = {}
+        # key -> (member, features, scores)
+        self._entries: dict[tuple, tuple] = {}
 
-    def level_scores(
+    def scores(
         self,
-        members: Sequence[TrainedModel],
-        thresholds: Sequence[float],
+        member: TrainedModel,
         features: np.ndarray,
-        active: np.ndarray | None,
+        rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """member_prediction_arrays of members[-1] over features[active]:
-        level len(thresholds) of a cascade over members.  At level 0 every
-        row is active and features itself is scored; active is not read."""
-        if self._features is None:
-            self._features = features
-        elif features is not self._features:
-            raise InvalidInputError("a ScoreMemo scores the dataset it was first used with")
-        key = (tuple(map(id, members)), tuple(thresholds))
+        """member_prediction_arrays of member over features, or over
+        features[rows] for an integer index array rows."""
+        key = (id(member), id(features), None if rows is None else rows.tobytes())
         entry = self._entries.get(key)
         if entry is None:
-            scores = member_prediction_arrays(members[-1],
-                                              features[active] if thresholds else features)
+            scores = member_prediction_arrays(member,
+                                              features if rows is None else features[rows])
             for array in scores:
                 array.setflags(write=False)
-            entry = self._entries[key] = (tuple(members), scores)
-        return entry[1]
+            entry = self._entries[key] = (member, features, scores)
+        return entry[2]
 
 
 def _run_cascade(
@@ -181,9 +173,9 @@ def _run_cascade(
 
     Member k scores only the rows still active at level k; level 0 scores
     features itself.  Each level's scores are looked up in ``scored`` by
-    their member-and-threshold prefix and computed only when missing; a
-    caller without a ScoreMemo gets one for this call only, which computes
-    every level.
+    the member, the matrix and the active rows, and computed only when
+    missing; a caller without a ScoreMemo gets one for this call only,
+    which computes every level.
 
     Returns the (n, L) per-level class, top probability and uncertainty
     (class -1 where a level was not consulted), the (n,) answering level
@@ -202,8 +194,7 @@ def _run_cascade(
     for k in range(num_levels):
         if active.size == 0:
             break
-        k_cls, k_top, k_unc = scored.level_scores(members[:k + 1], rcfg.thresholds[:k],
-                                                  features, active)
+        k_cls, k_top, k_unc = scored.scores(members[k], features, active if k else None)
         classes[active, k] = k_cls
         top[active, k] = k_top
         unc[active, k] = k_unc
@@ -417,8 +408,8 @@ def batch_evaluate(
 
     Same kernel as cascade_predict, applied to every row at once; each
     member runs only on the samples still unresolved at its level.  With
-    a ScoreMemo ``scored`` (bound to data's features), a level already
-    scored under the same member-and-threshold prefix is not scored again.
+    a ScoreMemo ``scored``, a level whose member has already scored the
+    same rows of data's features is not scored again.
     A dataset that does not fit the members (ClassifierSpec.check_data)
     fails here, an empty one included; an empty one that fits gives an
     empty record.

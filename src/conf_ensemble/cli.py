@@ -74,7 +74,8 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 def _save_ensemble(manifest, report, out: Path) -> None:
     """Store a built ensemble: manifest and weights, build report, and the
     training pool of each level >= 1.  Pool files an earlier, longer chain
-    left in out are removed."""
+    left in out are removed, and so is subsets/ when a one-member chain
+    leaves it empty; no other file is touched."""
     save_manifest(manifest, out)
     _write_json(out / "build_report.json", report.to_json_dict())
     subset_dir = out / "subsets"
@@ -86,6 +87,8 @@ def _save_ensemble(manifest, report, out: Path) -> None:
             (subset_dir / f"level_{record.level}.idx").write_text(
                 indices_file_content(record.subset_indices), encoding="utf-8"
             )
+    elif subset_dir.is_dir() and not any(subset_dir.iterdir()):
+        subset_dir.rmdir()
 
 
 def cmd_build(args) -> int:

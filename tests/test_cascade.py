@@ -14,20 +14,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conf_ensemble import (
+    BuildConfig,
     Dataset,
     EnsembleManifest,
     InvalidInputError,
     RuntimeConfig,
     ScoreMemo,
     batch_evaluate,
+    build_ensemble,
+    cascade,
     cascade_predict,
+    generate_blobs,
     init_model,
 )
 from conf_ensemble.cascade import CONSENSUS_CHOICES, EvaluationRecord, member_prediction_arrays
 from conf_ensemble.datasets import CHUNK_ROWS
 
 from conftest import (
+    BLOBS,
+    MLP_ARCH,
     MLP_SPEC,
+    TRAIN,
     identity_member,
     logits_for_uncertainty,
     member_with_uncertainty,
@@ -433,29 +440,87 @@ class TestScoreMemo:
                         assert np.array_equal(getattr(shared, name), getattr(fresh, name)), \
                             (i, thresholds, consensus, name)
 
-    def test_bound_to_the_dataset_it_first_scored(self, blobs3, members):
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The row count of each forward pass a memo makes."""
+        counts = []
+        real = cascade.member_prediction_arrays
+
+        def spy(member, features):
+            counts.append(len(features))
+            return real(member, features)
+
+        monkeypatch.setattr(cascade, "member_prediction_arrays", spy)
+        return counts
+
+    def test_each_matrix_gets_its_own_entries(self, blobs3, members, passes):
         scored = ScoreMemo()
         manifest = stub_manifest(members)
         rcfg = RuntimeConfig.for_members((0.2,), len(members))
         batch_evaluate(manifest, rcfg, blobs3, scored)
-        # Equal content is not enough: a memo serves the one feature matrix.
+        # Equal content is not the same matrix: a copy is scored afresh.
         copy = Dataset(blobs3.features.copy(), blobs3.labels, num_classes=3, id="copy")
-        with pytest.raises(InvalidInputError,
-                           match="^a ScoreMemo scores the dataset it was first used with$"):
-            batch_evaluate(manifest, rcfg, copy, scored)
+        other = generate_blobs(**dict(BLOBS, per_class=200, seed=43))
+        for data in (copy, other, blobs3):
+            passes.clear()
+            shared = batch_evaluate(manifest, rcfg, data, scored)
+            made = list(passes)
+            fresh = batch_evaluate(manifest, rcfg, data)
+            # Only blobs3 was scored before; any other matrix makes every pass.
+            assert made == ([] if data is blobs3 else passes[len(made):])
+            for name in ("classes", "top", "unc", "level", "chosen"):
+                assert np.array_equal(getattr(shared, name), getattr(fresh, name)), \
+                    (data.id, name)
 
-    def test_entries_are_read_only_and_hold_their_members(self, blobs3):
+    def test_a_member_over_the_same_rows_is_scored_once(self, blobs3, members, passes):
+        """Two runtimes whose level-0 thresholds differ but accept the same
+        rows (none) pass member 1 the same rows: one pass serves both."""
+        a, b, _ = members
+        below = float(member_prediction_arrays(a, blobs3.features)[2].min()) / 2
+        assert below > 0.0
+        scored = ScoreMemo()
+        manifest = stub_manifest((a, b))
+        for first in (0.0, below):
+            batch_evaluate(manifest, RuntimeConfig((first, 0.2)), blobs3, scored)
+        assert passes == [len(blobs3.labels)] * 2
+
+    def test_one_memo_serves_a_build_and_a_held_out_evaluation(self):
+        train = generate_blobs(**dict(BLOBS, per_class=200))
+        test = generate_blobs(**dict(BLOBS, per_class=200, seed=43))
+        cfg = BuildConfig(num_members=3, training_thresholds=(0.1, 0.1), **MLP_ARCH,
+                          training=replace(TRAIN, epochs=5), selection_rule="rebased")
+        scored = ScoreMemo()
+        manifest, _ = build_ensemble(train, cfg, scored=scored)
+        for data in (test, train):
+            for threshold in (0.4, 0.1, 0.01):
+                for consensus in CONSENSUS_CHOICES:
+                    rcfg = RuntimeConfig.for_members((threshold,), 3, consensus=consensus)
+                    shared = batch_evaluate(manifest, rcfg, data, scored)
+                    fresh = batch_evaluate(manifest, rcfg, data)
+                    for name in ("classes", "top", "unc", "level", "chosen"):
+                        assert np.array_equal(getattr(shared, name), getattr(fresh, name)), \
+                            (data.id, threshold, consensus, name)
+
+    def test_entries_are_read_only_and_hold_their_keys(self, blobs3):
         scored = ScoreMemo()
         member = init_model(replace(MLP_SPEC, seed=4))
-        scores = scored.level_scores((member,), (), blobs3.features, None)
+        features = blobs3.features.copy()
+        scores = scored.scores(member, features)
         assert not any(array.flags.writeable for array in scores)
-        for got, want in zip(scores, member_prediction_arrays(member, blobs3.features)):
+        for got, want in zip(scores, member_prediction_arrays(member, features)):
             assert np.array_equal(got, want)
-        assert scored.level_scores((member,), (), blobs3.features, None) is scores
-        alive = weakref.ref(member)
-        del member
+        assert scored.scores(member, features) is scores
+        rows = np.arange(0, len(features), 7)
+        some = scored.scores(member, features, rows)
+        assert scored.scores(member, features, rows.copy()) is some  # keyed by the rows' bytes
+        for other in (rows, rows + 1):  # as many rows, not the same ones
+            for got, want in zip(scored.scores(member, features, other),
+                                 member_prediction_arrays(member, features[other])):
+                assert np.array_equal(got, want)
+        alive = weakref.ref(member), weakref.ref(features)
+        del member, features
         gc.collect()
-        assert alive() is not None  # so no other member can take its id
+        assert all(ref() is not None for ref in alive)  # so no other can take their ids
 
 
 class TestRandomizedCascadeOracle:

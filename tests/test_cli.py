@@ -622,6 +622,11 @@ class TestHistogramsCommand:
         assert code == EXIT_CONFIG
 
 
+def tree(root: Path) -> list[str]:
+    """Every file and directory under root, as sorted relative paths."""
+    return sorted(path.relative_to(root).as_posix() for path in root.rglob("*"))
+
+
 class TestBaselineCommand:
     """The single-model baseline is member 0 of a build: a one-member build
     stores it, and every build report scores it."""
@@ -649,13 +654,23 @@ class TestBaselineCommand:
         assert evaluation["accuracy"] == report["members"][0]["accuracy"]
 
     def test_replaces_the_ensemble_in_its_directory(self, workdir, single_config):
-        out = workdir / "build-then-single"
+        out, fresh = workdir / "build-then-single", workdir / "single-fresh"
         assert main(["build", "--config", str(workdir / "experiment.json"),
                      "--out", str(out)]) == EXIT_OK
         assert main(["build", "--config", str(single_config), "--out", str(out)]) == EXIT_OK
-        assert list((out / "subsets").glob("level_*.idx")) == []
+        assert main(["build", "--config", str(single_config), "--out", str(fresh)]) == EXIT_OK
+        # No empty subsets/ is left behind: the tree is a fresh build's.
+        assert tree(out) == tree(fresh)
         report = json.loads((out / "build_report.json").read_text())
         assert report["subset_sizes"] == [3 * BLOBS_BLOCK["per_class"]]
+
+    def test_keeps_other_files_in_subsets(self, workdir, single_config):
+        out = workdir / "build-then-single-kept"
+        assert main(["build", "--config", str(workdir / "experiment.json"),
+                     "--out", str(out)]) == EXIT_OK
+        (out / "subsets" / "notes.txt").write_text("mine")
+        assert main(["build", "--config", str(single_config), "--out", str(out)]) == EXIT_OK
+        assert sorted(path.name for path in (out / "subsets").iterdir()) == ["notes.txt"]
 
     def test_is_not_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
