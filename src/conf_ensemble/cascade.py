@@ -27,8 +27,8 @@ EvaluationRecord; cascade_predict is a one-row call, its CascadeTrace the
 consulted members' predictions in member order.  The record's
 to_json_dict() (the runtime's fields, accuracy and utilization) is the
 evaluation summary; write_json and write_csv format each value once per
-record and stream the per-sample artifacts one CHUNK_ROWS chunk of rows
-at a time.
+record and stream the per-sample artifacts through datasets.write_rows,
+as every per-row text file is written.
 
 Thresholds, runtime and training alike, are finite numbers in U's range,
 metrics.SCORE_RANGES; check_thresholds is the one place that checks it.
@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .classifiers import TrainedModel, predict_logits_batch, softmax_batch
-from .datasets import CHUNK_ROWS, Dataset
+from .datasets import Dataset, write_rows
 from .errors import InvalidInputError, require_float
 from .metrics import SCORE_KIND_UNCERTAINTY, SCORE_RANGES
 
@@ -332,17 +332,6 @@ class EvaluationRecord:
         text[consulted] = list(map(repr, self.unc[consulted].tolist()))
         return text
 
-    def _write_rows(self, fh, templates: list[str], columns, separator: str) -> None:
-        """One row per sample, streamed CHUNK_ROWS rows at a time: the
-        template of the sample's answering level (templates[-1] for
-        consensus) filled with the sample's value in each column."""
-        by_level = np.array(templates, dtype=object)
-        for start in range(0, self.num_samples, CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            chunk = map(str.__mod__, by_level[self.level[rows]].tolist(),
-                        zip(*(column[rows].tolist() for column in columns)))
-            fh.write((separator if start else "") + separator.join(chunk))
-
     def to_json_dict(self) -> dict:
         """The summary of evaluation.json; write_json adds the samples."""
         return dict(vars(self.runtime), accuracy=self.accuracy,
@@ -380,7 +369,7 @@ class EvaluationRecord:
         head, tail = summary.split('"samples": []')
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(head + '"samples": [')
-            self._write_rows(fh, templates, columns, ",")
+            write_rows(fh, np.array(templates, dtype=object)[self.level], columns, ",")
             fh.write(("\n  ]" if self.num_samples else "]") + tail + "\n")
 
     def write_csv(self, path) -> None:
@@ -395,7 +384,7 @@ class EvaluationRecord:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(["sample_index", "chosen_class", "true_class", "answering_level"]
                               + [f"u_level_{k}" for k in range(num_levels)]) + "\r\n")
-            self._write_rows(fh, templates, columns, "")
+            write_rows(fh, np.array(templates, dtype=object)[self.level], columns)
 
 
 def batch_evaluate(

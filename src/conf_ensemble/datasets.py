@@ -45,12 +45,6 @@ IDX_LABEL_MAGIC = 0x00000801
 _BLOB_SEPARATION_MAX = 8.0
 _BLOB_SEPARATION_MIN = 0.5
 
-# Rows per write of the per-sample text writers (save_csv and the cascade's
-# EvaluationRecord): each chunk of a column becomes Python values with one
-# .tolist() call and is formatted with string templates.  A constant, not a
-# setting: the bytes written do not depend on it.
-CHUNK_ROWS = 1024
-
 # The largest label a CSV may hold: labels are stored as int64.
 _MAX_LABEL = 2**63 - 1
 
@@ -59,6 +53,23 @@ _MAX_LABEL = 2**63 - 1
 # a cell exactly as float() and int() do; beyond them it is laxer (it reads
 # "1\x1c" as 1), so any other byte sends the file to the row loop.
 _TABLE_BYTES = b"0123456789+-.eE, \t\r\n"
+
+# Rows per fh.write of write_rows, the one writer of every per-row text file
+# (save_csv, EvaluationRecord's writers, ScoreHistogram.write_csv): each chunk
+# of a column becomes Python values with one .tolist() call.  A constant, not
+# a setting: the bytes written do not depend on it.
+CHUNK_ROWS = 1024
+
+
+def write_rows(fh, templates: np.ndarray, columns, separator: str = "") -> None:
+    """Write one row per entry of the (n,) object array templates: its
+    %-template filled with the row's value in each equal-length column,
+    rows joined by separator, one fh.write per CHUNK_ROWS chunk of rows."""
+    for start in range(0, len(templates), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        chunk = map(str.__mod__, templates[rows].tolist(),
+                    zip(*(column[rows].tolist() for column in columns)))
+        fh.write((separator if start else "") + separator.join(chunk))
 
 
 class Dataset:
@@ -288,19 +299,14 @@ def _parse_rows(reader, path: Path, header: list[str],
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset in the CSV format load_csv reads back: a header
-    f0..f{M-1},label, then per sample the repr of each feature and the
-    label, with \\r\\n row ends, as the csv module writes them."""
+    f0..f{M-1},label, then, streamed by write_rows, per sample the repr of
+    each feature and the label, with \\r\\n row ends, as csv.writer would."""
     dim = dataset.feature_dim
     template = ",".join(["%r"] * dim + ["%d"]) + "\r\n"
     with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join([f"f{i}" for i in range(dim)] + ["label"]) + "\r\n")
-        for start in range(0, len(dataset), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            fh.write("".join(
-                template % (*values, label)
-                for values, label in zip(dataset.features[rows].tolist(),
-                                         dataset.labels[rows].tolist())
-            ))
+        write_rows(fh, np.full(len(dataset), template, dtype=object),
+                   (*dataset.features.T, dataset.labels))
 
 
 def _read_idx(path, expected_magic: int, expected_dims: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -16,13 +16,13 @@ written to JSON as its dataclass fields (persist.write_json).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .datasets import write_rows
 from .errors import InvalidInputError
 
 CALIBRATION_BINS = 15
@@ -110,13 +110,14 @@ class ScoreHistogram:
     incorrect_counts: tuple[int, ...]
 
     def write_csv(self, path) -> None:
-        edges = self.bin_edges
+        """A header, then per bin the repr of its edges and its two counts,
+        streamed by datasets.write_rows with \\r\\n row ends, as csv.writer would."""
+        edges = np.array(self.bin_edges)
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "correct", "incorrect"])
-            for left, right, good, bad in zip(edges, edges[1:], self.correct_counts,
-                                              self.incorrect_counts):
-                writer.writerow([repr(left), repr(right), good, bad])
+            fh.write("bin_left,bin_right,correct,incorrect\r\n")
+            write_rows(fh, np.full(len(self.correct_counts), "%r,%r,%d,%d\r\n", dtype=object),
+                       (edges[:-1], edges[1:], np.array(self.correct_counts),
+                        np.array(self.incorrect_counts)))
 
 
 def score_histogram(

@@ -278,3 +278,16 @@ def dataset_csv_text(dataset) -> str:
     for row, label in zip(dataset.features, dataset.labels):
         writer.writerow([repr(float(v)) for v in row] + [int(label)])
     return fh.getvalue()
+
+
+def histogram_csv_text(hist) -> str:
+    """A score histogram's CSV through csv.writer: header, then per bin the
+    repr of its left and right edges and its correct and incorrect counts."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["bin_left", "bin_right", "correct", "incorrect"])
+    edges = hist.bin_edges
+    for left, right, good, bad in zip(edges, edges[1:], hist.correct_counts,
+                                      hist.incorrect_counts):
+        writer.writerow([repr(left), repr(right), good, bad])
+    return fh.getvalue()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import csv
 import gc
 import json
@@ -19,6 +20,7 @@ from conf_ensemble import (
     EnsembleManifest,
     InvalidInputError,
     RuntimeConfig,
+    ScoreHistogram,
     ScoreMemo,
     batch_evaluate,
     build_ensemble,
@@ -26,7 +28,9 @@ from conf_ensemble import (
     cascade_predict,
     generate_blobs,
     init_model,
+    save_csv,
 )
+from conf_ensemble import datasets, metrics
 from conf_ensemble.cascade import CONSENSUS_CHOICES, EvaluationRecord, member_prediction_arrays
 from conf_ensemble.datasets import CHUNK_ROWS
 
@@ -40,7 +44,14 @@ from conftest import (
     member_with_uncertainty,
     stub_manifest,
 )
-from oracles import cascade_replay, evaluation_csv_text, evaluation_json_text, record_row
+from oracles import (
+    cascade_replay,
+    dataset_csv_text,
+    evaluation_csv_text,
+    evaluation_json_text,
+    histogram_csv_text,
+    record_row,
+)
 
 X2 = [0.0, 0.0]  # constant-output stubs ignore their input
 
@@ -637,3 +648,81 @@ class TestExportBytes:
         doc = json.loads(evaluation_json_text(record))
         del doc["samples"]
         assert json.loads(json.dumps(record.to_json_dict())) == doc
+
+
+class WriteRecorder:
+    """A file handle that keeps the text of each write it passes on."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+
+class TestRowStreaming:
+    """Every per-row text file streams through datasets.write_rows: no
+    write carries more than CHUNK_ROWS rows, so no file is built as one
+    string, and the bytes are the oracle's."""
+
+    N = 2 * CHUNK_ROWS + 5
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The handles the writers of datasets, cascade and metrics open."""
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(WriteRecorder(builtins.open(*args, **kwargs)))
+            return handles[-1]
+
+        for module in (datasets, cascade, metrics):
+            monkeypatch.setattr(module, "open", recording_open, raising=False)
+        return handles
+
+    def assert_streamed(self, handles, path, oracle, row_mark, rows):
+        assert len(handles) == 1
+        per_write = [text.count(row_mark) for text in handles[0].writes]
+        assert max(per_write) <= CHUNK_ROWS
+        assert sum(per_write) == rows
+        assert path.read_bytes() == oracle.encode("utf-8")
+
+    def test_save_csv(self, tmp_path, recorded):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.standard_normal((self.N, 4)), rng.integers(0, 3, self.N),
+                       num_classes=3, id="stream")
+        save_csv(data, tmp_path / "data.csv")
+        self.assert_streamed(recorded, tmp_path / "data.csv", dataset_csv_text(data),
+                             "\r\n", self.N + 1)
+
+    def test_evaluation_json(self, tmp_path, recorded):
+        record = synthetic_record(6, self.N, 3, "most_confident")
+        record.write_json(tmp_path / "evaluation.json")
+        self.assert_streamed(recorded, tmp_path / "evaluation.json",
+                             evaluation_json_text(record), '"sample_index"', self.N)
+
+    def test_evaluation_csv(self, tmp_path, recorded):
+        record = synthetic_record(6, self.N, 3, "most_confident")
+        record.write_csv(tmp_path / "evaluation.csv")
+        self.assert_streamed(recorded, tmp_path / "evaluation.csv",
+                             evaluation_csv_text(record), "\r\n", self.N + 1)
+
+    def test_histogram_csv(self, tmp_path, recorded):
+        rng = np.random.default_rng(7)
+        hist = ScoreHistogram(
+            score_kind="uncertainty",
+            bin_edges=tuple(np.linspace(0.0, 0.5, self.N + 1).tolist()),
+            correct_counts=tuple(rng.integers(0, 1000, self.N).tolist()),
+            incorrect_counts=tuple(rng.integers(0, 1000, self.N).tolist()),
+        )
+        hist.write_csv(tmp_path / "hist.csv")
+        self.assert_streamed(recorded, tmp_path / "hist.csv", histogram_csv_text(hist),
+                             "\r\n", self.N + 1)

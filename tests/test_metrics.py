@@ -9,6 +9,8 @@ from conf_ensemble import InvalidInputError, expected_calibration_error, score_h
 from conf_ensemble.cascade import member_prediction_arrays
 from conf_ensemble.metrics import CalibrationBin, bin_indices
 
+from oracles import histogram_csv_text
+
 
 def draws_inside_one_bin(rng, n):
     """n probabilities inside one random calibration bin k, clear of its
@@ -192,6 +194,17 @@ class TestScoreHistogram:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,correct,incorrect"
         assert len(lines) == 21
+
+    @pytest.mark.parametrize("kind", ["uncertainty", "top_probability"])
+    def test_csv_matches_the_oracle(self, tmp_path, kind):
+        # write_csv formats every bin from one template; the oracle writes
+        # one csv.writer row per bin.
+        rng = np.random.default_rng(4)
+        low, high = {"uncertainty": (0.0, 0.5), "top_probability": (0.0, 1.0)}[kind]
+        scores = np.concatenate([rng.uniform(low, high, 500), [low, high]])
+        hist = score_histogram(scores, rng.random(502) < 0.7, kind=kind)
+        hist.write_csv(tmp_path / "hist.csv")
+        assert (tmp_path / "hist.csv").read_bytes() == histogram_csv_text(hist).encode("utf-8")
 
 
 class TestBinningConsistency:
