@@ -74,8 +74,7 @@ def check_schedule(
     """The build schedule's rules: at least one member, a known selection
     rule, and one training threshold (see check_thresholds) per level >= 1.
     Returns the thresholds as floats."""
-    if num_members < 1:
-        raise InvalidInputError(f"num_members must be >= 1, got {num_members}")
+    require_int("num_members", num_members, 1)
     if selection_rule not in SELECTION_RULES:
         raise InvalidInputError(f"unknown selection rule {selection_rule!r}")
     thresholds = check_thresholds("training threshold", training_thresholds)

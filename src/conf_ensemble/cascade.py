@@ -28,7 +28,7 @@ consulted members' predictions in member order.  The record's
 to_json_dict() (the runtime's fields, accuracy and utilization) is the
 evaluation summary; write_json and write_csv format each value once per
 record and stream the per-sample artifacts through datasets.write_rows,
-as every per-row text file is written.
+as save_csv and ScoreHistogram.write_csv stream theirs.
 
 Thresholds, runtime and training alike, are finite numbers in U's range,
 metrics.SCORE_RANGES; check_thresholds is the one place that checks it.

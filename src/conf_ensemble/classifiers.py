@@ -44,7 +44,6 @@ from .errors import (
     TrainingDivergedError,
     require_float,
     require_int,
-    require_seed,
 )
 
 LOSS_PROB_FLOOR = 1e-12  # keeps -log(p) finite
@@ -67,7 +66,7 @@ class ClassifierRecipe:
         if self.hidden_units is not None:
             hidden = require_int("hidden_units", self.hidden_units)
             object.__setattr__(self, "hidden_units", hidden)
-        object.__setattr__(self, "seed", require_seed("seed", self.seed))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         if self.kind not in (KIND_LINEAR, KIND_MLP):
             raise InvalidInputError(f"unknown classifier kind {self.kind!r}")
         if self.kind == KIND_MLP and (self.hidden_units is None or self.hidden_units < 1):
@@ -86,15 +85,11 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "num_classes"):
-            object.__setattr__(self, name, require_int(name, getattr(self, name)))
+        for name, minimum in (("input_dim", 1), ("num_classes", 2)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
         recipe = ClassifierRecipe(self.kind, self.hidden_units, self.seed)
         for name, value in vars(recipe).items():
             object.__setattr__(self, name, value)
-        if self.input_dim < 1:
-            raise InvalidInputError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.num_classes < 2:
-            raise InvalidInputError(f"num_classes must be >= 2, got {self.num_classes}")
 
     def check_data(self, data: Dataset) -> None:
         """The one check that data fits this model: its feature width is
@@ -128,23 +123,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "lr_decay_every_epochs"):
-            object.__setattr__(self, name, require_int(name, getattr(self, name)))
-        object.__setattr__(self, "seed", require_seed("seed", self.seed))
+        for name, minimum in (("epochs", 1), ("batch_size", 1),
+                              ("lr_decay_every_epochs", 1), ("seed", 0)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
         for name in ("learning_rate", "lr_decay_gamma", "weight_decay"):
             object.__setattr__(self, name, require_float(name, getattr(self, name)))
-        if self.epochs < 1:
-            raise InvalidInputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
-            raise InvalidInputError("learning_rate must be > 0")
+            raise InvalidInputError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 < self.lr_decay_gamma <= 1:
-            raise InvalidInputError("lr_decay_gamma must be in (0, 1]")
-        if self.lr_decay_every_epochs < 1:
-            raise InvalidInputError("lr_decay_every_epochs must be >= 1")
+            raise InvalidInputError(f"lr_decay_gamma must be in (0, 1], got {self.lr_decay_gamma}")
         if self.weight_decay < 0:
-            raise InvalidInputError("weight_decay must be >= 0")
+            raise InvalidInputError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .errors import (
     InvalidInputError,
     require_float,
     require_int,
-    require_seed,
 )
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -54,8 +53,9 @@ _MAX_LABEL = 2**63 - 1
 # "1\x1c" as 1), so any other byte sends the file to the row loop.
 _TABLE_BYTES = b"0123456789+-.eE, \t\r\n"
 
-# Rows per fh.write of write_rows, the one writer of every per-row text file
-# (save_csv, EvaluationRecord's writers, ScoreHistogram.write_csv): each chunk
+# Rows per fh.write of write_rows, the row writer of save_csv, EvaluationRecord's
+# writers and ScoreHistogram.write_csv (not of subsets/level_K.idx, whose text
+# is also its digest's payload, nor of the sweep's csv.DictWriter): each chunk
 # of a column becomes Python values with one .tolist() call.  A constant, not
 # a setting: the bytes written do not depend on it.
 CHUNK_ROWS = 1024
@@ -81,7 +81,7 @@ class Dataset:
         if labs.size and labs.dtype.kind not in "iu":  # bool is kind "b"
             raise InvalidInputError(f"labels must be integers, got dtype {labs.dtype}")
         labs = np.asarray(labs, dtype=np.int64)
-        num_classes = require_int("num_classes", num_classes)
+        num_classes = require_int("num_classes", num_classes, 2)
         if not isinstance(id, str):
             raise InvalidInputError(f"dataset id must be a string, got {id!r}")
         if feats.ndim != 2:
@@ -90,8 +90,6 @@ class Dataset:
             raise InvalidInputError("labels must be a vector matching the sample count")
         if not np.all(np.isfinite(feats)):
             raise InvalidInputError("features contain non-finite entries")
-        if num_classes < 2:
-            raise InvalidInputError(f"num_classes must be >= 2, got {num_classes}")
         if labs.size and (labs.min() < 0 or labs.max() >= num_classes):
             raise InvalidInputError("labels must lie in [0, num_classes)")
         feats.setflags(write=False)
@@ -144,18 +142,12 @@ def generate_blobs(
     shrinks linearly as overlap grows from 0 to 1, so higher overlap puts
     more samples in regions where classes mix.  Deterministic in seed.
     """
-    num_classes = require_int("num_classes", num_classes)
-    per_class = require_int("per_class", per_class)
-    dim = require_int("dim", dim)
+    num_classes = require_int("num_classes", num_classes, 2)
+    per_class = require_int("per_class", per_class, 1)
+    dim = require_int("dim", dim, 1)
     spread = require_float("spread", spread)
     overlap = require_float("overlap", overlap)
-    seed = require_seed("seed", seed)
-    if num_classes < 2:
-        raise InvalidInputError(f"num_classes must be >= 2, got {num_classes}")
-    if per_class < 1:
-        raise InvalidInputError(f"per_class must be >= 1, got {per_class}")
-    if dim < 1:
-        raise InvalidInputError(f"dim must be >= 1, got {dim}")
+    seed = require_int("seed", seed, 0)
     if spread <= 0:
         raise InvalidInputError(f"spread must be > 0, got {spread}")
     if not 0.0 <= overlap <= 1.0:
@@ -202,7 +194,7 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     number loads, one the np.loadtxt pass refuses is a parse error.
     """
     path = Path(path)
-    num_classes = None if num_classes is None else require_int("num_classes", num_classes)
+    num_classes = None if num_classes is None else require_int("num_classes", num_classes, 2)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -229,8 +221,8 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
 
 
 def _class_count(labels: np.ndarray, declared: int | None) -> int:
-    """A loaded dataset's class count: declared, passed on unchanged (so
-    Dataset rejects one below 2), else max(label) + 1 raised to 2."""
+    """A loaded dataset's class count: declared (which the loader checked
+    is >= 2 before reading any file), else max(label) + 1 raised to 2."""
     return declared if declared is not None else max(int(labels.max()) + 1, 2)
 
 
@@ -339,7 +331,7 @@ def load_idx(images, labels, num_classes: int | None = None) -> Dataset:
     """Load an IDX ubyte image/label pair (the paths images and labels);
     pixels scaled to [0, 1].  No images, or images of 0 rows or 0 columns,
     is a parse error."""
-    num_classes = None if num_classes is None else require_int("num_classes", num_classes)
+    num_classes = None if num_classes is None else require_int("num_classes", num_classes, 2)
     pixels, (n_images, rows, cols) = _read_idx(images, IDX_IMAGE_MAGIC, 3)
     raw_labels, (n_labels,) = _read_idx(labels, IDX_LABEL_MAGIC, 1)
     if n_images != n_labels:

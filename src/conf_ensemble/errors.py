@@ -1,6 +1,12 @@
 """Exception hierarchy shared across the package, the process exit codes
-its classes carry, and the number converters (require_int, require_seed,
-require_float) every numeric field goes through.
+its classes carry, and the number converters every numeric field goes
+through:
+
+  * require_int(name, value, minimum=None): a plain int, at least minimum
+    when one is given; the one place an integer floor and its message,
+    "<name> must be >= <minimum>, got <value>", are written;
+  * require_float(name, value): a finite float.  Its callers check their
+    own bounds, whose ends mix open and closed.
 
 Each error class declares the exit code the CLI and the sweep script end
 with when it escapes (cli.run_with_exit_codes), and a subclass inherits
@@ -35,22 +41,16 @@ class InvalidInputError(ConfEnsembleError):
     exit_code = EXIT_CONFIG
 
 
-def require_int(name: str, value) -> int:
-    """value as a plain int.  Anything with __index__ passes (numpy integers
-    included); floats, strings and booleans are rejected rather than
-    truncated or read as 0/1."""
+def require_int(name: str, value, minimum: int | None = None) -> int:
+    """value as a plain int, at least minimum when one is given.  Anything
+    with __index__ passes (numpy integers included); floats, strings and
+    booleans are rejected rather than truncated or read as 0/1."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def require_seed(name: str, value) -> int:
-    """value as a random seed: a non-negative integer, the range
-    np.random.default_rng accepts."""
-    seed = require_int(name, value)
-    if seed < 0:
-        raise InvalidInputError(f"{name} must be >= 0, got {seed}")
-    return seed
+    result = operator.index(value)
+    if minimum is not None and result < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {result}")
+    return result
 
 
 def require_float(name: str, value) -> float:

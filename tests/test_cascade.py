@@ -158,7 +158,7 @@ class TestConsensusHeuristics:
 
     def test_empty_ensemble_rejected(self):
         # With no empty ensemble, consensus always has a prediction to pick.
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^num_members must be >= 1, got 0$"):
             EnsembleManifest(members=(), selection_rule="nested", training_thresholds=(),
                              default_runtime=RuntimeConfig(thresholds=(0.2,)),
                              dataset_id="stub", dataset_digest="stub")

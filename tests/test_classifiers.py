@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -65,9 +66,9 @@ class TestSpecAndInit:
             ClassifierSpec(kind="tree", input_dim=4, num_classes=3)
         with pytest.raises(InvalidInputError):
             ClassifierSpec(kind="mlp", input_dim=4, num_classes=3)  # no hidden units
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^input_dim must be >= 1, got 0$"):
             ClassifierSpec(kind="linear", input_dim=0, num_classes=3)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^num_classes must be >= 2, got 1$"):
             ClassifierSpec(kind="linear", input_dim=4, num_classes=1)
 
     @pytest.mark.parametrize(
@@ -377,30 +378,33 @@ class TestFit:
         assert a.training_fingerprint != c.training_fingerprint
 
 
+_BAD_TRAIN_CONFIGS = [
+    (dict(epochs=0), "epochs must be >= 1, got 0"),
+    (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+    (dict(learning_rate=0.0), "learning_rate must be > 0, got 0.0"),
+    (dict(lr_decay_gamma=0.0), "lr_decay_gamma must be in (0, 1], got 0.0"),
+    (dict(lr_decay_gamma=1.5), "lr_decay_gamma must be in (0, 1], got 1.5"),
+    (dict(lr_decay_every_epochs=0), "lr_decay_every_epochs must be >= 1, got 0"),
+    (dict(weight_decay=-1e-3), "weight_decay must be >= 0, got -0.001"),
+    (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+    (dict(batch_size=64.0), "batch_size must be an integer, got 64.0"),
+    (dict(lr_decay_every_epochs="15"), "lr_decay_every_epochs must be an integer, got '15'"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(epochs=True), "epochs must be an integer, got True"),
+    (dict(learning_rate=float("nan")), "learning_rate must be a finite number, got nan"),
+    (dict(learning_rate=float("inf")), "learning_rate must be a finite number, got inf"),
+    (dict(lr_decay_gamma=True), "lr_decay_gamma must be a finite number, got True"),
+    (dict(weight_decay="0.01"), "weight_decay must be a finite number, got '0.01'"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+]
+
+
 class TestTrainConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(epochs=0),
-            dict(batch_size=0),
-            dict(learning_rate=0.0),
-            dict(lr_decay_gamma=0.0),
-            dict(lr_decay_gamma=1.5),
-            dict(lr_decay_every_epochs=0),
-            dict(weight_decay=-1e-3),
-            dict(epochs=2.5),
-            dict(batch_size=64.0),
-            dict(lr_decay_every_epochs="15"),
-            dict(seed=1.5),
-            dict(epochs=True),
-            dict(learning_rate=float("nan")),
-            dict(learning_rate=float("inf")),
-            dict(lr_decay_gamma=True),
-            dict(weight_decay="0.01"),
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidInputError):
+    # ids name the kwargs column only, as pytest would for it alone
+    @pytest.mark.parametrize("kwargs, message", _BAD_TRAIN_CONFIGS,
+                             ids=[f"kwargs{i}" for i in range(len(_BAD_TRAIN_CONFIGS))])
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             TrainConfig(**kwargs)
 
     def test_numpy_integer_counts_become_ints(self):

@@ -262,6 +262,7 @@ class TestBuildCommand:
             ({"metrics": {"calibration_bins": 15}}, "unknown key config.metrics"),
             # A value its owner rejects names the block it sits in.
             ({"build.num_members": 2.5}, "build: num_members must be an integer, got 2.5"),
+            ({"build.num_members": 0}, "build: num_members must be >= 1, got 0"),
             ({"build.training.epochs": 2.5},
              "build.training: epochs must be an integer, got 2.5"),
             ({"build.classifier.kind": "forest"},
@@ -271,8 +272,8 @@ class TestBuildCommand:
             ({"runtime.0.threshold": 0.7}, "runtime: runtime threshold 0.7 outside [0, 0.5]"),
         ],
         ids=["classifier-seed", "training-seed", "output-dir", "min-subset-size",
-             "unknown-key", "metrics-block", "num-members", "epochs", "classifier-kind",
-             "selection-rule", "per-class", "runtime-threshold"],
+             "unknown-key", "metrics-block", "num-members", "zero-members", "epochs",
+             "classifier-kind", "selection-rule", "per-class", "runtime-threshold"],
     )
     def test_config_rule_exits_before_building(self, tmp_path, capsys, edit, message):
         doc = experiment_doc()
@@ -368,21 +369,24 @@ def test_csv_beyond_the_parser_limits_is_a_data_error(built_dir, tmp_path, capsy
 
 @pytest.mark.parametrize("kind", ["csv", "idx"])
 def test_declared_class_count_below_two_is_a_config_error(tmp_path, capsys, kind):
-    """A csv or idx dataset block declaring "num_classes": 1 exits 2, as a
-    blobs block does, even when every label is 0."""
+    """A csv or idx dataset block declaring "num_classes" 1, 0 or -3 exits
+    2, as a blobs block does, even when every label is 0: the declared
+    count is checked before any row is read."""
     if kind == "csv":
         (tmp_path / "zeros.csv").write_text("f0,label\n" + "1.0,0\n" * 20)
-        block = {"kind": "csv", "path": "zeros.csv", "num_classes": 1}
+        block = {"kind": "csv", "path": "zeros.csv"}
     else:
         write_idx_images(tmp_path / "img.idx", np.zeros((20, 2, 2), dtype=np.uint8))
         write_idx_labels(tmp_path / "lab.idx", np.zeros(20, dtype=np.uint8))
-        block = {"kind": "idx", "images": "img.idx", "labels": "lab.idx", "num_classes": 1}
+        block = {"kind": "idx", "images": "img.idx", "labels": "lab.idx"}
     config = tmp_path / "experiment.json"
-    config.write_text(json.dumps(experiment_doc(dataset=block)))
-    assert main(["build", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: dataset: num_classes must be >= 2, got 1\n")
-    assert not (tmp_path / "out").exists()
+    for count in (1, 0, -3):
+        config.write_text(json.dumps(experiment_doc(dataset={**block, "num_classes": count})))
+        assert main(["build", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: dataset: num_classes must be >= 2, got {count}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateCommand:

@@ -73,6 +73,41 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("property") / "data.csv"
 
 
+_BAD_BLOBS = [
+    (dict(num_classes=1, per_class=10, dim=2, spread=1.0, overlap=0.0, seed=0),
+     "num_classes must be >= 2, got 1"),
+    (dict(num_classes=2, per_class=0, dim=2, spread=1.0, overlap=0.0, seed=0),
+     "per_class must be >= 1, got 0"),
+    (dict(num_classes=2, per_class=10, dim=0, spread=1.0, overlap=0.0, seed=0),
+     "dim must be >= 1, got 0"),
+    (dict(num_classes=2, per_class=10, dim=2, spread=0.0, overlap=0.0, seed=0),
+     "spread must be > 0, got 0.0"),
+    (dict(num_classes=2, per_class=10, dim=2, spread=1.0, overlap=1.5, seed=0),
+     "overlap must be in [0, 1], got 1.5"),
+    # non-integers are rejected, not truncated or read as 0/1
+    (dict(num_classes=3, per_class=2.5, dim=2, spread=1.0, overlap=0.0, seed=0),
+     "per_class must be an integer, got 2.5"),
+    (dict(num_classes=3, per_class=2, dim=2.9, spread=1.0, overlap=0.0, seed=0),
+     "dim must be an integer, got 2.9"),
+    (dict(num_classes=3, per_class="4", dim=2, spread=1.0, overlap=0.0, seed=0),
+     "per_class must be an integer, got '4'"),
+    (dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=2.7),
+     "seed must be an integer, got 2.7"),
+    (dict(num_classes=3.0, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=0),
+     "num_classes must be an integer, got 3.0"),
+    (dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=True, seed=0),
+     "overlap must be a finite number, got True"),
+    (dict(num_classes=3, per_class=2, dim=2, spread="1", overlap=0.0, seed=0),
+     "spread must be a finite number, got '1'"),
+    (dict(num_classes=3, per_class=2, dim=2, spread=float("inf"), overlap=0.0, seed=0),
+     "spread must be a finite number, got inf"),
+    (dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=float("nan"), seed=0),
+     "overlap must be a finite number, got nan"),
+    (dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=-1),
+     "seed must be >= 0, got -1"),
+]
+
+
 class TestGenerateBlobs:
     def test_size_and_shape(self):
         data = generate_blobs(num_classes=3, per_class=100, dim=2, spread=1.0,
@@ -102,28 +137,11 @@ class TestGenerateBlobs:
 
         assert center_gap(tight) < center_gap(wide)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(num_classes=1, per_class=10, dim=2, spread=1.0, overlap=0.0, seed=0),
-            dict(num_classes=2, per_class=0, dim=2, spread=1.0, overlap=0.0, seed=0),
-            dict(num_classes=2, per_class=10, dim=0, spread=1.0, overlap=0.0, seed=0),
-            dict(num_classes=2, per_class=10, dim=2, spread=0.0, overlap=0.0, seed=0),
-            dict(num_classes=2, per_class=10, dim=2, spread=1.0, overlap=1.5, seed=0),
-            # non-integers are rejected, not truncated or read as 0/1
-            dict(num_classes=3, per_class=2.5, dim=2, spread=1.0, overlap=0.0, seed=0),
-            dict(num_classes=3, per_class=2, dim=2.9, spread=1.0, overlap=0.0, seed=0),
-            dict(num_classes=3, per_class="4", dim=2, spread=1.0, overlap=0.0, seed=0),
-            dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=2.7),
-            dict(num_classes=3.0, per_class=2, dim=2, spread=1.0, overlap=0.0, seed=0),
-            dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=True, seed=0),
-            dict(num_classes=3, per_class=2, dim=2, spread="1", overlap=0.0, seed=0),
-            dict(num_classes=3, per_class=2, dim=2, spread=float("inf"), overlap=0.0, seed=0),
-            dict(num_classes=3, per_class=2, dim=2, spread=1.0, overlap=float("nan"), seed=0),
-        ],
-    )
-    def test_invalid_parameters(self, kwargs):
-        with pytest.raises(InvalidInputError):
+    # ids name the kwargs column only, as pytest would for it alone
+    @pytest.mark.parametrize("kwargs, message", _BAD_BLOBS,
+                             ids=[f"kwargs{i}" for i in range(len(_BAD_BLOBS))])
+    def test_invalid_parameters(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             generate_blobs(**kwargs)
 
     def test_one_dimensional_supported(self):
@@ -458,7 +476,7 @@ class TestIdxProperty:
             data = load_idx(*paths, num_classes=num_classes)
         except DatasetParseError:
             return
-        except InvalidInputError as exc:  # a declared count of 1, on files that parse
+        except InvalidInputError as exc:  # a declared count of 1, before any file is read
             assert num_classes == 1 and str(exc) == "num_classes must be >= 2, got 1"
             return
         assert len(data) > 0 and data.feature_dim > 0
