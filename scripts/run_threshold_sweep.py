@@ -4,15 +4,16 @@
 Builds the config's own ensemble (the full chain) plus one two-member
 ensemble per training threshold in the grid, all from the config's
 dataset, classifier, trainer and selection rule (at two members the
-rules pick the same pool).  The builds share one member cache, so a
-member common to several of them (member 0 always) is trained once.
-Then sweeps the runtime-threshold grid with both consensus heuristics.
-Builds and evaluations share one ScoreMemo, keyed by what was scored
-(one member over one set of rows of the dataset's features), so each
-member scores each set of rows once: a member's all-rows scores serve
-its build report and level 0 of every evaluation that starts with it,
-and levels that pass the same rows to the same member, under either
-consensus heuristic or in chains with a common prefix, share their pass.
+rules pick the same pool).  Then sweeps the runtime-threshold grid with
+both consensus heuristics.  Builds and evaluations share one ScoreMemo.
+Its members are keyed by training fingerprint, so a member common to
+several builds (member 0 always) is trained once.  Its scores are keyed
+by what was scored (one member over one set of rows of the dataset's
+features), so each member scores each set of rows once: a member's
+all-rows scores serve its build report and level 0 of every evaluation
+that starts with it, and levels that pass the same rows to the same
+member, under either consensus heuristic or in chains with a common
+prefix, share their pass.
 The single-model baseline is member 0 of the full chain, as its build
 report scores it.  Emits a summary CSV/JSON and prints a table.
 A library error exits with the code its error class carries, as in the
@@ -115,10 +116,9 @@ def main(argv=None):
     rows: list[dict] = []
     subset_sizes: dict[str, list[int]] = {}
     reports = {}
-    trained = {}
     scored = ScoreMemo()
     for name, build in builds.items():
-        manifest, reports[name] = build_ensemble(data, build, trained=trained, scored=scored)
+        manifest, reports[name] = build_ensemble(data, build, scored=scored)
         subset_sizes[name] = list(reports[name].subset_sizes())
         rows += evaluate_grid(name, manifest, data, scored)
 

@@ -12,15 +12,15 @@ the level's training threshold).  Two ways to pick that pool:
 The two rules coincide at level 1.  Pools are int64 index arrays.  Each
 member is scored once over the full dataset; the scores feed both its
 report entry (accuracy, ECE, histograms) and the next pool.  Builds that
-share a member cache and a cascade.ScoreMemo (the threshold sweep's,
-keyed by member and feature matrix) train each distinct member once and
-score it once.  Member 0's entry is the single-model reference.  Builds
-are deterministic: member s derives its init and shuffling seeds from
-the configured seeds plus s.
+share one cascade.ScoreMemo (the threshold sweep's), whose members are
+keyed by training fingerprint and whose scores by what was scored, train
+each distinct member once and score it once.  Member 0's entry is the
+single-model reference.  Builds are deterministic: member s derives its
+init and shuffling seeds from the configured seeds plus s.
 A BuildConfig nests as a config's build block does (the schedule, a
 ClassifierRecipe and a TrainConfig), so each of its fields is a config
-key, and it names no dataset: each member's input dimension and class
-count are the dataset's.
+key, and it names no dataset: member s's ClassifierSpec is the recipe,
+seeded seed + s, plus the dataset's input dimension and class count.
 
 check_schedule states the build-schedule rules (member count, selection
 rule, a training threshold per later member) once, for both BuildConfig
@@ -132,7 +132,7 @@ class BuildConfig:
 
     def __post_init__(self):
         for name, kind in (("classifier", ClassifierRecipe), ("training", TrainConfig)):
-            if not isinstance(getattr(self, name), kind):
+            if type(getattr(self, name)) is not kind:  # exact: a ClassifierSpec has a shape
                 raise InvalidInputError(
                     f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         num_members = require_int("num_members", self.num_members)
@@ -222,23 +222,19 @@ def build_ensemble(
     data: Dataset,
     cfg: BuildConfig,
     default_runtime: RuntimeConfig | None = None,
-    trained: dict[str, TrainedModel] | None = None,
     scored: ScoreMemo | None = None,
 ) -> tuple[EnsembleManifest, BuildReport]:
     """Train the full member chain.
 
-    ``trained`` is a member cache, keyed by training fingerprint: a
-    member whose fingerprint is in it is reused instead of fitted again,
-    and each member fitted is added to it.  Builds that share one (the
-    threshold sweep's) train each distinct member once; without one, a
-    build uses its own.  A member's train_seconds covers its lookup and
-    any fit.
-
-    ``scored`` is a ScoreMemo: a member's scores over all of
-    data.features are its entry, level 0 of every cascade over that
-    matrix that starts with it, so builds and evaluations that share the
-    memo score each member over the dataset once; without one, a build
-    uses its own.
+    ``scored`` is a ScoreMemo that builds and evaluations may share (the
+    threshold sweep's); without one, a build uses its own.  A member
+    whose training fingerprint is in its members is reused instead of
+    fitted again, and each member fitted is added to them, so builds that
+    share the memo train each distinct member once.  A member's
+    train_seconds covers its lookup and any fit.  A member's scores over
+    all of data.features are its entry, level 0 of every cascade over
+    that matrix that starts with it, so they also score each member over
+    the dataset once.
 
     Raises DegenerateSubsetError as soon as a selected pool falls below
     max(2 * num_classes, 10) samples, naming the level; nothing is
@@ -246,7 +242,6 @@ def build_ensemble(
     diverged fit raises TrainingDivergedError naming the level and epoch.
     """
     min_size = max(2 * data.num_classes, 10)
-    trained = {} if trained is None else trained
     scored = ScoreMemo() if scored is None else scored
 
     full_pool = data.all_indices()
@@ -259,21 +254,22 @@ def build_ensemble(
             pool = _filter_pool(source, scores[2], cfg.training_thresholds[level - 1])
             if len(pool) < min_size:
                 raise DegenerateSubsetError(level=level, size=len(pool), minimum=min_size)
-        spec = ClassifierSpec(cfg.classifier.kind, data.feature_dim, data.num_classes,
-                              cfg.classifier.hidden_units, cfg.classifier.seed + level)
+        recipe = replace(cfg.classifier, seed=cfg.classifier.seed + level)
+        spec = ClassifierSpec(**vars(recipe), input_dim=data.feature_dim,
+                              num_classes=data.num_classes)
         member_train = replace(cfg.training, seed=cfg.training.seed + level)
         started = time.perf_counter()
         pool_data = materialize(pool, data)
         # The spec seeds the init; an init taken from elsewhere (say, the
         # predecessor's parameters) must be hashed into the key too.
         key = training_fingerprint(pool_data, member_train, spec)
-        model = trained.get(key)
+        model = scored.members.get(key)
         if model is None:
             try:
                 model = fit(init_model(spec), pool_data, member_train)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
-            trained[key] = model
+            scored.members[key] = model
         elapsed = time.perf_counter() - started
         scores = scored.scores(model, data.features)
         members.append(model)

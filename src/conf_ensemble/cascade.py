@@ -22,6 +22,7 @@ ScoreMemo keyed by what was scored, one member over one set of rows of
 one feature matrix: a caller that evaluates many chains (the threshold
 sweep, across its builds and evaluations) shares one, so each member
 scores each set of rows once, and any other call gets a memo of its own.
+Its members, keyed by training fingerprint, are the fits builds share.
 batch_evaluate keeps the columns and their RuntimeConfig as an
 EvaluationRecord; cascade_predict is a one-row call, its CascadeTrace the
 consulted members' predictions in member order.  The record's
@@ -123,7 +124,9 @@ def member_prediction_arrays(
 
 
 class ScoreMemo:
-    """A caller-owned memo of member scores: what was scored is the key.
+    """A caller-owned memo of member fits and scores, each keyed by what
+    was fitted or scored: members maps a training fingerprint (data, train
+    config and spec) to the member build_ensemble fitted on them.
 
     member_prediction_arrays of one member over one set of rows of one
     feature matrix always gives the same bits, so an entry is keyed by the
@@ -141,6 +144,7 @@ class ScoreMemo:
     """
 
     def __init__(self):
+        self.members: dict[str, TrainedModel] = {}
         # key -> (member, features, scores)
         self._entries: dict[tuple, tuple] = {}
 

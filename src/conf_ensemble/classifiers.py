@@ -22,9 +22,10 @@ Default hyperparameters: learning rate 1e-3, weight decay 1e-2, gamma 0.3
 every 15 epochs.
 
 ClassifierRecipe is the one statement of the architecture rule (a known
-kind, and hidden_units >= 1 for an mlp): a build's classifier is one, and
-every ClassifierSpec checks its own kind, hidden_units and seed through
-one.  ClassifierSpec.check_data is the one statement of "this dataset
+kind, hidden_units >= 1 whenever given and required by an mlp, a seed
+>= 0): a build's classifier is one, and a ClassifierSpec is one too, a
+recipe plus the shape of its data (input_dim and num_classes, given by
+keyword).  ClassifierSpec.check_data is the one statement of "this dataset
 fits this model" (feature width and class count); fit, the cascade's
 batch_evaluate and the CLI's --data loading all run it.
 """
@@ -55,8 +56,8 @@ KIND_MLP = "mlp"
 @dataclass(frozen=True)
 class ClassifierRecipe:
     """A classifier less the shape its data gives it, as a config's
-    build.classifier block states it: a known kind, hidden_units (used by
-    an mlp only, and >= 1 there) and a seed."""
+    build.classifier block states it: a known kind, hidden_units (>= 1
+    whenever given, and required by an mlp only) and a seed."""
 
     kind: str
     hidden_units: int | None = None
@@ -64,32 +65,27 @@ class ClassifierRecipe:
 
     def __post_init__(self):
         if self.hidden_units is not None:
-            hidden = require_int("hidden_units", self.hidden_units)
+            hidden = require_int("hidden_units", self.hidden_units, 1)
             object.__setattr__(self, "hidden_units", hidden)
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         if self.kind not in (KIND_LINEAR, KIND_MLP):
             raise InvalidInputError(f"unknown classifier kind {self.kind!r}")
-        if self.kind == KIND_MLP and (self.hidden_units is None or self.hidden_units < 1):
+        if self.kind == KIND_MLP and self.hidden_units is None:
             raise InvalidInputError("mlp requires hidden_units >= 1")
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
-    """Architecture description: a ClassifierRecipe's fields, which it
-    checks, plus the input width and class count of the data."""
+@dataclass(frozen=True, kw_only=True)
+class ClassifierSpec(ClassifierRecipe):
+    """Architecture description: a ClassifierRecipe plus the input width
+    and class count of the data, which are keyword-only."""
 
-    kind: str
     input_dim: int
     num_classes: int
-    hidden_units: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name, minimum in (("input_dim", 1), ("num_classes", 2)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
-        recipe = ClassifierRecipe(self.kind, self.hidden_units, self.seed)
-        for name, value in vars(recipe).items():
-            object.__setattr__(self, name, value)
+        super().__post_init__()
 
     def check_data(self, data: Dataset) -> None:
         """The one check that data fits this model: its feature width is

@@ -13,6 +13,7 @@ from conf_ensemble import (
     EmptyTrainingSetError,
     InvalidInputError,
     RuntimeConfig,
+    ScoreMemo,
     TrainConfig,
     build_ensemble,
     expected_calibration_error,
@@ -20,6 +21,7 @@ from conf_ensemble import (
     generate_blobs,
     init_model,
 )
+from conf_ensemble import cascade
 from conf_ensemble.builder import _filter_pool
 from conf_ensemble.cascade import member_prediction_arrays
 from conf_ensemble.datasets import Dataset, materialize
@@ -229,9 +231,9 @@ class TestBuildEnsemble:
 
 
 class TestMemberCache:
-    """build_ensemble's ``trained`` cache is keyed by training fingerprint:
-    a member is reused exactly when its data, train config and spec (and
-    so its init) are all unchanged."""
+    """The members of build_ensemble's ScoreMemo are keyed by training
+    fingerprint: a member is reused exactly when its data, train config
+    and spec (and so its init) are all unchanged."""
 
     DATA = dict(num_classes=3, per_class=100, dim=2, spread=1.0, overlap=0.5, seed=4)
     BASE = BuildConfig(num_members=2, training_thresholds=(0.1,),
@@ -240,18 +242,40 @@ class TestMemberCache:
                                             learning_rate=0.05, seed=2))
 
     def test_equal_fingerprints_hit(self, fitted):
-        trained = {}
-        first, _ = build_ensemble(generate_blobs(**self.DATA), self.BASE, trained=trained)
+        scored = ScoreMemo()
+        first, _ = build_ensemble(generate_blobs(**self.DATA), self.BASE, scored=scored)
         assert len(fitted) == 2
-        again, _ = build_ensemble(generate_blobs(**self.DATA), self.BASE, trained=trained)
+        again, _ = build_ensemble(generate_blobs(**self.DATA), self.BASE, scored=scored)
         assert len(fitted) == 2
         assert [m.parameters.tobytes() for m in again.members] == \
             [m.parameters.tobytes() for m in first.members]
-        assert {m.training_fingerprint for m in first.members} == set(trained)
+        assert {m.training_fingerprint for m in first.members} == set(scored.members)
         # A longer chain with the same prefix trains only its new level.
         longer = replace(self.BASE, num_members=3, training_thresholds=(0.1, 0.1))
-        build_ensemble(generate_blobs(**self.DATA), longer, trained=trained)
+        build_ensemble(generate_blobs(**self.DATA), longer, scored=scored)
         assert len(fitted) == 3
+
+    def test_one_memo_serves_fits_and_scores(self, fitted, monkeypatch):
+        """A build that shares its ScoreMemo with an identical earlier one
+        neither fits nor scores a member again."""
+        passes = []
+        real = cascade.member_prediction_arrays
+
+        def spy(member, features):
+            passes.append(member)
+            return real(member, features)
+
+        monkeypatch.setattr(cascade, "member_prediction_arrays", spy)
+        data, scored = generate_blobs(**self.DATA), ScoreMemo()
+        first, first_report = build_ensemble(data, self.BASE, scored=scored)
+        assert (len(fitted), len(passes)) == (2, 2)
+        fitted.clear()
+        passes.clear()
+        again, again_report = build_ensemble(data, self.BASE, scored=scored)
+        assert (len(fitted), len(passes)) == (0, 0)
+        assert all(a is b for a, b in zip(again.members, first.members))
+        assert ([(m.index_digest, m.accuracy, m.ece) for m in again_report.members]
+                == [(m.index_digest, m.accuracy, m.ece) for m in first_report.members])
 
     @pytest.mark.parametrize("change, refit", [
         (dict(classifier=replace(BASE.classifier, seed=2)), 2),
@@ -259,24 +283,39 @@ class TestMemberCache:
         (dict(training_thresholds=(0.2,)), 1),
     ], ids=["classifier_seed", "training_seed", "training_threshold"])
     def test_a_changed_input_misses(self, fitted, change, refit):
-        trained = {}
+        scored = ScoreMemo()
         data = generate_blobs(**self.DATA)
-        _, base = build_ensemble(data, self.BASE, trained=trained)
+        _, base = build_ensemble(data, self.BASE, scored=scored)
         fitted.clear()
-        _, report = build_ensemble(data, replace(self.BASE, **change), trained=trained)
+        _, report = build_ensemble(data, replace(self.BASE, **change), scored=scored)
         assert len(fitted) == refit
-        assert len(trained) == 2 + refit
+        assert len(scored.members) == 2 + refit
         if refit == 1:  # member 0 is reused; the changed pool is not
             assert report.members[1].subset_size != base.members[1].subset_size
             assert fitted[0][0].spec.seed == self.BASE.classifier.seed + 1
 
     def test_a_changed_dataset_misses(self, fitted):
-        trained = {}
-        build_ensemble(generate_blobs(**self.DATA), self.BASE, trained=trained)
+        scored = ScoreMemo()
+        build_ensemble(generate_blobs(**self.DATA), self.BASE, scored=scored)
         other = generate_blobs(**{**self.DATA, "seed": 5})
-        build_ensemble(other, self.BASE, trained=trained)
+        build_ensemble(other, self.BASE, scored=scored)
         assert len(fitted) == 4
-        assert len(trained) == 4
+        assert len(scored.members) == 4
+
+
+# (fields replacing MLP_ARCH's recipe's, exact message); the index of each
+# pair is its test id.
+_BAD_RECIPES = [
+    (dict(kind="forest"), "unknown classifier kind 'forest'"),
+    (dict(hidden_units=None), "mlp requires hidden_units >= 1"),
+    (dict(hidden_units=0), "hidden_units must be >= 1, got 0"),
+    (dict(hidden_units=16.5), "hidden_units must be an integer, got 16.5"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(kind="mlp", hidden_units=-5), "hidden_units must be >= 1, got -5"),
+    (dict(kind="linear", hidden_units=0), "hidden_units must be >= 1, got 0"),
+    (dict(kind="linear", hidden_units=-5), "hidden_units must be >= 1, got -5"),
+]
 
 
 class TestBuildConfigValidation:
@@ -320,21 +359,12 @@ class TestBuildConfigValidation:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             BuildConfig(num_members=2, training_thresholds=value, **MLP_ARCH, training=TRAIN)
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            dict(kind="forest"),
-            dict(hidden_units=None),
-            dict(hidden_units=0),
-            dict(hidden_units=16.5),
-            dict(seed=-1),
-            dict(seed=1.5),
-        ],
-    )
-    def test_rejects_bad_classifier(self, fields):
+    @pytest.mark.parametrize("fields, message", _BAD_RECIPES,
+                             ids=[f"fields{i}" for i in range(len(_BAD_RECIPES))])
+    def test_rejects_bad_classifier(self, fields, message):
         """A BuildConfig's classifier is a ClassifierRecipe, which holds the
-        architecture rule."""
-        with pytest.raises(InvalidInputError):
+        architecture rule; hidden_units has its floor whatever the kind."""
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             ClassifierRecipe(**{**vars(MLP_ARCH["classifier"]), **fields})
 
     @pytest.mark.parametrize(
@@ -344,11 +374,13 @@ class TestBuildConfigValidation:
             ("classifier", "mlp", "ClassifierRecipe"),
             ("training", {"epochs": 1}, "TrainConfig"),
             ("training", None, "TrainConfig"),
+            ("classifier", MLP_SPEC, "ClassifierRecipe"),
         ],
     )
     def test_nested_blocks_must_be_their_records(self, field, value, kind):
         # A library caller's dict here used to construct and then fail in
-        # build_ensemble with a bare AttributeError.
+        # build_ensemble with a bare AttributeError; a ClassifierSpec, a
+        # recipe with its data's shape, with a bare TypeError.
         kwargs = dict(num_members=1, training_thresholds=(), **MLP_ARCH, training=TRAIN)
         kwargs[field] = value
         message = re.escape(f"{field} must be a {kind}, got {value!r}")

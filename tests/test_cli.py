@@ -197,8 +197,9 @@ class TestBuildCommand:
         losses = []
         for level, (pool, member) in enumerate(zip(pools, report["members"])):
             recipe = cfg.build.classifier
-            spec = ClassifierSpec(recipe.kind, data.feature_dim, data.num_classes,
-                                  recipe.hidden_units, recipe.seed + level)
+            spec = ClassifierSpec(kind=recipe.kind, input_dim=data.feature_dim,
+                                  num_classes=data.num_classes,
+                                  hidden_units=recipe.hidden_units, seed=recipe.seed + level)
             initial = objective(spec, init_model(spec).parameters, data.features[pool],
                                 data.labels[pool], cfg.build.training.weight_decay)
             losses.append((round(initial, 3), round(member["final_loss"], 3)))

@@ -135,6 +135,18 @@ class TestCorruption:
         with pytest.raises(ManifestDigestError, match="weights_file"):
             load_manifest(tmp_path)
 
+    def test_linear_member_with_negative_hidden_units(self, tmp_path):
+        # A linear member's parameter count does not depend on hidden_units,
+        # so only the recipe's floor stops this entry.
+        save_manifest(stub_manifest([member_with_uncertainty(0.3)]), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        assert (doc["members"][0]["kind"], doc["members"][0]["hidden_units"]) == ("linear", None)
+        doc["members"][0]["hidden_units"] = -5
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestDigestError, match="hidden_units must be >= 1, got -5"):
+            load_manifest(tmp_path)
+
 
 def _top_level_list(directory):
     (directory / "manifest.json").write_text("[]")

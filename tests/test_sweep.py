@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from conf_ensemble import (
+    ScoreMemo,
     build_ensemble,
     generate_blobs,
     load_dataset,
@@ -143,9 +144,9 @@ def report_without_times(report):
 def test_cached_builds_match_uncached_builds(workdir, tmp_path):
     cfg = load_experiment_config(workdir / "experiment.json")
     data = load_dataset(cfg.dataset)
-    trained = {}
+    scored = ScoreMemo()
     for name, build in sweep.sweep_builds(cfg.build).items():
-        cached, cached_report = build_ensemble(data, build, trained=trained)
+        cached, cached_report = build_ensemble(data, build, scored=scored)
         fresh, fresh_report = build_ensemble(data, build)
         weights = [save_manifest(m, tmp_path / name / kind) / "weights.bin"
                    for m, kind in ((cached, "cached"), (fresh, "fresh"))]
@@ -155,8 +156,8 @@ def test_cached_builds_match_uncached_builds(workdir, tmp_path):
         assert report_without_times(cached_report) == report_without_times(fresh_report)
     # member 0 is shared by all four builds, level 1 by tt0.01 and the
     # rebased chain (the rules coincide there)
-    assert len(trained) == 5
-    assert all(model.training_fingerprint == key for key, model in trained.items())
+    assert len(scored.members) == 5
+    assert all(model.training_fingerprint == key for key, model in scored.members.items())
 
 
 def test_each_invocation_trains_each_distinct_member_once(workdir, fitted):
@@ -173,10 +174,10 @@ def test_rows_match_memo_free_evaluations(workdir, swept):
     # must be what a memo-free batch_evaluate of its ensemble gives.
     cfg = load_experiment_config(workdir / "experiment.json")
     data = load_dataset(cfg.dataset)
-    trained = {}
+    scored = ScoreMemo()
     expected = []
     for name, build in sweep.sweep_builds(cfg.build).items():
-        manifest, _ = build_ensemble(data, build, trained=trained)
+        manifest, _ = build_ensemble(data, build, scored=scored)
         expected += sweep.evaluate_grid(name, manifest, data, None)
     assert swept["results"] == expected
 
