@@ -209,7 +209,7 @@ def member_report(
         subset_indices=pool,
         index_digest=_indices_digest(pool),
         train_seconds=train_seconds,
-        final_loss=model.final_loss,
+        final_loss=model.loss_history[-1],
         loss_history=model.loss_history,
         accuracy=float(correct.mean()),
         ece=expected_calibration_error(top, correct).ece,

@@ -260,6 +260,7 @@ class EvaluationRecord:
     the level was not consulted.  ``level`` is the (n,) answering level, -1
     where consensus decided; ``chosen`` is the (n,) level whose prediction
     the cascade returned, ``runtime`` what it ran with; the rest is derived.
+    Its arrays are read-only, so the writers' cached text of ``unc`` holds.
     """
 
     runtime: RuntimeConfig
@@ -269,6 +270,10 @@ class EvaluationRecord:
     unc: np.ndarray
     level: np.ndarray
     chosen: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.labels, self.classes, self.top, self.unc, self.level, self.chosen):
+            array.setflags(write=False)
 
     def _chosen_column(self, values: np.ndarray) -> np.ndarray:
         return values[np.arange(self.num_samples), self.chosen]

@@ -162,10 +162,6 @@ class TrainedModel:
         params.setflags(write=False)
         object.__setattr__(self, "parameters", params)
 
-    @property
-    def final_loss(self) -> float | None:
-        return self.loss_history[-1] if self.loss_history else None
-
 
 def _layer_bounds(spec: ClassifierSpec) -> tuple[tuple[int, int, int, int, int], ...]:
     """(fan_in, fan_out, weights start, bias start, bias end) per layer:

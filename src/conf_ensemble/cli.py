@@ -81,13 +81,12 @@ def _save_ensemble(manifest, report, out: Path) -> None:
     subset_dir = out / "subsets"
     for stale in subset_dir.glob("level_*.idx"):
         stale.unlink()
-    if manifest.num_members > 1:
+    for record in report.members[1:]:
         subset_dir.mkdir(exist_ok=True)
-        for record in report.members[1:]:
-            (subset_dir / f"level_{record.level}.idx").write_text(
-                indices_file_content(record.subset_indices), encoding="utf-8"
-            )
-    elif subset_dir.is_dir() and not any(subset_dir.iterdir()):
+        (subset_dir / f"level_{record.level}.idx").write_text(
+            indices_file_content(record.subset_indices), encoding="utf-8"
+        )
+    if subset_dir.is_dir() and not any(subset_dir.iterdir()):
         subset_dir.rmdir()
 
 

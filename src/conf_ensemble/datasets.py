@@ -140,7 +140,9 @@ def generate_blobs(
 
     Cluster centres sit on a circle (a line for dim=1) whose spacing
     shrinks linearly as overlap grows from 0 to 1, so higher overlap puts
-    more samples in regions where classes mix.  Deterministic in seed.
+    more samples in regions where classes mix.  Class k fills per_class
+    consecutive rows: centre k plus spread times those rows of one
+    standard-normal draw in row order, deterministic in seed.
     """
     num_classes = require_int("num_classes", num_classes, 2)
     per_class = require_int("per_class", per_class, 1)
@@ -167,15 +169,11 @@ def generate_blobs(
         centers[:, 0] = radius * np.cos(angles)
         centers[:, 1] = radius * np.sin(angles)
 
-    rng = np.random.default_rng(seed)
-    features = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for k in range(num_classes):
-        block = slice(k * per_class, (k + 1) * per_class)
-        features[block] = centers[k] + spread * rng.standard_normal((per_class, dim))
-        labels[block] = k
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    features = spread * np.random.default_rng(seed).standard_normal((num_classes, per_class, dim))
+    features += centers[:, None, :]
     return Dataset(
-        features=features,
+        features=features.reshape(len(labels), dim),
         labels=labels,
         num_classes=num_classes,
         id=f"blobs-k{num_classes}-n{per_class}-d{dim}-o{overlap:g}-s{seed}",

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the library against.
 
-Each is written from its definition, one sample at a time, with no input
-validation and no use of the library's private helpers, so an oracle
-cannot share a bug with the batch kernel it checks.  The exception is
+Each is written from its definition, one sample at a time (reference_blobs
+one class at a time), with no input validation and no use of the library's
+private helpers, so an oracle cannot share a bug with the batch kernel it
+checks.  The exception is
 reference_fit: a batch SGD loop that unpacks the parameters on every call
 and computes loss and gradient together, which fit must match bit for bit.
 """
@@ -128,6 +129,33 @@ def reference_fit(model, data, cfg) -> tuple[np.ndarray, tuple[float, ...]]:
             params -= lr * grad
         history.append(_objective_and_gradient(model.spec, params, X, y, cfg.weight_decay)[0])
     return params, tuple(history)
+
+
+def reference_blobs(num_classes, per_class, dim, spread, overlap, seed):
+    """generate_blobs' features and labels, drawn one class at a time.
+
+    Adjacent centres are spacing = spread * (0.5 + 7.5 * (1 - overlap))
+    apart: on a line from the origin for dim=1, else on a circle in the
+    first two coordinates, centre k at angle 2*pi*k/num_classes.  Class k's
+    per_class rows are its centre plus spread times the next per_class rows
+    of seed's standard-normal stream."""
+    spacing = spread * (0.5 + (8.0 - 0.5) * (1.0 - overlap))
+    centers = np.zeros((num_classes, dim))
+    if dim == 1:
+        centers[:, 0] = spacing * np.arange(num_classes)
+    else:
+        radius = spacing / (2.0 * np.sin(np.pi / num_classes))
+        angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+        centers[:, 0] = radius * np.cos(angles)
+        centers[:, 1] = radius * np.sin(angles)
+    rng = np.random.default_rng(seed)
+    features = np.empty((num_classes * per_class, dim))
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    for k in range(num_classes):
+        block = slice(k * per_class, (k + 1) * per_class)
+        features[block] = centers[k] + spread * rng.standard_normal((per_class, dim))
+        labels[block] = k
+    return features, labels
 
 
 class Replay(NamedTuple):

@@ -643,6 +643,20 @@ class TestExportBytes:
             after = getattr(record, name)
             assert after.dtype == before.dtype and after.tobytes() == before.tobytes(), name
 
+    def test_columns_are_read_only(self, tmp_path, trained_m0):
+        """The writers cache the text of unc, so no column can change after."""
+        members = (trained_m0, *(init_model(replace(MLP_SPEC, seed=s)) for s in (2, 3)))
+        data = generate_blobs(num_classes=3, per_class=5, dim=4, spread=1.0, overlap=0.55,
+                              seed=1)
+        record = batch_evaluate(stub_manifest(members), RuntimeConfig.for_members((0.2,), 3),
+                                data)
+        record.write_json(tmp_path / "evaluation.json")
+        for name in ("labels", "classes", "top", "unc", "level", "chosen"):
+            column = getattr(record, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        self.assert_matches_oracle(record, tmp_path)
+
     def test_summary_has_no_samples(self):
         record = synthetic_record(3, 10, 2, "most_confident")
         doc = json.loads(evaluation_json_text(record))

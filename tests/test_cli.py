@@ -677,6 +677,13 @@ class TestBaselineCommand:
         assert main(["build", "--config", str(single_config), "--out", str(out)]) == EXIT_OK
         assert sorted(path.name for path in (out / "subsets").iterdir()) == ["notes.txt"]
 
+    def test_leaves_a_plain_subsets_file(self, workdir, single_config):
+        out = workdir / "single-over-file"
+        out.mkdir()
+        (out / "subsets").write_text("mine")
+        assert main(["build", "--config", str(single_config), "--out", str(out)]) == EXIT_OK
+        assert (out / "subsets").read_text() == "mine"
+
     def test_is_not_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["baseline", "--config", "experiment.json"])

@@ -28,7 +28,7 @@ from conftest import (
     write_idx_labels,
     write_overflowing_idx_images,
 )
-from oracles import dataset_csv_text
+from oracles import dataset_csv_text, reference_blobs
 
 
 @st.composite
@@ -148,6 +148,19 @@ class TestGenerateBlobs:
         data = generate_blobs(num_classes=4, per_class=10, dim=1, spread=0.5,
                               overlap=0.0, seed=3)
         assert data.feature_dim == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_classes=st.integers(2, 6), per_class=st.integers(1, 60), dim=st.integers(1, 5),
+           spread=st.floats(1e-3, 1e3), overlap=st.floats(0.0, 1.0),
+           seed=st.integers(min_value=0))
+    def test_one_draw_matches_the_per_class_oracle(self, num_classes, per_class, dim, spread,
+                                                   overlap, seed):
+        data = generate_blobs(num_classes=num_classes, per_class=per_class, dim=dim,
+                              spread=spread, overlap=overlap, seed=seed)
+        features, labels = reference_blobs(num_classes, per_class, dim, spread, overlap, seed)
+        for got, want in ((data.features, features), (data.labels, labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCsv:
