@@ -7,13 +7,11 @@ dataset, classifier, trainer and selection rule (at two members the
 rules pick the same pool).  Then sweeps the runtime-threshold grid with
 both consensus heuristics.  Builds and evaluations share one ScoreMemo.
 Its members are keyed by training fingerprint, so a member common to
-several builds (member 0 always) is trained once.  Its scores are keyed
-by what was scored (one member over one set of rows of the dataset's
-features), so each member scores each set of rows once: a member's
-all-rows scores serve its build report and level 0 of every evaluation
-that starts with it, and levels that pass the same rows to the same
-member, under either consensus heuristic or in chains with a common
-prefix, share their pass.
+several builds (member 0 always) is trained once.  It holds one score per
+member and row of the dataset's features, and scores are batch-invariant,
+so each member scores the dataset once: a member's all-rows pass serves
+its build report and every level of every evaluation that consults it
+(the example makes 5 forward passes over 15,000 rows).
 The single-model baseline is member 0 of the full chain, as its build
 report scores it.  Emits a summary CSV/JSON and prints a table.
 A library error exits with the code its error class carries, as in the

@@ -13,10 +13,10 @@ The two rules coincide at level 1.  Pools are int64 index arrays.  Each
 member is scored once over the full dataset; the scores feed both its
 report entry (accuracy, ECE, histograms) and the next pool.  Builds that
 share one cascade.ScoreMemo (the threshold sweep's), whose members are
-keyed by training fingerprint and whose scores by what was scored, train
-each distinct member once and score it once.  Member 0's entry is the
-single-model reference.  Builds are deterministic: member s derives its
-init and shuffling seeds from the configured seeds plus s.
+keyed by training fingerprint and which holds one score per member and
+row, train each distinct member once and score it once.  Member 0's
+entry is the single-model reference.  Builds are deterministic: member s
+derives its init and shuffling seeds from the configured seeds plus s.
 A BuildConfig nests as a config's build block does (the schedule, a
 ClassifierRecipe and a TrainConfig), so each of its fields is a config
 key, and it names no dataset: member s's ClassifierSpec is the recipe,
@@ -232,9 +232,9 @@ def build_ensemble(
     fitted again, and each member fitted is added to them, so builds that
     share the memo train each distinct member once.  A member's
     train_seconds covers its lookup and any fit.  A member's scores over
-    all of data.features are its entry, level 0 of every cascade over
-    that matrix that starts with it, so they also score each member over
-    the dataset once.
+    all of data.features are its entry; scores are batch-invariant, so
+    they serve every cascade level that consults it over that matrix, and
+    a shared memo scores each member over the dataset once.
 
     Raises DegenerateSubsetError as soon as a selected pool falls below
     max(2 * num_classes, 10) samples, naming the level; nothing is
@@ -271,7 +271,7 @@ def build_ensemble(
                 raise TrainingDivergedError(exc.epoch, exc.detail, level) from None
             scored.members[key] = model
         elapsed = time.perf_counter() - started
-        scores = scored.scores(model, data.features)
+        scores = scored.scores(model, data.features, full_pool)
         members.append(model)
         records.append(member_report(level, pool, model, scores, data.labels, elapsed))
 

@@ -17,12 +17,13 @@ the one with the lowest uncertainty, ties to the earliest member).
 
 member_prediction_arrays is the one scoring kernel (softmax -> top class
 -> min(p, 1 - p)) and _run_cascade the one decision function; each member
-runs only on the rows still unresolved.  Each level's scores come from a
-ScoreMemo keyed by what was scored, one member over one set of rows of
-one feature matrix: a caller that evaluates many chains (the threshold
-sweep, across its builds and evaluations) shares one, so each member
-scores each set of rows once, and any other call gets a memo of its own.
-Its members, keyed by training fingerprint, are the fits builds share.
+runs only on the rows still unresolved.  Scores are batch-invariant
+(classifiers.predict_logits_batch), so each level's come from a ScoreMemo
+that holds one score per member and row of a feature matrix: a caller
+that evaluates many chains (the threshold sweep, across its builds and
+evaluations) shares one, so each member scores each row once, and any
+other call gets a memo of its own.  Its members, keyed by training
+fingerprint, are the fits builds share.
 batch_evaluate keeps the columns and their RuntimeConfig as an
 EvaluationRecord; cascade_predict is a one-row call, its CascadeTrace the
 consulted members' predictions in member order.  The record's
@@ -36,9 +37,11 @@ metrics.SCORE_RANGES; check_thresholds is the one place that checks it.
 That a dataset fits the members is ClassifierSpec.check_data's rule,
 which batch_evaluate runs before any forward pass.
 
-Note the boundary asymmetry with training-pool selection: a sample whose
-uncertainty equals the threshold exactly is not accepted here, and is
-forwarded there.
+Both comparisons are strict, so a sample whose uncertainty U equals the
+threshold T goes different ways: at runtime it is not accepted (that
+takes U < T) and goes on to the next level; in training
+(builder._filter_pool) it is not selected into the next member's pool
+(that takes U > T).
 """
 
 from __future__ import annotations
@@ -124,47 +127,47 @@ def member_prediction_arrays(
 
 
 class ScoreMemo:
-    """A caller-owned memo of member fits and scores, each keyed by what
-    was fitted or scored: members maps a training fingerprint (data, train
-    config and spec) to the member build_ensemble fitted on them.
+    """A caller-owned memo of member fits and scores: members maps a
+    training fingerprint (data, train config and spec) to the member
+    build_ensemble fitted on them, and the scores hold one
+    member_prediction_arrays value per member and row of a feature matrix.
 
-    member_prediction_arrays of one member over one set of rows of one
-    feature matrix always gives the same bits, so an entry is keyed by the
-    member's identity, the matrix's identity and the rows' bytes (None
-    for the whole matrix).  Callers that share one (the threshold sweep's
-    builds and evaluations) score each member over each set of rows once;
-    a build's all-rows scoring of member m is level 0 of every cascade
-    over the same matrix that starts with m.  Only passes over the same
-    rows are shared: a forward pass's last bits depend on how many rows it
-    is given, so scores cut out of an all-rows pass would move the results
-    of the later levels.
+    Scores are batch-invariant (predict_logits_batch), so a row's scores
+    do not depend on the rows scored with it: an entry, keyed by the
+    member's and the matrix's identity, holds every row scored so far, and
+    each call scores only the rows it does not hold yet.  A memo for one
+    call scores exactly the rows each level asks for, so early exit is
+    kept; a shared one (the threshold sweep's builds and evaluations)
+    serves every level of every cascade over a matrix from the build's
+    all-rows pass over it.
 
     Each entry holds the member and the matrix it keys, so that no id in a
-    key can be reused; its arrays are read-only.
+    key can be reused; each call returns new arrays.
     """
 
     def __init__(self):
         self.members: dict[str, TrainedModel] = {}
-        # key -> (member, features, scores)
+        # key -> (member, features, which rows are held, (class, top, uncertainty) per row)
         self._entries: dict[tuple, tuple] = {}
 
     def scores(
-        self,
-        member: TrainedModel,
-        features: np.ndarray,
-        rows: np.ndarray | None = None,
+        self, member: TrainedModel, features: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """member_prediction_arrays of member over features, or over
-        features[rows] for an integer index array rows."""
-        key = (id(member), id(features), None if rows is None else rows.tobytes())
-        entry = self._entries.get(key)
-        if entry is None:
-            scores = member_prediction_arrays(member,
-                                              features if rows is None else features[rows])
-            for array in scores:
-                array.setflags(write=False)
-            entry = self._entries[key] = (member, features, scores)
-        return entry[2]
+        """member_prediction_arrays of member over features[rows], for an
+        integer index array rows."""
+        key = (id(member), id(features))
+        if key not in self._entries:
+            n = features.shape[0]
+            self._entries[key] = (member, features, np.zeros(n, dtype=bool),
+                                  (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)))
+        _, _, held, table = self._entries[key]
+        missing = rows[~held[rows]]
+        if missing.size:
+            for column, values in zip(table, member_prediction_arrays(member,
+                                                                      features[missing])):
+                column[missing] = values
+            held[missing] = True
+        return tuple(column[rows] for column in table)
 
 
 def _run_cascade(
@@ -176,10 +179,9 @@ def _run_cascade(
     """The decision rule over an (n, input_dim) feature matrix.
 
     Member k scores only the rows still active at level k; level 0 scores
-    features itself.  Each level's scores are looked up in ``scored`` by
-    the member, the matrix and the active rows, and computed only when
-    missing; a caller without a ScoreMemo gets one for this call only,
-    which computes every level.
+    every row.  Each level's scores come from ``scored``, which computes
+    only the rows it does not hold; a caller without a ScoreMemo gets one
+    for this call only, which computes every level's rows.
 
     Returns the (n, L) per-level class, top probability and uncertainty
     (class -1 where a level was not consulted), the (n,) answering level
@@ -198,7 +200,7 @@ def _run_cascade(
     for k in range(num_levels):
         if active.size == 0:
             break
-        k_cls, k_top, k_unc = scored.scores(members[k], features, active if k else None)
+        k_cls, k_top, k_unc = scored.scores(members[k], features, active)
         classes[active, k] = k_cls
         top[active, k] = k_top
         unc[active, k] = k_unc
@@ -406,8 +408,8 @@ def batch_evaluate(
 
     Same kernel as cascade_predict, applied to every row at once; each
     member runs only on the samples still unresolved at its level.  With
-    a ScoreMemo ``scored``, a level whose member has already scored the
-    same rows of data's features is not scored again.
+    a ScoreMemo ``scored``, rows of data's features that a level's member
+    has already scored are not scored again.
     A dataset that does not fit the members (ClassifierSpec.check_data)
     fails here, an empty one included; an empty one that fits gives an
     empty record.

@@ -18,6 +18,11 @@ is numpy + float64 and fully deterministic given the seeds:
 initialization draws from the spec seed, batch order from the train
 config seed.
 
+Inference is batch-invariant: predict_logits_batch runs _forward over
+blocks of SCORE_BLOCK_ROWS rows, the last zero-padded, so every matrix
+product has one shape and a row's logits are the same bits in any batch
+(on one platform: another BLAS kernel or SIMD level gives other bits).
+
 Default hyperparameters: learning rate 1e-3, weight decay 1e-2, gamma 0.3
 every 15 epochs.
 
@@ -48,6 +53,11 @@ from .errors import (
 )
 
 LOSS_PROB_FLOOR = 1e-12  # keeps -log(p) finite
+
+# predict_logits_batch's block.  On a 2-vCPU AVX-512 Xeon, the example's
+# 4 -> 16 -> 3 MLP scores 100,002 rows in 11.0 ms (12.2 unblocked) and one
+# row, a whole block, in 0.11 ms.
+SCORE_BLOCK_ROWS = 1024
 
 KIND_LINEAR = "linear"
 KIND_MLP = "mlp"
@@ -368,10 +378,19 @@ def training_fingerprint(data: Dataset, cfg: TrainConfig, spec: ClassifierSpec) 
 
 
 def predict_logits_batch(model: TrainedModel, X) -> np.ndarray:
-    """Forward pass for an (n, input_dim) feature matrix."""
+    """Batch-invariant forward pass for an (n, input_dim) feature matrix:
+    _forward over one SCORE_BLOCK_ROWS-row buffer at a time."""
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.spec.input_dim:
         raise InvalidInputError(
             f"features must have shape (n, {model.spec.input_dim}), got {arr.shape}"
         )
-    return _forward(_unpack(model.spec, model.parameters), arr)[1]
+    layers = _unpack(model.spec, model.parameters)
+    logits = np.empty((arr.shape[0], model.spec.num_classes))
+    block = np.zeros((SCORE_BLOCK_ROWS, arr.shape[1]))
+    for start in range(0, arr.shape[0], SCORE_BLOCK_ROWS):
+        rows = arr[start:start + SCORE_BLOCK_ROWS]
+        block[:len(rows)] = rows
+        block[len(rows):] = 0.0
+        logits[start:start + len(rows)] = _forward(layers, block)[1][:len(rows)]
+    return logits

@@ -67,6 +67,15 @@ class TestSelection:
         out = _filter_pool(pool, unc_of(member, data), 0.1)
         assert out.tolist() == [0, 1, 3]
 
+    def test_a_row_at_the_threshold_stays_out(self):
+        # Selection keeps U > T only: with T a row's own computed
+        # uncertainty, that row stays out and every row above T is kept.
+        data, member = crafted_pool((0.4, 0.3, 0.05, 0.2, 0.01))
+        unc = unc_of(member, data)
+        expected = {0: [], 1: [0], 2: [0, 1, 3], 3: [0, 1], 4: [0, 1, 2, 3]}
+        for row, kept in expected.items():
+            assert _filter_pool(data.all_indices(), unc, float(unc[row])).tolist() == kept
+
     def test_threshold_half_selects_nothing(self, blobs3, trained_m0):
         out = _filter_pool(blobs3.all_indices(), unc_of(trained_m0, blobs3), 0.5)
         assert out.tolist() == []

@@ -512,22 +512,21 @@ class TestScoreMemo:
                         assert np.array_equal(getattr(shared, name), getattr(fresh, name)), \
                             (data.id, threshold, consensus, name)
 
-    def test_entries_are_read_only_and_hold_their_keys(self, blobs3):
+    def test_answers_are_copies_and_entries_hold_their_keys(self, blobs3):
         scored = ScoreMemo()
         member = init_model(replace(MLP_SPEC, seed=4))
         features = blobs3.features.copy()
-        scores = scored.scores(member, features)
-        assert not any(array.flags.writeable for array in scores)
-        for got, want in zip(scores, member_prediction_arrays(member, features)):
-            assert np.array_equal(got, want)
-        assert scored.scores(member, features) is scores
+        every = np.arange(len(features))
         rows = np.arange(0, len(features), 7)
-        some = scored.scores(member, features, rows)
-        assert scored.scores(member, features, rows.copy()) is some  # keyed by the rows' bytes
-        for other in (rows, rows + 1):  # as many rows, not the same ones
-            for got, want in zip(scored.scores(member, features, other),
-                                 member_prediction_arrays(member, features[other])):
-                assert np.array_equal(got, want)
+        # nothing held; all held, reversed; some held; all held; a repeated row
+        for asked in (rows, rows[::-1], every, rows + 1, np.array([5, 5, 0])):
+            got = scored.scores(member, features, asked)
+            for answer, want in zip(got, member_prediction_arrays(member, features[asked])):
+                assert np.array_equal(answer, want)
+                answer[...] = 0  # writing into an answer changes no later one
+        for answer, want in zip(scored.scores(member, features, every),
+                                member_prediction_arrays(member, features)):
+            assert np.array_equal(answer, want)
         alive = weakref.ref(member), weakref.ref(features)
         del member, features
         gc.collect()

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conf_ensemble import (
     ClassifierSpec,
@@ -140,6 +142,34 @@ class TestPredictLogits:
             assert int(np.argmax(logits)) == k
             assert logits[k] > max(np.delete(logits, k))
 
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.tuples(st.sampled_from(["linear", "mlp"]),
+                           st.one_of(st.integers(1, 8), st.integers(100, 160)),
+                           st.one_of(st.integers(2, 4), st.integers(10, 24)),
+                           st.integers(1, 64)),
+           n=st.one_of(st.integers(1, classifiers.SCORE_BLOCK_ROWS - 1),
+                       st.just(classifiers.SCORE_BLOCK_ROWS),
+                       st.integers(classifiers.SCORE_BLOCK_ROWS + 1,
+                                   3 * classifiers.SCORE_BLOCK_ROWS)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=("mlp", 121, 20, 64), n=2 * classifiers.SCORE_BLOCK_ROWS + 5, seed=0)
+    @example(shape=("linear", 784, 10, 1), n=classifiers.SCORE_BLOCK_ROWS, seed=1)
+    def test_a_row_scores_the_same_in_any_batch(self, shape, n, seed):
+        kind, input_dim, num_classes, hidden = shape
+        spec = ClassifierSpec(kind=kind, input_dim=input_dim, num_classes=num_classes,
+                              hidden_units=hidden, seed=seed)
+        model = init_model(spec)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=3.0, size=(n, input_dim))
+        every = predict_logits_batch(model, X)
+        # a random multiset of rows in random order, and one contiguous run
+        start = int(rng.integers(0, n))
+        for rows in (rng.integers(0, n, size=int(rng.integers(1, n + 1))),
+                     np.arange(start, min(n, start + classifiers.SCORE_BLOCK_ROWS + 3))):
+            assert np.array_equal(predict_logits_batch(model, X[rows]), every[rows])
+            assert np.array_equal(predict_logits_batch(model, np.asfortranarray(X[rows])),
+                                  every[rows])
+
     def test_dimension_mismatch(self):
         model = init_model(LINEAR_43)
         with pytest.raises(InvalidInputError, match=r"shape \(n, 4\)"):
@@ -266,6 +296,40 @@ class TestFit:
                                  r"exceeds initial loss 0\.813$"):
             fit(init_model(spec), data, cfg)
         assert initial == pytest.approx(0.813, abs=5e-4)
+
+    @pytest.fixture(scope="class")
+    def converged(self):
+        """60 rows and a linear 3-class model at its objective's minimum,
+        fitted by 1,000 epochs of full-batch gradient descent."""
+        data = generate_blobs(num_classes=3, per_class=20, dim=2, spread=1.0,
+                              overlap=0.5, seed=11)
+        spec = ClassifierSpec(kind="linear", input_dim=2, num_classes=3, seed=3)
+        cfg = TrainConfig(epochs=1000, batch_size=60, learning_rate=0.5, lr_decay_gamma=1.0,
+                          seed=0)
+        return data, fit(init_model(spec), data, cfg)
+
+    def test_final_loss_equal_to_initial_loss_passes(self, converged):
+        data, model = converged
+        cfg = TrainConfig(epochs=1, batch_size=60, learning_rate=1e-300, seed=0)
+        initial = objective(model.spec, model.parameters, data.features, data.labels,
+                            cfg.weight_decay)
+        refit = fit(model, data, cfg)  # each step is far below one ulp of any parameter
+        assert np.array_equal(refit.parameters, model.parameters)
+        assert refit.loss_history == (initial,)
+
+    def test_final_loss_just_above_initial_loss_diverges(self, converged):
+        # One epoch of batch-1 SGD steps from the minimum ends a hair above
+        # it (about 1.6e-8): no margin lets such a fit pass.
+        data, model = converged
+        cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-2, seed=0)
+        initial = objective(model.spec, model.parameters, data.features, data.labels,
+                            cfg.weight_decay)
+        _, history = reference_fit(model, data, cfg)
+        assert 0 < history[-1] - initial < 1e-6
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^training diverged at epoch 1: final loss 0\.1194 "
+                                 r"exceeds initial loss 0\.1194$"):
+            fit(model, data, cfg)
 
     def test_objective_calls_seen_by_the_tracer(self, monkeypatch):
         # perfbench/tracer.py takes X as the third positional argument (or

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conf_ensemble import (
     ClassifierSpec,
     ConfEnsembleError,
+    Dataset,
     DatasetParseError,
     DegenerateSubsetError,
     RuntimeConfig,
@@ -452,6 +453,35 @@ class TestEvaluateCommand:
             evaluation_json_text(record).encode("utf-8")
         assert (out / "evaluation.csv").read_bytes() == \
             evaluation_csv_text(record).encode("utf-8")
+
+    def test_a_sample_evaluates_the_same_in_any_subset(self, tmp_path):
+        """A sample's evaluation.csv row, but for its sample_index, is the
+        same whether evaluate is given the whole file or some of its rows,
+        in another order: each row scores the same in any batch.  The
+        example ensemble is used because one unblocked pass over a few of
+        its rows gives other last bits than a pass over many."""
+        assert main(["build", "--config", str(EXAMPLE_CONFIG),
+                     "--out", str(tmp_path / "ensemble")]) == EXIT_OK
+        full = generate_blobs(num_classes=3, per_class=1000, dim=4, spread=1.0,
+                              overlap=0.55, seed=43)
+        order = np.random.default_rng(0).permutation(len(full))
+        sizes = (1, 1, 1, 2, 3, 5, 8, 700)
+        subsets = dict(enumerate(np.split(order, np.cumsum(sizes))[:-1]))
+        save_csv(full, tmp_path / "full.csv")
+        for name, rows in subsets.items():
+            save_csv(Dataset(full.features[rows], full.labels[rows], num_classes=3,
+                             id=f"subset{name}"), tmp_path / f"{name}.csv")
+        lines = {}
+        for name in ("full", *subsets):
+            assert main(["evaluate", "--ensemble", str(tmp_path / "ensemble"),
+                         "--data", str(tmp_path / f"{name}.csv"), "--runtime-thresholds", "0.1",
+                         "--out", str(tmp_path / f"eval-{name}")]) == EXIT_OK
+            text = (tmp_path / f"eval-{name}" / "evaluation.csv").read_text(encoding="utf-8")
+            lines[name] = [line.split(",", 1)[1] for line in text.splitlines()[1:]]
+        for name, rows in subsets.items():
+            assert lines[name] == [lines["full"][i] for i in rows], sizes[name]
+        answered = {line.split(",")[2] for line in lines[len(sizes) - 1]}
+        assert answered == {"0", "1", "2", "consensus"}
 
     @pytest.mark.parametrize("text", ["0.01,", ",0.01", "0.2,,0.1", " ", ""])
     def test_empty_threshold_field_fails(self, workdir, built_dir, tmp_path, capsys, text):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conf_ensemble import InvalidInputError, expected_calibration_error, score_histogram
 from conf_ensemble.cascade import member_prediction_arrays
-from conf_ensemble.metrics import CalibrationBin, bin_indices
+from conf_ensemble.metrics import HISTOGRAM_BINS, SCORE_RANGES, CalibrationBin, bin_indices
 
 from oracles import histogram_csv_text
 
@@ -133,6 +133,12 @@ class TestScoreHistogram:
         for kind in ("uncertainty", "top_probability"):
             hist = score_histogram([0.1], [True], kind=kind)
             assert len(hist.correct_counts) == len(hist.bin_edges) - 1 == 20
+
+    @pytest.mark.parametrize("kind", ["uncertainty", "top_probability"])
+    def test_bin_edges_are_the_range_split_evenly(self, kind):
+        edges = score_histogram([0.1], [True], kind=kind).bin_edges
+        assert (edges[0], edges[-1]) == SCORE_RANGES[kind]
+        assert edges == tuple(np.linspace(*SCORE_RANGES[kind], HISTOGRAM_BINS + 1).tolist())
 
     def test_top_of_range_lands_in_last_bin(self):
         hist = score_histogram([0.5], [True], kind="uncertainty")
